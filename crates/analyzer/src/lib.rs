@@ -19,7 +19,7 @@
 //!    drift from the code it verifies.
 //! 3. [`lint`] — a **token-level workspace lint engine**: panic-path,
 //!    raw-thread-spawn, wall-clock, protocol-clock and
-//!    rename-without-fsync lints over the crate sources, with an
+//!    durable-write-outside-protocol lints over the crate sources, with an
 //!    explicit allowlist and machine-readable diagnostics.
 //!
 //! The [`crosscheck`] module bridges pass 1 to the dynamic world: it

@@ -37,12 +37,15 @@
 //!   checker explores under virtual time; a raw clock read at a
 //!   protocol decision site is a state the checker cannot reach. Time
 //!   enters the protocol through an injected `wcms_obs::Clock` only.
-//! * `rename-without-fsync` — a file that calls `fs::rename` outside
-//!   tests but never forces data (`sync_all` / `sync_data`).
-//!   Publishing a name whose bytes were never fsynced is exactly the
-//!   torn-commit window the `ModelFs` crash explorer demonstrates;
-//!   like the socket rule this is file-scoped (the satisfier may live
-//!   in a helper) and the first rename is flagged once per file.
+//! * `durable-write-outside-protocol` — any `sync_all`, `sync_data` or
+//!   `hard_link` outside tests. Every durable publish goes through one
+//!   step-plan executor (`wcms_bench::checkpoint::write_atomic`), the
+//!   code the `ModelFs` crash explorer models and the conformance probe
+//!   checks; a hand-rolled temp → fsync → publish anywhere else is
+//!   invisible to both. Every occurrence is a finding, and the
+//!   executor's own file is allowlisted the way `Clock::unix` is for
+//!   `wall-clock`. A bare `fs::rename` (quarantine, move-aside) forces
+//!   no data and is not flagged.
 //! * `span-without-context` — a fleet-observed file (the serve crate's
 //!   library plus the scale-out [`PROTOCOL_PATHS`]) that opens spans
 //!   (`span!` or `.span(`) outside tests but never touches the trace
@@ -511,10 +514,6 @@ pub fn lint_source(path: &str, src: &str, is_test_file: bool) -> Vec<Finding> {
     // dedicated function, so the satisfier is file-wide).
     let mut first_socket: Option<(usize, &'static str)> = None;
     let mut arms_deadline = false;
-    // Same shape for the rename rule: first `fs::rename` outside
-    // tests, satisfied by any data-forcing identifier in the file.
-    let mut first_rename: Option<usize> = None;
-    let mut syncs_data = false;
     let is_protocol_file = PROTOCOL_PATHS.contains(&path);
     // And again for the span rule: the first span opened in a
     // fleet-observed file, satisfied by any trace-context identifier
@@ -536,9 +535,6 @@ pub fn lint_source(path: &str, src: &str, is_test_file: bool) -> Vec<Finding> {
         let ident = std::str::from_utf8(&masked[i..end]).unwrap_or("");
         if matches!(ident, "set_read_timeout" | "set_write_timeout" | "apply_deadlines") {
             arms_deadline = true;
-        }
-        if matches!(ident, "sync_all" | "sync_data") {
-            syncs_data = true;
         }
         if matches!(ident, "TraceContext" | "stamp" | "with_context") {
             stamps_context = true;
@@ -574,10 +570,8 @@ pub fn lint_source(path: &str, src: &str, is_test_file: bool) -> Vec<Finding> {
                 && path_qualifier(&masked, i).as_deref() == Some("Instant")
             {
                 push("wall-clock-in-protocol", i, "Instant::now".to_string());
-            } else if ident == "rename" && path_qualifier(&masked, i).as_deref() == Some("fs") {
-                if first_rename.is_none() {
-                    first_rename = Some(i);
-                }
+            } else if matches!(ident, "sync_all" | "sync_data" | "hard_link") {
+                push("durable-write-outside-protocol", i, ident.to_string());
             } else if is_fleet_obs_file
                 && first_span.is_none()
                 && ident == "span"
@@ -599,11 +593,6 @@ pub fn lint_source(path: &str, src: &str, is_test_file: bool) -> Vec<Finding> {
     if let Some((off, name)) = first_socket {
         if !arms_deadline {
             push("socket-without-deadline", off, name.to_string());
-        }
-    }
-    if let Some(off) = first_rename {
-        if !syncs_data {
-            push("rename-without-fsync", off, "fs::rename".to_string());
         }
     }
     if let Some(off) = first_span {
@@ -843,19 +832,26 @@ mod tests {
     }
 
     #[test]
-    fn rename_without_fsync_is_file_scoped() {
-        let src = "fn f() { std::fs::rename(\"a\", \"b\").ok(); fs::rename(\"c\", \"d\").ok(); }\n";
+    fn durable_writes_outside_the_executor_are_flagged() {
+        let src = concat!(
+            "fn f(t: &std::fs::File) { t.sync_all().ok(); t.sync_data().ok(); }\n",
+            "fn g() { std::fs::hard_link(\"a\", \"b\").ok(); }\n",
+        );
         let fs = lint_source("a.rs", src, false);
-        assert_eq!(fs.len(), 1, "first rename only: {fs:?}");
-        assert_eq!(fs[0].rule, "rename-without-fsync");
-        assert_eq!(fs[0].snippet, "fs::rename");
+        let hits: Vec<_> = fs.iter().map(|f| (f.rule, f.line, f.snippet.as_str())).collect();
+        assert_eq!(
+            hits,
+            vec![
+                ("durable-write-outside-protocol", 1, "sync_all"),
+                ("durable-write-outside-protocol", 1, "sync_data"),
+                ("durable-write-outside-protocol", 2, "hard_link"),
+            ],
+            "every occurrence is a finding"
+        );
 
-        // Forcing data anywhere in the file satisfies the rule — the
-        // temp-file fsync lives a few lines above the rename.
-        let synced = format!("fn s(f: &std::fs::File) {{ f.sync_all().ok(); }}\n{src}");
-        assert!(lint_source("a.rs", &synced, false).is_empty());
-        let synced = format!("fn s(f: &std::fs::File) {{ f.sync_data().ok(); }}\n{src}");
-        assert!(lint_source("a.rs", &synced, false).is_empty());
+        // A bare rename (quarantine, move-aside) forces no data.
+        let rename = "fn f() { std::fs::rename(\"a\", \"b\").ok(); }\n";
+        assert!(lint_source("a.rs", rename, false).is_empty());
 
         // Test files and #[cfg(test)] modules are exempt.
         assert!(lint_source("crates/bench/tests/t.rs", src, true).is_empty());

@@ -3,13 +3,14 @@
 //!
 //! The interleaving model ([`crate::shard_model`]) explores *process*
 //! schedules; this module explores *machine crashes*: power loss after
-//! every individual filesystem operation of the store's two durable
+//! every individual filesystem operation of the workspace's two durable
 //! publish sequences, under a crash model where file **data** may be
 //! lost or torn unless fsynced. The scripts are not hand-written —
 //! they are generated from the same
 //! [`wcms_bench::protocol::ATOMIC_WRITE_STEPS`] /
-//! [`wcms_bench::protocol::LEASE_CLAIM_STEPS`] constants production
-//! iterates, and recovery is judged by the same
+//! [`wcms_bench::protocol::LEASE_CLAIM_STEPS`] constants the one
+//! durable-write executor ([`wcms_bench::checkpoint::write_atomic`])
+//! iterates, one operation per step, and recovery is judged by the same
 //! [`wcms_bench::checkpoint::decode_file`] /
 //! [`wcms_bench::protocol::classify_lease`] ladder recovery runs. If
 //! the protocol constants changed (say, fsync moved after the
@@ -279,24 +280,19 @@ const TMP: &str = "cell.tmp";
 const CELL: &str = "cell";
 const LEASE: &str = "lease";
 
-/// Translate a protocol step plan into concrete filesystem operations
-/// (the same translation `run_claim_steps` / `write_atomic` perform),
-/// with a trailing `Ack`.
-fn ops_from_plan(plan: &[CommitStep], framed: &[u8], link: bool) -> Vec<FsOp> {
-    let dst = if link { LEASE } else { CELL };
+/// Translate a protocol step plan publishing `dst` into concrete
+/// filesystem operations — one per step, the same map
+/// `wcms_bench::checkpoint::write_atomic` executes — with a trailing
+/// `Ack`.
+fn ops_from_plan(plan: &[CommitStep], framed: &[u8], dst: &'static str) -> Vec<FsOp> {
     let mut ops: Vec<FsOp> = plan
         .iter()
         .map(|step| match step {
             CommitStep::CreateTemp => FsOp::Create(TMP),
             CommitStep::WritePayload => FsOp::Write(TMP, framed.to_vec()),
             CommitStep::SyncTemp => FsOp::Fsync(TMP),
-            CommitStep::Publish => {
-                if link {
-                    FsOp::HardLink(TMP, dst)
-                } else {
-                    FsOp::Rename(TMP, dst)
-                }
-            }
+            CommitStep::Rename => FsOp::Rename(TMP, dst),
+            CommitStep::HardLink => FsOp::HardLink(TMP, dst),
             CommitStep::RemoveTemp => FsOp::Remove(TMP),
         })
         .collect();
@@ -346,7 +342,7 @@ pub fn standard_fs_scripts(variant: FsVariant) -> Vec<FsScript> {
             name: "atomic-write/fresh",
             initial: Vec::new(),
             ops: apply_variant(
-                ops_from_plan(ATOMIC_WRITE_STEPS, &framed_new, false),
+                ops_from_plan(ATOMIC_WRITE_STEPS, &framed_new, CELL),
                 &framed_new,
                 CELL,
                 variant,
@@ -357,7 +353,7 @@ pub fn standard_fs_scripts(variant: FsVariant) -> Vec<FsScript> {
             name: "atomic-write/overwrite",
             initial: vec![(CELL, framed_old.clone())],
             ops: apply_variant(
-                ops_from_plan(ATOMIC_WRITE_STEPS, &framed_new, false),
+                ops_from_plan(ATOMIC_WRITE_STEPS, &framed_new, CELL),
                 &framed_new,
                 CELL,
                 variant,
@@ -368,7 +364,7 @@ pub fn standard_fs_scripts(variant: FsVariant) -> Vec<FsScript> {
             name: "lease-claim/publish",
             initial: Vec::new(),
             ops: apply_variant(
-                ops_from_plan(LEASE_CLAIM_STEPS, &framed_lease, true),
+                ops_from_plan(LEASE_CLAIM_STEPS, &framed_lease, LEASE),
                 &framed_lease,
                 LEASE,
                 variant,

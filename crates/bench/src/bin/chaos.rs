@@ -308,6 +308,7 @@ fn corrupt_random_lease(ckpt: &Path, rng: &mut Lcg) -> Result<bool, WcmsError> {
         Ok(entries) => entries
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("lease-")))
+            .filter(|p| p.extension().is_some_and(|e| e == "json")) // not a claim temp
             .collect(),
         Err(_) => Vec::new(), // killed before any lease appeared
     };

@@ -23,8 +23,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use wcms_bench::checkpoint::write_atomic;
 use wcms_bench::cliargs::parse_figure_args;
 use wcms_bench::panel::build_figure_panels;
+use wcms_bench::protocol::ATOMIC_WRITE_STEPS;
 use wcms_bench::resilient::SweepStats;
 use wcms_bench::shard::LOST_PREFIX;
 use wcms_error::WcmsError;
@@ -180,18 +182,10 @@ fn join_dir(target: &Path, src: &Path, report: &mut JoinReport) -> Result<(), Wc
                 )));
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                // Atomic import: temp + fsync + rename, like every
-                // store write — publishing a name whose data was never
-                // forced is exactly the torn-commit window the
-                // rename-without-fsync lint exists to close.
-                let tmp = target.join(format!("{name}.{}.tmp", std::process::id()));
-                {
-                    use std::io::Write as _;
-                    let mut f = fs::File::create(&tmp)?;
-                    f.write_all(&bytes)?;
-                    f.sync_all()?;
-                }
-                fs::rename(&tmp, &dest)?;
+                // Imported through the durable-write executor, like
+                // every store write: the name never points at bytes
+                // that were not forced.
+                write_atomic(ATOMIC_WRITE_STEPS, &dest, &bytes)?;
                 if is_cell {
                     report.imported += 1;
                 }

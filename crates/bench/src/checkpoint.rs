@@ -35,8 +35,10 @@ use std::sync::Arc;
 
 use wcms_dmm::stats::Summary;
 use wcms_error::WcmsError;
+use wcms_obs::context::fnv1a64;
 
 use crate::experiment::Measurement;
+use crate::protocol::{self, CommitStep, ATOMIC_WRITE_STEPS};
 
 /// On-disk schema version, recorded in the manifest. Bump whenever the
 /// cell codec or the fingerprint shape changes incompatibly.
@@ -292,7 +294,8 @@ impl CheckpointStore {
     }
 
     fn write_manifest(&self, fingerprint: &SweepFingerprint) -> Result<(), WcmsError> {
-        self.write_atomic(&self.dir.join("manifest.json"), &encode_file(&fingerprint.encode()))
+        let framed = encode_file(&fingerprint.encode());
+        write_atomic(ATOMIC_WRITE_STEPS, &self.dir.join("manifest.json"), framed.as_bytes())
     }
 
     /// Remove every checkpoint in the directory — cell files, manifest
@@ -412,7 +415,8 @@ impl CheckpointStore {
     ///
     /// Returns [`WcmsError::Io`] on filesystem failures.
     pub fn store(&self, cell: &str, result: &CellResult) -> Result<(), WcmsError> {
-        self.write_atomic(&self.cell_path(cell), &encode_file(&encode(result)))
+        let framed = encode_file(&encode(result));
+        write_atomic(ATOMIC_WRITE_STEPS, &self.cell_path(cell), framed.as_bytes())
     }
 
     /// Persist an auxiliary (non-cell) artifact — e.g. a per-shard
@@ -424,7 +428,7 @@ impl CheckpointStore {
     ///
     /// Returns [`WcmsError::Io`] on filesystem failures.
     pub fn write_aux(&self, name: &str, payload: &str) -> Result<(), WcmsError> {
-        self.write_atomic(&self.dir.join(name), &encode_file(payload))
+        write_atomic(ATOMIC_WRITE_STEPS, &self.dir.join(name), encode_file(payload).as_bytes())
     }
 
     /// Load and verify an auxiliary artifact written by
@@ -461,31 +465,46 @@ impl CheckpointStore {
         names.sort();
         Ok(names)
     }
-
-    fn write_atomic(&self, path: &Path, content: &str) -> Result<(), WcmsError> {
-        write_atomic(path, content)
-    }
 }
 
-/// Atomic file write shared by cells, manifests, aux artifacts and
-/// lease temp files: unique temp name (stealing workers may write the
-/// same target concurrently), fsync, rename. The step order is not
-/// ad hoc — it executes [`crate::protocol::ATOMIC_WRITE_STEPS`], the
-/// same plan the `wcms-analyzer` crash-consistency explorer enumerates
-/// machine crashes through, and records each step on the conformance
-/// probe so a test can assert the two never drift.
-pub(crate) fn write_atomic(path: &Path, content: &str) -> Result<(), WcmsError> {
-    use crate::protocol::{self, CommitStep};
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("file");
-    let tmp = path.with_file_name(format!("{name}.{}.tmp", std::process::id()));
+/// Per-process sequence behind [`temp_path`]. `Relaxed` suffices: each
+/// `fetch_add` still returns a distinct value, and it publishes no data.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// `<target>.<pid>.<counter>.tmp`: a temp name no other call uses.
+/// Threads of one process share the pid, so the process-wide counter is
+/// what keeps concurrent writes of one target apart; `clear()` sweeps
+/// the `.tmp` strays a crash leaves.
+pub(crate) fn temp_path(target: &Path) -> PathBuf {
+    let name = target.file_name().and_then(|n| n.to_str()).unwrap_or("file");
+    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    target.with_file_name(format!("{name}.{}.{seq}.tmp", std::process::id()))
+}
+
+/// The workspace's one durable-publish executor: run `plan`
+/// ([`ATOMIC_WRITE_STEPS`] or [`protocol::LEASE_CLAIM_STEPS`]) to put
+/// `bytes` under `target` via a private [`temp_path`], one syscall per
+/// step, recording each step on the conformance probe. Every durable
+/// write (cells, manifests, leases, merges, serve cache and journal)
+/// comes here, so the `wcms-analyzer` crash explorer, which enumerates
+/// the same plans, covers them all. A failed publish still runs the
+/// steps after it (a claim's temp unlink) before returning its error:
+/// a lost link race reports `AlreadyExists` and leaves no temp behind.
+///
+/// # Errors
+///
+/// [`WcmsError::Io`] from the first step that fails.
+pub fn write_atomic(plan: &[CommitStep], target: &Path, bytes: &[u8]) -> Result<(), WcmsError> {
+    let tmp = temp_path(target);
     let mut file: Option<fs::File> = None;
-    for step in protocol::ATOMIC_WRITE_STEPS {
-        protocol::probe::executed("atomic-write", *step);
+    let mut published = Ok(());
+    for &step in plan {
+        protocol::probe::executed(step);
         match step {
             CommitStep::CreateTemp => file = Some(fs::File::create(&tmp)?),
             CommitStep::WritePayload => {
                 if let Some(f) = file.as_mut() {
-                    f.write_all(content.as_bytes())?;
+                    f.write_all(bytes)?;
                 }
             }
             CommitStep::SyncTemp => {
@@ -493,16 +512,20 @@ pub(crate) fn write_atomic(path: &Path, content: &str) -> Result<(), WcmsError> 
                     f.sync_all()?;
                 }
             }
-            CommitStep::Publish => {
+            CommitStep::Rename => {
                 drop(file.take());
-                fs::rename(&tmp, path)?;
+                published = fs::rename(&tmp, target);
+            }
+            CommitStep::HardLink => {
+                drop(file.take());
+                published = fs::hard_link(&tmp, target);
             }
             CommitStep::RemoveTemp => {
                 let _ = fs::remove_file(&tmp);
             }
         }
     }
-    Ok(())
+    published.map_err(WcmsError::Io)
 }
 
 /// Remove the oldest entries of `dir` until at most `keep` remain
@@ -553,18 +576,6 @@ pub fn sanitize(cell: &str) -> String {
 }
 
 // --- Checksum framing -----------------------------------------------------
-
-/// FNV-1a over `bytes` (the same construction the dataset v2 format and
-/// the multiset fingerprints use — one hash family across the repo).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Frame `payload` with the integrity footer: the payload line, then
 /// one `fnv1a:<16 hex digits>` line over the payload bytes.
@@ -955,6 +966,31 @@ mod tests {
         assert_eq!(store.load(cell), LoadOutcome::Cached(skip));
         store.clear().unwrap();
         assert_eq!(store.load(cell), LoadOutcome::Absent);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Threads of one process storing one cell must never share a temp
+    /// file: every store succeeds and the survivor is byte-exact.
+    #[test]
+    fn concurrent_stores_of_one_cell_never_collide() {
+        let dir = tmpdir("race");
+        std::fs::remove_dir_all(&dir).ok();
+        let store = CheckpointStore::open(&dir).unwrap();
+        let r = CellResult::Done(meas());
+        let start = std::sync::Barrier::new(2);
+        let failed: usize = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..500).filter(|_| store.store("cell", &r).is_err()).count()
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(failed, 0, "stores of one cell collided on a temp file");
+        assert_eq!(store.load("cell"), LoadOutcome::Cached(r));
         std::fs::remove_dir_all(&dir).ok();
     }
 

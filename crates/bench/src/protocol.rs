@@ -18,17 +18,18 @@
 //! * [`ATOMIC_WRITE_STEPS`] / [`LEASE_CLAIM_STEPS`] — the ordered
 //!   step plans of the two durable publish sequences (temp → write →
 //!   fsync → rename, and temp → write → fsync → `hard_link` →
-//!   unlink). Production iterates these constants; the `ModelFs`
-//!   crash explorer enumerates a crash after every step of the same
-//!   constants.
+//!   unlink), one step per syscall. The workspace's one durable-write
+//!   executor, [`crate::checkpoint::write_atomic`], iterates these
+//!   constants; the `ModelFs` crash explorer enumerates a crash after
+//!   every step of the same constants.
 //!
 //! The [`probe`] submodule is the conformance instrument (mirroring
 //! `wcms_error::mc`): while armed on the current thread, every
 //! decision, release verdict and executed commit step is appended to a
 //! thread-local log, so a unit test can *assert* — not merely trust —
-//! that [`crate::shard::LeaseStore`] and
-//! [`crate::checkpoint::CheckpointStore`] run exactly the transitions
-//! the model explores.
+//! that every durable write (checkpoint cells, lease claims, serve
+//! cache entries and journal records) runs exactly the transitions the
+//! model explores.
 
 use std::time::Duration;
 
@@ -192,32 +193,37 @@ pub fn release_decision(on_disk: Option<&LeaseInfo>, pid: u64, worker: &str) -> 
     ours
 }
 
-/// One step of a durable publish sequence. The step *plans* below are
-/// the protocol; production executes them in order, and the `ModelFs`
-/// crash explorer inserts a machine crash after every prefix of the
-/// same plan.
+/// One step of a durable publish sequence: one syscall each. The step
+/// *plans* below are the protocol; the durable-write executor
+/// ([`crate::checkpoint::write_atomic`]) runs them in order, and the
+/// `ModelFs` crash explorer inserts a machine crash after every prefix
+/// of the same plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitStep {
-    /// Create the private temp file (unique name per process).
+    /// Create the private temp file (a name no other call uses).
     CreateTemp,
     /// Write the checksum-framed payload into the temp file.
     WritePayload,
     /// `fsync` the temp file — the payload is durable *before* any
     /// name points at it.
     SyncTemp,
-    /// Publish atomically: `rename` (cells, manifests, aux artifacts)
-    /// or `hard_link` (lease claims — fails with `AlreadyExists` when
-    /// the name is taken, which is the claim race's one loser path).
-    Publish,
-    /// Unlink the temp name (lease claims only; `rename` consumes the
-    /// temp name by itself).
+    /// Publish by `rename`: the temp name atomically becomes the
+    /// target, replacing any previous file.
+    Rename,
+    /// Publish by `hard_link` (lease claims): fails with
+    /// `AlreadyExists` when the name is taken, which is the claim
+    /// race's one loser path.
+    HardLink,
+    /// Unlink the temp name (after a `HardLink`; a `Rename` consumes
+    /// the temp name by itself).
     RemoveTemp,
 }
 
-/// The atomic-write sequence every checkpoint artifact commits
-/// through: temp → write → fsync → rename.
+/// The atomic-write sequence every durable file except a lease claim
+/// commits through (checkpoint cells, manifests, aux artifacts, serve
+/// cache entries, journal records): temp → write → fsync → rename.
 pub const ATOMIC_WRITE_STEPS: &[CommitStep] =
-    &[CommitStep::CreateTemp, CommitStep::WritePayload, CommitStep::SyncTemp, CommitStep::Publish];
+    &[CommitStep::CreateTemp, CommitStep::WritePayload, CommitStep::SyncTemp, CommitStep::Rename];
 
 /// The lease-claim sequence: temp → write → fsync → `hard_link` →
 /// unlink temp.
@@ -225,7 +231,7 @@ pub const LEASE_CLAIM_STEPS: &[CommitStep] = &[
     CommitStep::CreateTemp,
     CommitStep::WritePayload,
     CommitStep::SyncTemp,
-    CommitStep::Publish,
+    CommitStep::HardLink,
     CommitStep::RemoveTemp,
 ];
 
@@ -257,13 +263,9 @@ pub mod probe {
             /// True iff the on-disk lease still named the holder.
             ours: bool,
         },
-        /// A commit-plan step was executed by production code.
-        Step {
-            /// Which plan (`"atomic-write"` or `"lease-claim"`).
-            plan: &'static str,
-            /// The step taken.
-            step: CommitStep,
-        },
+        /// The durable-write executor ran one commit-plan step. The
+        /// publish step (`Rename` or `HardLink`) names the plan.
+        Step(CommitStep),
     }
 
     thread_local! {
@@ -308,10 +310,10 @@ pub mod probe {
         record(ProbeOp::Release { ours });
     }
 
-    /// Record one executed commit-plan step (called by the production
-    /// step executors in `shard`/`checkpoint`).
-    pub(crate) fn executed(plan: &'static str, step: CommitStep) {
-        record(ProbeOp::Step { plan, step });
+    /// Record one executed commit-plan step (called by the
+    /// durable-write executor, [`crate::checkpoint::write_atomic`]).
+    pub(crate) fn executed(step: CommitStep) {
+        record(ProbeOp::Step(step));
     }
 }
 
@@ -386,7 +388,8 @@ mod tests {
     fn step_plans_fsync_before_publish() {
         for plan in [ATOMIC_WRITE_STEPS, LEASE_CLAIM_STEPS] {
             let sync = plan.iter().position(|s| *s == CommitStep::SyncTemp);
-            let publish = plan.iter().position(|s| *s == CommitStep::Publish);
+            let publish =
+                plan.iter().position(|s| matches!(s, CommitStep::Rename | CommitStep::HardLink));
             assert!(sync < publish, "{plan:?}: data must be durable before a name points at it");
         }
     }
@@ -396,14 +399,14 @@ mod tests {
         probe::arm();
         let _ = lease_decision(&LeaseView::Missing, 5);
         let _ = release_decision(None, 1, "w");
-        probe::executed("atomic-write", CommitStep::SyncTemp);
+        probe::executed(CommitStep::SyncTemp);
         let ops = probe::disarm();
         assert_eq!(
             ops,
             vec![
                 probe::ProbeOp::Decision { view: LeaseView::Missing, action: LeaseAction::Claim },
                 probe::ProbeOp::Release { ours: false },
-                probe::ProbeOp::Step { plan: "atomic-write", step: CommitStep::SyncTemp },
+                probe::ProbeOp::Step(CommitStep::SyncTemp),
             ]
         );
         // Disarmed: nothing is recorded.

@@ -51,13 +51,14 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use wcms_error::WcmsError;
+use wcms_obs::context::{fnv1a64, mix};
 use wcms_obs::Clock;
 
 use crate::checkpoint::{
-    decode_file, encode_file, fnv1a64, prune_dir, sanitize, write_atomic, CheckpointStore,
+    decode_file, encode_file, prune_dir, sanitize, temp_path, write_atomic, CheckpointStore,
     QUARANTINE_RETAIN,
 };
-use crate::protocol::{self, CommitStep, LeaseAction, LeaseView};
+use crate::protocol::{self, LeaseAction, LeaseView, ATOMIC_WRITE_STEPS, LEASE_CLAIM_STEPS};
 
 pub use crate::protocol::LeaseInfo;
 
@@ -178,14 +179,9 @@ pub fn jitter(seed: u64, stream: &str, attempt: u64, max: Duration) -> Duration 
     if max_ns == 0 {
         return Duration::ZERO;
     }
-    let mut x = seed
+    let x = mix(seed
         ^ fnv1a64(stream.as_bytes()).rotate_left(17)
-        ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
+        ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     Duration::from_nanos(x % max_ns)
 }
 
@@ -315,54 +311,10 @@ impl LeaseStore {
         self.clock.now_us() / 1000
     }
 
-    /// A unique scratch path inside the lease directory (claim temp
-    /// files, steal tombs). `.tmp`-suffixed so `clear()` sweeps strays.
-    fn scratch(&self, tag: &str, seq: u64) -> PathBuf {
-        self.dir.join(format!(".{tag}-{}-{}-{seq}.tmp", sanitize(&self.worker), std::process::id()))
-    }
-
-    /// Execute [`protocol::LEASE_CLAIM_STEPS`] for `info`: write the
-    /// framed payload to a private temp, fsync, `hard_link` to the
-    /// lease name, unlink the temp. Returns the link result (the
-    /// `AlreadyExists` loser path is the caller's claim race).
-    fn run_claim_steps(
-        &self,
-        info: &LeaseInfo,
-        tmp: &std::path::Path,
-        path: &std::path::Path,
-    ) -> Result<std::io::Result<()>, WcmsError> {
-        let mut file: Option<fs::File> = None;
-        let mut linked: std::io::Result<()> = Ok(());
-        for step in protocol::LEASE_CLAIM_STEPS {
-            protocol::probe::executed("lease-claim", *step);
-            match step {
-                CommitStep::CreateTemp => file = Some(fs::File::create(tmp)?),
-                CommitStep::WritePayload => {
-                    if let Some(f) = file.as_mut() {
-                        use std::io::Write as _;
-                        f.write_all(encode_file(&info.encode()).as_bytes())?;
-                    }
-                }
-                CommitStep::SyncTemp => {
-                    if let Some(f) = file.as_ref() {
-                        f.sync_all()?;
-                    }
-                }
-                CommitStep::Publish => {
-                    drop(file.take());
-                    linked = fs::hard_link(tmp, path);
-                }
-                CommitStep::RemoveTemp => {
-                    let _ = fs::remove_file(tmp);
-                }
-            }
-        }
-        Ok(linked)
-    }
-
     /// Try to claim `cell`. At most a few protocol rounds, each one a
     /// read → [`protocol::lease_decision`] → effect: a missing lease
-    /// is claimed by atomic `hard_link`; a corrupt lease is
+    /// is claimed by running [`LEASE_CLAIM_STEPS`] through the
+    /// durable-write executor (atomic `hard_link`); a corrupt lease is
     /// quarantined and treated as expired; an expired lease is stolen
     /// by atomic rename (one winner). An unexpired foreign lease
     /// returns [`LeaseAttempt::Held`].
@@ -374,7 +326,7 @@ impl LeaseStore {
     pub fn try_acquire(&self, cell: &str) -> Result<LeaseAttempt, WcmsError> {
         let path = self.lease_path(cell);
         let pid = u64::from(std::process::id());
-        for round in 0..4u64 {
+        for _ in 0..4 {
             let view = match fs::read_to_string(&path) {
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => LeaseView::Missing,
                 Err(e) => return Err(e.into()),
@@ -389,8 +341,8 @@ impl LeaseStore {
                     // the analyzer models fresh_lease and must keep
                     // seeing the exact production claim logic.
                     info.trace = self.trace.clone();
-                    let tmp = self.scratch("claim", round);
-                    match self.run_claim_steps(&info, &tmp, &path)? {
+                    let framed = encode_file(&info.encode());
+                    match write_atomic(LEASE_CLAIM_STEPS, &path, framed.as_bytes()) {
                         Ok(()) => {
                             return Ok(LeaseAttempt::Acquired(LeaseGuard {
                                 path,
@@ -398,8 +350,10 @@ impl LeaseStore {
                                 worker: self.worker.clone(),
                             }))
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                        Err(e) => return Err(e.into()),
+                        Err(WcmsError::Io(e)) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                            continue
+                        }
+                        Err(e) => return Err(e),
                     }
                 }
                 LeaseAction::Quarantine => {
@@ -416,7 +370,7 @@ impl LeaseStore {
                 LeaseAction::Steal => {
                     // Expired: steal by renaming it away — exactly one
                     // stealer's rename succeeds.
-                    let tomb = self.scratch("steal", round);
+                    let tomb = temp_path(&path);
                     if fs::rename(&path, &tomb).is_ok() {
                         let _ = fs::remove_file(&tomb);
                     }
@@ -442,7 +396,7 @@ impl LeaseStore {
     ///
     /// Returns [`WcmsError::Io`] on filesystem failures.
     pub fn write_raw(&self, cell: &str, bytes: &str) -> Result<(), WcmsError> {
-        write_atomic(&self.lease_path(cell), bytes)
+        write_atomic(ATOMIC_WRITE_STEPS, &self.lease_path(cell), bytes.as_bytes())
     }
 
     /// Whether a lease file currently exists for `cell`.

@@ -467,7 +467,7 @@ where
     // Rotate this process's scan so cooperating processes start on
     // different cells (stable in the worker id, not the pid).
     let offset =
-        usize::try_from(crate::checkpoint::fnv1a64(worker.as_bytes()) % n as u64).unwrap_or(0);
+        usize::try_from(wcms_obs::context::fnv1a64(worker.as_bytes()) % n as u64).unwrap_or(0);
     let queue: Mutex<VecDeque<usize>> = Mutex::new((0..n).map(|i| (i + offset) % n).collect());
     let attempts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
     let seed = leases.fingerprint();

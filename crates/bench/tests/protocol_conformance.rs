@@ -29,11 +29,11 @@ fn tmp_store(tag: &str) -> CheckpointStore {
     CheckpointStore::open(dir).expect("store opens")
 }
 
-/// The `Step` ops of a trace, restricted to one plan.
-fn steps_of(ops: &[ProbeOp], want_plan: &str) -> Vec<CommitStep> {
+/// The commit steps of a trace, in order.
+fn steps_of(ops: &[ProbeOp]) -> Vec<CommitStep> {
     ops.iter()
         .filter_map(|op| match op {
-            ProbeOp::Step { plan, step } if *plan == want_plan => Some(*step),
+            ProbeOp::Step(step) => Some(*step),
             _ => None,
         })
         .collect()
@@ -57,11 +57,10 @@ fn checkpoint_store_commits_through_the_atomic_write_plan() {
         .expect("cell commits");
     let ops = probe::disarm();
     assert_eq!(
-        steps_of(&ops, "atomic-write"),
+        steps_of(&ops),
         ATOMIC_WRITE_STEPS.to_vec(),
         "a cell commit must walk the spec's atomic-write plan exactly: {ops:?}"
     );
-    assert!(steps_of(&ops, "lease-claim").is_empty());
     std::fs::remove_dir_all(store.dir()).ok();
 }
 
@@ -88,7 +87,7 @@ fn lease_claim_is_decision_then_the_claim_plan_then_release() {
     );
     // The claim publishes through the spec's lease-claim plan exactly.
     assert_eq!(
-        steps_of(&ops, "lease-claim"),
+        steps_of(&ops),
         LEASE_CLAIM_STEPS.to_vec(),
         "the claim must walk temp->write->fsync->hard_link->unlink: {ops:?}"
     );
@@ -123,7 +122,7 @@ fn corrupt_lease_takes_the_quarantine_transition_before_claiming() {
         Some(&&LeaseAction::Claim),
         "the re-read after quarantine must decide Claim: {ops:?}"
     );
-    assert_eq!(steps_of(&ops, "lease-claim"), LEASE_CLAIM_STEPS.to_vec());
+    assert_eq!(steps_of(&ops), LEASE_CLAIM_STEPS.to_vec());
     std::fs::remove_dir_all(store.dir()).ok();
 }
 
@@ -155,7 +154,7 @@ fn expired_lease_takes_the_steal_transition_under_virtual_time() {
     }
     let decisions = decisions_of(&ops);
     assert_eq!(decisions.get(1), Some(&&LeaseAction::Claim), "{ops:?}");
-    assert_eq!(steps_of(&ops, "lease-claim"), LEASE_CLAIM_STEPS.to_vec());
+    assert_eq!(steps_of(&ops), LEASE_CLAIM_STEPS.to_vec());
     std::fs::remove_dir_all(store.dir()).ok();
 }
 

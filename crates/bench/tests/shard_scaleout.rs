@@ -77,6 +77,24 @@ fn steal_workers_share_one_grid_and_replay_matches() {
         .unwrap_or(0);
     assert_eq!(leases, 0, "clean completion must release every lease");
     let _ = std::fs::remove_dir_all(&dir);
+
+    // One worker on two threads: its concurrent claims must never share
+    // a temp file, so every cell is done and the series is unchanged.
+    let dir = tmpdir("steal-jobs2");
+    let mut opts_2 = opts_with(
+        CheckpointStore::open(&dir).unwrap(),
+        ShardPolicy::Steal { worker: "a".into(), ttl: Duration::from_secs(30) },
+    );
+    opts_2.jobs = 2;
+    let report_2 = tiny_grid(&opts_2);
+    assert!(report_2.skipped.is_empty(), "{:?}", report_2.skipped);
+    assert_eq!(report_2.stats.panicked, 0, "{:?}", report_2.stats);
+    assert_eq!(report_2.stats.done, report_2.stats.cells, "{:?}", report_2.stats);
+    assert_eq!(
+        to_csv(&report_a.series, |m| m.throughput),
+        to_csv(&report_2.series, |m| m.throughput)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A traced worker stamps its sweep context into every lease it claims

@@ -47,8 +47,9 @@ pub struct TraceContext {
 }
 
 /// The splitmix64 finalizer: the workspace's sanctioned deterministic
-/// bit mixer (shared shape with the shard layer's retry jitter).
-fn mix(mut x: u64) -> u64 {
+/// bit mixer (trace ids here, the shard layer's retry jitter).
+#[must_use]
+pub fn mix(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -57,8 +58,11 @@ fn mix(mut x: u64) -> u64 {
     x
 }
 
-/// FNV-1a over a label, so distinct streams land on distinct ids.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64 over `bytes`: trace-stream labels here, and the checksum
+/// footers, cell-name, cache-key and manifest fingerprints of the
+/// checkpoint, shard and serve layers.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

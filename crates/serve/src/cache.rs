@@ -9,18 +9,20 @@
 //! cold computation produced, with no re-encoding step to drift.
 //!
 //! Entries use the checkpoint crate's checksum framing
-//! ([`wcms_bench::checkpoint::encode_file`]) and atomic
-//! temp-fsync-rename writes. A corrupt entry (torn write, bit flip) is
+//! ([`wcms_bench::checkpoint::encode_file`]) and its durable-write
+//! executor ([`wcms_bench::checkpoint::write_atomic`], temp → fsync →
+//! rename). A corrupt entry (torn write, bit flip) is
 //! quarantined into `quarantine/` — evidence preserved — and reported
 //! as a miss so the result is recomputed; a poisoned cache must never
 //! serve wrong bytes.
 
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use wcms_bench::checkpoint::{decode_file, encode_file, fnv1a64};
+use wcms_bench::checkpoint::{decode_file, encode_file, write_atomic};
+use wcms_bench::protocol::ATOMIC_WRITE_STEPS;
 use wcms_error::WcmsError;
+use wcms_obs::context::fnv1a64;
 
 /// Cache schema version, folded into every canonical key (via
 /// [`crate::wire::Request::canonical_key`]). Bump on any change to the
@@ -114,16 +116,8 @@ impl ResultCache {
                 reason: "cache keys and payloads must be newline-free".into(),
             });
         }
-        let path = self.entry_path(key);
         let content = encode_file(&format!("{key}\n{payload}"));
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(content.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(())
+        write_atomic(ATOMIC_WRITE_STEPS, &self.entry_path(key), content.as_bytes())
     }
 
     fn quarantine(&self, path: &Path, reason: &str) -> CacheOutcome {
@@ -193,6 +187,29 @@ mod tests {
         let path = cache.dir().join(format!("{:016x}.json", fingerprint(key)));
         fs::write(&path, encode_file("some other key\n{\"b\":2}")).unwrap();
         assert_eq!(cache.lookup(key), CacheOutcome::Miss);
+    }
+
+    /// Threads storing one key must never share a temp file: every
+    /// store succeeds and a byte-exact hit survives.
+    #[test]
+    fn concurrent_stores_of_one_key_never_collide() {
+        let cache = ResultCache::open(scratch("race")).unwrap();
+        let key = "wcms/v1/s1 generate w=32 e=7 b=64 n=3584 family=worst-case data=0";
+        let payload = "{\"ok\":true,\"op\":\"generate\"}";
+        let start = std::sync::Barrier::new(2);
+        let failed: usize = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..500).filter(|_| cache.store(key, payload).is_err()).count()
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(failed, 0, "stores of one key collided on a temp file");
+        assert_eq!(cache.lookup(key), CacheOutcome::Hit(payload.to_string()));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The crash-only job journal.
 //!
 //! Every admitted compute job is journaled to disk *before* it enters
-//! the queue and re-journaled when a worker picks it up, using the same
-//! atomic temp-fsync-rename + checksum-footer discipline as the
-//! checkpoint store. The daemon has no clean-shutdown path — SIGKILL is
-//! the normal stop — so restart recovery works purely from what the
-//! journal shows:
+//! the queue and re-journaled when a worker picks it up, through the
+//! checkpoint store's durable-write executor
+//! ([`wcms_bench::checkpoint::write_atomic`], temp → fsync → rename)
+//! with its checksum footer. The daemon has no clean-shutdown path —
+//! SIGKILL is the normal stop — so restart recovery works purely from
+//! what the journal shows:
 //!
 //! * **queued** records: the daemon died holding an admitted job it
 //!   never started; the job is *recovered* (re-executed into the result
@@ -20,10 +21,10 @@
 //!   other integrity failure in the repo.
 
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use wcms_bench::checkpoint::{decode_file, encode_file};
+use wcms_bench::checkpoint::{decode_file, encode_file, write_atomic};
+use wcms_bench::protocol::ATOMIC_WRITE_STEPS;
 use wcms_error::WcmsError;
 use wcms_obs::json::{self, escape_into, Value};
 
@@ -108,15 +109,7 @@ impl JobJournal {
         let mut doc = format!("{{\"id\":{id},\"state\":\"{}\",\"request\":", state.name());
         escape_into(&mut doc, request);
         doc.push('}');
-        let path = job_path(&self.dir, id);
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(encode_file(&doc).as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(())
+        write_atomic(ATOMIC_WRITE_STEPS, &job_path(&self.dir, id), encode_file(&doc).as_bytes())
     }
 
     /// Journal a freshly admitted job; returns its id. The record is

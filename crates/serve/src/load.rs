@@ -312,8 +312,9 @@ pub fn run_load(
                         break;
                     }
                     // Open loop: wait for the timetable slot; if we are
-                    // late, send immediately — the lateness lands in
-                    // the measured latency, never in the offered rate.
+                    // late, send immediately. Latency is timed from the
+                    // slot, not the send, so the lateness lands in the
+                    // measured latency, never in the offered rate.
                     let due_us = t_start + i * interval_us;
                     let now = clock.now_us();
                     if due_us > now {
@@ -327,7 +328,6 @@ pub fn run_load(
                         continue;
                     };
                     sent.fetch_add(1, Ordering::Relaxed);
-                    let t0 = clock.now_us();
                     match c.call(&load_request(opts, i)) {
                         Ok(Response::Overloaded { .. }) => {
                             overloaded.fetch_add(1, Ordering::Relaxed);
@@ -336,7 +336,7 @@ pub fn run_load(
                             errors.fetch_add(1, Ordering::Relaxed);
                         }
                         Ok(_) => {
-                            let dt = clock.elapsed_s(t0);
+                            let dt = clock.elapsed_s(due_us);
                             histogram.observe(dt);
                             if let Ok(mut lane) = lane.lock() {
                                 lane.push(dt);

@@ -10,7 +10,9 @@
 #   2. scale-out throughput — cells/sec of the same grid at 1 process
 #      vs 3 stealing processes, written to $1 (default BENCH_sweep.json)
 #      as the artifact CI uploads; the 3-process run must not be slower
-#      than 0.8x sequential (coordination overhead stays bounded);
+#      than 0.8x sequential (coordination overhead stays bounded); and
+#      one stealing worker on two threads (--jobs 2) must finish every
+#      cell (its concurrent lease claims never share a temp file);
 #   3. bounded-RSS streaming — generate and verify a 10^8-key v3
 #      dataset, and external-sort a 2*10^7-key one, all under a 256 MiB
 #      address-space ulimit: nothing in the streaming path may
@@ -89,6 +91,16 @@ printf '{"grid":"fig4-quick","cells":%s,"seq_s":%s,"par3_s":%s,"cells_per_s_1":%
     "$(awk -v c="$CELLS" -v t="$PAR_S" 'BEGIN { print c / t }')" \
     "$SPEEDUP" > "$OUT"
 echo "scale_smoke: wrote $OUT (speedup ${SPEEDUP}x at 3 processes)"
+
+# One stealing worker, two threads: every cell done, none lost.
+"$FIG4" --quick --checkpoint-dir "$SCRATCH/steal-jobs2" --steal --worker-id w0 --jobs 2 \
+    > /dev/null 2> "$SCRATCH/jobs2.err"
+SUMMARY=$(grep -m 1 '# sweep-summary' "$SCRATCH/jobs2.err" || true)
+for want in "done=$CELLS" skipped=0 panicked=0; do
+    [[ " $SUMMARY " == *" $want "* ]] || {
+        echo "error: --steal --jobs 2 run lacks $want: ${SUMMARY:-no sweep-summary}" >&2; exit 1; }
+done
+echo "scale_smoke: one stealing worker on 2 threads finished all $CELLS cells"
 
 # --- 3. streaming dataset pipeline under a 256 MiB ulimit -------------
 (

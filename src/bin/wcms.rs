@@ -28,6 +28,7 @@ use std::process::ExitCode;
 
 use wcms::adversary::evaluate::access_matrix;
 use wcms::adversary::{construct, evaluate, theorem_aligned_count, WorstCaseBuilder};
+use wcms::gpu::fault::splitmix64;
 use wcms::gpu::{CostModel, DeviceSpec, Occupancy};
 use wcms::mergesort::assess_input;
 use wcms::mergesort::{sort_with_report, SortParams};
@@ -237,17 +238,6 @@ fn dataset_err(reason: impl Into<String>) -> WcmsError {
     WcmsError::DatasetCorrupt { reason: reason.into() }
 }
 
-/// splitmix64 finalizer — the seeded key stream for `genstream
-/// --family random`. A hash stream (a multiset, not a permutation):
-/// exactly what the external-sort drivers need, and computable at any
-/// index without materializing anything.
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// `wcms genstream`: write an N-key version-3 dataset one chunk at a
 /// time. Peak memory is one chunk (default 4 MiB of keys) regardless
 /// of N, so 10⁸–10⁹ keys generate under a small, flat RSS.
@@ -275,7 +265,10 @@ fn genstream_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
         match family {
             "sorted" => i as u32,
             "reverse" => (n - 1 - i) as u32,
-            _ => mix64(seed ^ i) as u32,
+            // A splitmix64 hash stream (a multiset, not a permutation):
+            // what the external-sort drivers need, and computable at
+            // any index without materializing anything.
+            _ => splitmix64(seed ^ i) as u32,
         }
     };
     if !matches!(family, "sorted" | "reverse" | "random") {
