@@ -2,14 +2,15 @@
 //! sweep cells on `--jobs` worker threads with deadlines, panic
 //! isolation, retry, and a graceful-degradation backend ladder.
 //!
-//! The vendored `rayon` in this workspace is a sequential shim (the
-//! build is offline), so until now "parallel" sweeps ran one cell at a
-//! time. This module brings real concurrency with plain
-//! `std::thread::scope` workers pulling cell indices off an atomic
-//! queue — and keeps the output *deterministic*: results land in
-//! order-preserving slots, so the folded CSV is byte-identical no
-//! matter how many workers raced to fill it (measurements themselves
-//! are modelled, not wall-clock, hence scheduling-independent).
+//! Cells run concurrently through [`parallel_map`] on the workspace's
+//! one thread executor, [`wcms_mergesort::exec`]: scoped threads claim
+//! cell indices off a shared cursor. A stealing worker's cells run on
+//! its own lease-aware claim loop instead, which re-queues cells
+//! another process holds. Either way the output is *deterministic*:
+//! results come back in submission order, so the folded CSV is
+//! byte-identical no matter how many workers raced to fill it
+//! (measurements themselves are modelled, not wall-clock, hence
+//! scheduling-independent).
 //!
 //! Per cell, [`supervise_cell`] layers policies:
 //!
@@ -31,7 +32,7 @@ use std::thread;
 use std::time::Duration;
 
 use wcms_error::{CancelToken, WcmsError};
-use wcms_mergesort::{AlgorithmKind, BackendKind};
+use wcms_mergesort::{exec, AlgorithmKind, BackendKind};
 use wcms_obs::{fields, MetricsRegistry, TraceContext, LATENCY_BUCKETS_S, TRACE_SEED};
 
 use crate::checkpoint::CheckpointStore;
@@ -330,12 +331,12 @@ where
 /// Order-preserving parallel map over a work queue.
 ///
 /// `threads <= 1` runs inline on the caller's thread (no workers, no
-/// scheduling — the byte-identical sequential path). Otherwise
-/// `threads` scoped workers pull indices off an atomic counter and
-/// write results into per-index slots, so the returned `Vec` is in
-/// submission order regardless of completion order. Each item is
-/// guarded by `catch_unwind`: a panicking item yields
-/// [`WcmsError::CellPanicked`] for *that* item and the map continues.
+/// scheduling — the byte-identical sequential path). Otherwise the items
+/// run on [`exec::map`]: the caller plus `threads - 1` scoped helpers
+/// claim indices off one cursor, and the returned `Vec` is in submission
+/// order regardless of completion order. Each item is guarded by
+/// `catch_unwind`: a panicking item yields [`WcmsError::CellPanicked`]
+/// for *that* item and the map continues.
 pub fn parallel_map<J, R, F>(jobs: Vec<J>, threads: usize, f: F) -> Vec<Result<R, WcmsError>>
 where
     J: Send,
@@ -357,32 +358,7 @@ where
     if threads <= 1 {
         return jobs.into_iter().enumerate().map(|(i, job)| guarded(i, job)).collect();
     }
-    let queue: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let slots: Vec<Mutex<Option<Result<R, WcmsError>>>> =
-        (0..queue.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    thread::scope(|s| {
-        for _ in 0..threads.min(queue.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = queue.get(i) else { break };
-                // The index is claimed exactly once, so the job is
-                // always still there.
-                let job = slot.lock().expect("queue lock poisoned").take();
-                let Some(job) = job else { break };
-                let result = guarded(i, job);
-                *slots[i].lock().expect("slot lock poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot lock poisoned")
-                .expect("every queue index was claimed and filled")
-        })
-        .collect()
+    exec::map(threads, jobs, guarded)
 }
 
 /// The outcome for a cell this process does not execute (static

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //!                 sort_with_report_on / sort_resilient_on
-//!                      (round loop, Rayon fan-out,
+//!                      (round loop, exec fan-out,
 //!                       retry/degrade policy)
 //!                                │
 //!                        trait ExecBackend

@@ -3,11 +3,13 @@
 //! [`crate::instrument::SortReport`] value.
 //!
 //! Thread blocks are mutually independent within a kernel (each owns a
-//! disjoint output window), so the simulation fans blocks out with Rayon
-//! and reduces the counters with plain integer addition — results are
-//! bit-identical to the sequential order.
+//! disjoint output window), so every phase runs its work units on idle
+//! cores through [`crate::exec`]. Each unit's output is checked for
+//! length and copied straight into its window of a preallocated buffer
+//! by the thread that ran it, and the counters are reduced in window
+//! order — outputs, reports and the first error returned are
+//! bit-identical at any thread count.
 
-use rayon::prelude::*;
 use wcms_error::WcmsError;
 use wcms_gpu_sim::fault::FaultInjector;
 use wcms_gpu_sim::FaultCounters;
@@ -17,6 +19,7 @@ use wcms_obs::{event, span, Obs};
 
 use crate::algorithm::{PairwiseMerge, SortAlgorithm};
 use crate::backend::{ExecBackend, ReferenceBackend, SimBackend};
+use crate::exec::{self, SortGuard};
 use crate::instrument::{RoundCounters, SortReport};
 use crate::params::{SortParams, SortVariant};
 use crate::verify::{check_round_output, multiset_hash};
@@ -49,6 +52,52 @@ fn split_runs<'a, K>(data: &'a [K], lens: &[usize]) -> Vec<&'a [K]> {
     out
 }
 
+fn group_len(grp: &[RunSpan]) -> usize {
+    grp.iter().map(|r| r.1).sum()
+}
+
+/// `buf` cut into consecutive windows of the given lengths.
+fn windows_mut<K>(mut buf: &mut [K], lens: impl IntoIterator<Item = usize>) -> Vec<&mut [K]> {
+    lens.into_iter()
+        .map(|len| {
+            let (window, rest) = std::mem::take(&mut buf).split_at_mut(len);
+            buf = rest;
+            window
+        })
+        .collect()
+}
+
+/// Copy one work unit's output into its output window. An output of the
+/// wrong length is a typed error, never a short or overlong sort.
+fn fill_window<K: Copy>(
+    window: &mut [K],
+    out: &[K],
+    round: usize,
+    unit: usize,
+) -> Result<(), WcmsError> {
+    if out.len() != window.len() {
+        return Err(WcmsError::CorruptOutput {
+            round,
+            block: unit,
+            reason: format!(
+                "work unit returned {} elements for a {}-element output window",
+                out.len(),
+                window.len()
+            ),
+        });
+    }
+    window.copy_from_slice(out);
+    Ok(())
+}
+
+fn sum_counters<'a>(parts: impl IntoIterator<Item = &'a RoundCounters>) -> RoundCounters {
+    let mut total = RoundCounters::default();
+    for c in parts {
+        total.absorb(c);
+    }
+    total
+}
+
 /// Sort `input` on the simulated GPU and return the sorted output with
 /// the full instrumentation report.
 ///
@@ -77,10 +126,11 @@ pub fn sort_with_report<K: wcms_gpu_sim::GpuKey>(
 }
 
 /// [`sort_with_report`] generic over the execution backend: the round
-/// loop and Rayon fan-out live here, the per-unit execution in
-/// `backend`. Every backend sees the identical decomposition into work
-/// units, so backends can only differ in how a unit executes — the
-/// property the analytic/sim cross-validation rests on.
+/// loop and the fan-out onto idle cores live here, the per-unit
+/// execution in `backend`. Every backend sees the identical
+/// decomposition into work units, so backends can only differ in how a
+/// unit executes — the property the analytic/sim cross-validation rests
+/// on.
 ///
 /// # Errors
 ///
@@ -163,26 +213,38 @@ pub fn sort_algo_with_report_traced_on<K: wcms_gpu_sim::GpuKey>(
     backend: &impl ExecBackend,
     obs: &Obs,
 ) -> Result<(Vec<K>, SortReport), WcmsError> {
+    sort_on_threads(input, params, algo, backend, obs, exec::idle_threads)
+}
+
+/// [`sort_algo_with_report_traced_on`] with each phase run on `threads()`
+/// threads (the public entry points pass the idle-core rule).
+fn sort_on_threads<K: wcms_gpu_sim::GpuKey>(
+    input: &[K],
+    params: &SortParams,
+    algo: &(impl SortAlgorithm + ?Sized),
+    backend: &impl ExecBackend,
+    obs: &Obs,
+    threads: fn() -> usize,
+) -> Result<(Vec<K>, SortReport), WcmsError> {
     let n = input.len();
     if !params.valid_len(n) {
         return Err(WcmsError::InvalidLength { n, block_elems: params.block_elems() });
     }
     let be = params.block_elems();
+    let _running = SortGuard::enter();
     let _sort_span = span!(obs, "sort", n => n, backend => backend.name());
 
-    // --- Base case: every block sorts its tile.
+    // --- Base case: every block sorts its tile into its own window.
     let base_span = span!(obs, "base-case", blocks => n / be);
-    let block_results: Vec<(Vec<K>, RoundCounters)> = input
-        .par_chunks(be)
-        .enumerate()
-        .map(|(j, chunk)| backend.base_block(chunk, j * be, params))
-        .collect::<Result<_, _>>()?;
-    let mut base = RoundCounters::default();
-    let mut cur = Vec::with_capacity(n);
-    for (chunk, c) in block_results {
-        base.absorb(&c);
-        cur.extend(chunk);
-    }
+    let mut cur = vec![K::default(); n];
+    let blocks = input.chunks(be).zip(cur.chunks_mut(be));
+    let block_counters =
+        exec::try_map(threads(), blocks, |j, (chunk, window)| -> Result<_, WcmsError> {
+            let (out, c) = backend.base_block(chunk, j * be, params)?;
+            fill_window(window, &out, 0, j)?;
+            Ok(c)
+        })?;
+    let base = sum_counters(&block_counters);
     drop(base_span);
     event!(obs, "round-counters",
         round => 0usize,
@@ -191,9 +253,11 @@ pub fn sort_algo_with_report_traced_on<K: wcms_gpu_sim::GpuKey>(
         blocks => base.blocks);
 
     // --- Global merge rounds: `algo` picks each round's fan-in, the
-    // run list tracks the surviving sorted runs' spans.
+    // run list tracks the surviving sorted runs' spans. Each round reads
+    // `cur` and writes every window of `next`, then the two swap.
     let mut runs: Vec<RunSpan> = (0..n / be).map(|i| (i * be, be)).collect();
     let mut rounds = Vec::with_capacity(params.global_rounds(n));
+    let mut next = vec![K::default(); n];
     let mut round = 0usize;
     while runs.len() > 1 {
         round += 1;
@@ -204,101 +268,79 @@ pub fn sort_algo_with_report_traced_on<K: wcms_gpu_sim::GpuKey>(
 
         // Modern GPU structure: a separate partition kernel per round
         // computes every block's co-ranks up front.
-        let partitions: Option<(Vec<GroupCoranks>, RoundCounters)> =
+        let partitions: Option<Vec<(GroupCoranks, RoundCounters)>> =
             (params.variant == SortVariant::ModernGpu).then(|| {
-                let per_group: Vec<(GroupCoranks, RoundCounters)> = groups
-                    .par_iter()
-                    .map(|grp| {
-                        let blocks = grp.iter().map(|r| r.1).sum::<usize>() / be;
-                        match grp.len() {
-                            1 => (GroupCoranks::None, RoundCounters::default()),
-                            2 => {
-                                let (off0, len0) = grp[0];
-                                let a = &cur[off0..off0 + len0];
-                                let b = &cur[grp[1].0..grp[1].0 + grp[1].1];
-                                let (pairs, c) = backend.partition_unit(a, b, blocks, params);
-                                (GroupCoranks::Pair(pairs), c)
-                            }
-                            _ => {
-                                let refs = group_refs(&cur, grp);
-                                let (pairs, c) =
-                                    backend.partition_unit_multi(&refs, blocks, params);
-                                (GroupCoranks::Multi(pairs), c)
-                            }
+                exec::map(threads(), &groups, |_, grp| {
+                    let blocks = group_len(grp) / be;
+                    match grp.len() {
+                        1 => (GroupCoranks::None, RoundCounters::default()),
+                        2 => {
+                            let (off0, len0) = grp[0];
+                            let a = &cur[off0..off0 + len0];
+                            let b = &cur[grp[1].0..grp[1].0 + grp[1].1];
+                            let (pairs, c) = backend.partition_unit(a, b, blocks, params);
+                            (GroupCoranks::Pair(pairs), c)
                         }
-                    })
-                    .collect();
-                let mut counters = RoundCounters::default();
-                let mut coranks = Vec::with_capacity(per_group.len());
-                for (pairs, c) in per_group {
-                    counters.absorb(&c);
-                    coranks.push(pairs);
-                }
-                (coranks, counters)
+                        _ => {
+                            let refs = group_refs(&cur, grp);
+                            let (pairs, c) = backend.partition_unit_multi(&refs, blocks, params);
+                            (GroupCoranks::Multi(pairs), c)
+                        }
+                    }
+                })
             });
 
-        // One work unit per bE output window of every merging group, in
-        // group-major order (the kernel's block order).
-        let units: Vec<(usize, usize)> = groups
+        // Every bE output window of the round as (group, block within
+        // the group), in window order — the kernel's block order. A
+        // passthrough group's windows copy its run unchanged.
+        let plan: Vec<(usize, usize)> = groups
             .iter()
             .enumerate()
-            .flat_map(|(gi, grp)| {
-                let blocks =
-                    if grp.len() == 1 { 0 } else { grp.iter().map(|r| r.1).sum::<usize>() / be };
-                (0..blocks).map(move |j| (gi, j))
-            })
+            .flat_map(|(gi, grp)| (0..group_len(grp) / be).map(move |j| (gi, j)))
             .collect();
-        let results: Vec<(Vec<K>, RoundCounters)> = units
-            .par_iter()
-            .map(|&(gi, j)| {
+        let units = next.chunks_mut(be).zip(&plan);
+        let unit_counters =
+            exec::try_map(threads(), units, |w, (window, &(gi, j))| -> Result<_, WcmsError> {
                 let grp = groups[gi];
-                if grp.len() == 2 {
-                    let (off0, len0) = grp[0];
-                    let a = &cur[off0..off0 + len0];
-                    let b = &cur[grp[1].0..grp[1].0 + grp[1].1];
-                    let pre = partitions.as_ref().and_then(|(cor, _)| match &cor[gi] {
-                        GroupCoranks::Pair(pairs) => Some(pairs[j]),
-                        _ => None,
-                    });
-                    backend.merge_unit(a, b, off0, grp[1].0, j, params, pre)
-                } else {
-                    let refs = group_refs(&cur, grp);
-                    let offs: Vec<usize> = grp.iter().map(|r| r.0).collect();
-                    let pre = partitions.as_ref().and_then(|(cor, _)| match &cor[gi] {
-                        GroupCoranks::Multi(pairs) => Some(pairs[j].as_slice()),
-                        _ => None,
-                    });
-                    backend.merge_unit_multi(&refs, &offs, grp[0].0, j, params, pre)
-                }
-            })
-            .collect::<Result<_, _>>()?;
+                let (out, c) = match grp.len() {
+                    1 => {
+                        window.copy_from_slice(&cur[w * be..(w + 1) * be]);
+                        return Ok(RoundCounters::default());
+                    }
+                    2 => {
+                        let (off0, len0) = grp[0];
+                        let a = &cur[off0..off0 + len0];
+                        let b = &cur[grp[1].0..grp[1].0 + grp[1].1];
+                        let pre = partitions.as_ref().and_then(|p| match &p[gi].0 {
+                            GroupCoranks::Pair(pairs) => Some(pairs[j]),
+                            _ => None,
+                        });
+                        backend.merge_unit(a, b, off0, grp[1].0, j, params, pre)?
+                    }
+                    _ => {
+                        let refs = group_refs(&cur, grp);
+                        let offs: Vec<usize> = grp.iter().map(|r| r.0).collect();
+                        let pre = partitions.as_ref().and_then(|p| match &p[gi].0 {
+                            GroupCoranks::Multi(pairs) => Some(pairs[j].as_slice()),
+                            _ => None,
+                        });
+                        backend.merge_unit_multi(&refs, &offs, grp[0].0, j, params, pre)?
+                    }
+                };
+                fill_window(window, &out, round, w)?;
+                Ok(c)
+            })?;
 
-        let mut round_counters = partitions.map(|(_, c)| c).unwrap_or_default();
-        let mut next = Vec::with_capacity(n);
-        let mut next_runs = Vec::with_capacity(groups.len());
-        let mut merged = results.into_iter();
-        for grp in &groups {
-            let base = grp[0].0;
-            let total: usize = grp.iter().map(|r| r.1).sum();
-            next_runs.push((base, total));
-            if grp.len() == 1 {
-                next.extend_from_slice(&cur[base..base + total]);
-                continue;
-            }
-            for _ in 0..total / be {
-                let (chunk, c) = merged.next().expect("one unit per output window");
-                round_counters.absorb(&c);
-                next.extend(chunk);
-            }
-        }
+        let partition_counters = partitions.iter().flatten().map(|(_, c)| c);
+        let round_counters = sum_counters(partition_counters.chain(&unit_counters));
         event!(obs, "round-counters",
             round => round,
             merge_steps => round_counters.shared.merge.steps,
             extra_cycles => round_counters.shared.combined().extra_cycles,
             blocks => round_counters.blocks);
         rounds.push(round_counters);
-        cur = next;
-        runs = next_runs;
+        runs = groups.iter().map(|grp| (grp[0].0, group_len(grp))).collect();
+        std::mem::swap(&mut cur, &mut next);
     }
 
     let report = SortReport { params: *params, n, base, rounds };
@@ -516,48 +558,78 @@ pub fn sort_resilient_algo_traced_on<K: wcms_gpu_sim::GpuKey>(
     backend: &impl ExecBackend,
     obs: &Obs,
 ) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
+    sort_resilient_on_threads(
+        input,
+        params,
+        algo,
+        injector,
+        policy,
+        backend,
+        obs,
+        exec::idle_threads,
+    )
+}
+
+/// [`sort_resilient_algo_traced_on`] with each phase run on `threads()`
+/// threads (the public entry points pass the idle-core rule).
+#[allow(clippy::too_many_arguments)] // the public signature plus the thread count
+fn sort_resilient_on_threads<K: wcms_gpu_sim::GpuKey>(
+    input: &[K],
+    params: &SortParams,
+    algo: &(impl SortAlgorithm + ?Sized),
+    injector: &FaultInjector,
+    policy: &RecoveryPolicy,
+    backend: &impl ExecBackend,
+    obs: &Obs,
+    threads: fn() -> usize,
+) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
     let n = input.len();
     if !params.valid_len(n) {
         return Err(WcmsError::InvalidLength { n, block_elems: params.block_elems() });
     }
     let be = params.block_elems();
+    let _running = SortGuard::enter();
     let mut fault = FaultReport::default();
     let _sort_span = span!(obs, "sort-resilient", n => n, backend => backend.name());
 
     // --- Base case: block-granular retry, round index 0.
-    let block_results: Vec<(Vec<K>, RoundCounters, FaultReport)> = input
-        .par_chunks(be)
-        .enumerate()
-        .map(|(j, chunk)| resilient_base_block(chunk, j, params, injector, policy, backend, obs))
-        .collect::<Result<_, _>>()?;
+    let mut cur = vec![K::default(); n];
+    let blocks = input.chunks(be).zip(cur.chunks_mut(be));
+    let block_results =
+        exec::try_map(threads(), blocks, |j, (chunk, window)| -> Result<_, WcmsError> {
+            let (out, c, f) =
+                resilient_base_block(chunk, j, params, injector, policy, backend, obs)?;
+            fill_window(window, &out, 0, j)?;
+            Ok((c, f))
+        })?;
     let mut base = RoundCounters::default();
-    let mut cur = Vec::with_capacity(n);
-    for (chunk, c, f) in block_results {
-        base.absorb(&c);
-        fault.absorb(&f);
-        cur.extend(chunk);
+    for (c, f) in &block_results {
+        base.absorb(c);
+        fault.absorb(f);
     }
 
     // --- Global merge rounds: group-granular retry (the merged group is
-    // the smallest unit whose output multiset is known in advance).
+    // the smallest unit whose output multiset is known in advance). Each
+    // group writes its own window of `next`.
     let mut runs: Vec<RunSpan> = (0..n / be).map(|i| (i * be, be)).collect();
     let mut rounds = Vec::with_capacity(params.global_rounds(n));
+    let mut next = vec![K::default(); n];
     let mut round = 0usize;
     while runs.len() > 1 {
         round += 1;
         let g = algo.fan_in(runs.len()).clamp(2, runs.len());
         let groups: Vec<&[RunSpan]> = runs.chunks(g).collect();
 
-        let group_results: Vec<(Vec<K>, RoundCounters, FaultReport)> = groups
-            .par_iter()
-            .enumerate()
-            .map(|(gi, grp)| {
+        let windows = windows_mut(&mut next, groups.iter().map(|grp| group_len(grp)));
+        let group_results =
+            exec::try_map(threads(), windows, |gi, window| -> Result<_, WcmsError> {
+                let grp = groups[gi];
                 let base = grp[0].0;
-                let total: usize = grp.iter().map(|r| r.1).sum();
-                let group_input = &cur[base..base + total];
-                match grp.len() {
+                let group_input = &cur[base..base + window.len()];
+                let (out, c, f) = match grp.len() {
                     1 => {
-                        Ok((group_input.to_vec(), RoundCounters::default(), FaultReport::default()))
+                        window.copy_from_slice(group_input);
+                        return Ok((RoundCounters::default(), FaultReport::default()));
                     }
                     2 => resilient_merge_pair(
                         group_input,
@@ -569,7 +641,7 @@ pub fn sort_resilient_algo_traced_on<K: wcms_gpu_sim::GpuKey>(
                         policy,
                         backend,
                         obs,
-                    ),
+                    )?,
                     _ => {
                         let lens: Vec<usize> = grp.iter().map(|r| r.1).collect();
                         resilient_merge_multi(
@@ -583,24 +655,21 @@ pub fn sort_resilient_algo_traced_on<K: wcms_gpu_sim::GpuKey>(
                             policy,
                             backend,
                             obs,
-                        )
+                        )?
                     }
-                }
-            })
-            .collect::<Result<_, _>>()?;
+                };
+                fill_window(window, &out, round, gi)?;
+                Ok((c, f))
+            })?;
 
         let mut round_counters = RoundCounters::default();
-        let mut next = Vec::with_capacity(n);
-        let mut next_runs = Vec::with_capacity(groups.len());
-        for (grp, (chunk, c, f)) in groups.iter().zip(group_results) {
-            next_runs.push((grp[0].0, chunk.len()));
-            round_counters.absorb(&c);
-            fault.absorb(&f);
-            next.extend(chunk);
+        for (c, f) in &group_results {
+            round_counters.absorb(c);
+            fault.absorb(f);
         }
         rounds.push(round_counters);
-        cur = next;
-        runs = next_runs;
+        runs = groups.iter().map(|grp| (grp[0].0, group_len(grp))).collect();
+        std::mem::swap(&mut cur, &mut next);
     }
 
     let report = SortReport { params: *params, n, base, rounds };
@@ -1107,7 +1176,166 @@ mod tests {
         let input: Vec<u32> = (0..n as u32).map(|i| (i * 31) % 257).collect();
         let (_, r1) = sort_with_report(&input, &p).unwrap();
         let (_, r2) = sort_with_report(&input, &p).unwrap();
-        assert_eq!(r1, r2, "Rayon reduction must be deterministic");
+        assert_eq!(r1, r2, "the window-order reduction must be deterministic");
+    }
+
+    const ONE: fn() -> usize = || 1;
+    const FOUR: fn() -> usize = || 4;
+
+    /// The thread count is invisible to callers: output and report are
+    /// identical on 1 and 4 threads for every backend with counters,
+    /// both kernel structures and every algorithm, 3-way over 8 runs
+    /// (unequal final group) included.
+    #[test]
+    fn one_and_four_threads_are_bit_identical() {
+        let multiway = MultiwayMerge::default();
+        let three_way = MultiwayMerge { k: 3 };
+        let algos: [&dyn SortAlgorithm; 3] = [&PairwiseMerge, &multiway, &three_way];
+        for p in [params(), params().with_variant(SortVariant::ModernGpu)] {
+            let n = p.block_elems() * 8;
+            let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+            for algo in algos {
+                let obs = Obs::noop();
+                let sim1 = sort_on_threads(&input, &p, algo, &SimBackend, obs, ONE).unwrap();
+                let sim4 = sort_on_threads(&input, &p, algo, &SimBackend, obs, FOUR).unwrap();
+                assert_eq!(sim1, sim4, "sim, {} {:?}", algo.name(), p.variant);
+                let ana1 = sort_on_threads(&input, &p, algo, &AnalyticBackend, obs, ONE).unwrap();
+                let ana4 = sort_on_threads(&input, &p, algo, &AnalyticBackend, obs, FOUR).unwrap();
+                assert_eq!(ana1, ana4, "analytic, {} {:?}", algo.name(), p.variant);
+            }
+        }
+    }
+
+    /// The resilient driver under an active injector: output, report,
+    /// fault report (degraded units in order) and the first error are
+    /// identical on 1 and 4 threads.
+    #[test]
+    fn resilient_one_and_four_threads_are_bit_identical() {
+        let three_way = MultiwayMerge { k: 3 };
+        let algos: [&dyn SortAlgorithm; 2] = [&PairwiseMerge, &three_way];
+        let policy = RecoveryPolicy::default();
+        for p in [params(), params().with_variant(SortVariant::ModernGpu)] {
+            let n = p.block_elems() * 8;
+            let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(48_271) % 9973).collect();
+            for algo in algos {
+                for inj in [faulty(7, 0.3, 0.3), faulty(3, 1.0, 0.0)] {
+                    let run = |threads| {
+                        sort_resilient_on_threads(
+                            &input,
+                            &p,
+                            algo,
+                            &inj,
+                            &policy,
+                            &SimBackend,
+                            Obs::noop(),
+                            threads,
+                        )
+                        .unwrap()
+                    };
+                    let (one, four) = (run(ONE), run(FOUR));
+                    assert!(one.2.counters.any_injected(), "{}: nothing fired", algo.name());
+                    assert_eq!(one, four, "{} {:?}", algo.name(), p.variant);
+                }
+                let strict = RecoveryPolicy { max_retries: 1, cpu_fallback: false };
+                let inj = faulty(3, 1.0, 0.0);
+                let err = |threads| {
+                    sort_resilient_on_threads(
+                        &input,
+                        &p,
+                        algo,
+                        &inj,
+                        &strict,
+                        &SimBackend,
+                        Obs::noop(),
+                        threads,
+                    )
+                    .unwrap_err()
+                    .to_string()
+                };
+                assert_eq!(err(ONE), err(FOUR), "{} {:?}", algo.name(), p.variant);
+            }
+        }
+    }
+
+    /// Forwards to the simulator, but every merge unit for the second
+    /// window of its group returns one key short.
+    struct ShortUnit;
+
+    impl ExecBackend for ShortUnit {
+        fn name(&self) -> &'static str {
+            "short-unit"
+        }
+
+        fn base_block<K: wcms_gpu_sim::GpuKey>(
+            &self,
+            chunk: &[K],
+            global_offset: usize,
+            params: &SortParams,
+        ) -> Result<(Vec<K>, RoundCounters), WcmsError> {
+            SimBackend.base_block(chunk, global_offset, params)
+        }
+
+        fn merge_unit<K: wcms_gpu_sim::GpuKey>(
+            &self,
+            a: &[K],
+            b: &[K],
+            a_offset: usize,
+            b_offset: usize,
+            block_index: usize,
+            params: &SortParams,
+            precomputed: Option<(usize, usize)>,
+        ) -> Result<(Vec<K>, RoundCounters), WcmsError> {
+            let (mut out, c) = SimBackend.merge_unit(
+                a,
+                b,
+                a_offset,
+                b_offset,
+                block_index,
+                params,
+                precomputed,
+            )?;
+            if block_index == 1 {
+                out.pop();
+            }
+            Ok((out, c))
+        }
+
+        fn merge_unit_multi<K: wcms_gpu_sim::GpuKey>(
+            &self,
+            runs: &[&[K]],
+            run_offsets: &[usize],
+            out_offset: usize,
+            block_index: usize,
+            params: &SortParams,
+            precomputed: Option<&[(usize, usize)]>,
+        ) -> Result<(Vec<K>, RoundCounters), WcmsError> {
+            SimBackend.merge_unit_multi(
+                runs,
+                run_offsets,
+                out_offset,
+                block_index,
+                params,
+                precomputed,
+            )
+        }
+    }
+
+    /// A unit output of the wrong length is a typed error naming the
+    /// lowest such window, on any thread count — not a panic and not a
+    /// short sort.
+    #[test]
+    fn a_short_unit_is_a_typed_error() {
+        let p = params();
+        let input: Vec<u32> = (0..p.block_elems() as u32 * 8).rev().collect();
+        for threads in [ONE, FOUR] {
+            let err = sort_on_threads(&input, &p, &PairwiseMerge, &ShortUnit, Obs::noop(), threads)
+                .unwrap_err();
+            assert!(
+                matches!(&err, WcmsError::CorruptOutput { round: 1, block: 1, reason }
+                    if reason.contains("47 elements for a 48-element")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

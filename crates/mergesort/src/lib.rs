@@ -15,8 +15,9 @@
 //!    its `bE` quantile by mutual binary search in global memory and
 //!    merging it in shared memory.
 //!
-//! [`driver::sort_with_report`] runs the whole pipeline (Rayon-parallel
-//! across blocks, deterministically reduced) and returns a
+//! [`driver::sort_with_report`] runs the whole pipeline (each phase's
+//! blocks on idle cores through [`exec`], reduced in window order) and
+//! returns a
 //! [`instrument::SortReport`] with per-round, per-phase conflict counts —
 //! the quantities behind every figure in the paper's evaluation.
 //! [`assess::assess_input`] turns that into a one-call verdict on how
@@ -46,6 +47,7 @@ pub mod backend;
 pub mod bitonic;
 pub mod blocksort;
 pub mod driver;
+pub mod exec;
 pub mod globalmerge;
 pub mod instrument;
 pub mod network;
