@@ -20,7 +20,8 @@ use wcms_bench::supervisor::parallel_map;
 use wcms_core::{WorstCaseBuilder, WorstCaseFamily};
 use wcms_error::WcmsError;
 use wcms_gpu_sim::{CostModel, DeviceSpec, Occupancy};
-use wcms_mergesort::{SortParams, SortReport};
+use wcms_mergesort::{sort_algo_with_report_traced_on, SortParams, SortReport};
+use wcms_obs::Obs;
 use wcms_workloads::random::random_permutation;
 
 fn main() -> ExitCode {
@@ -31,9 +32,11 @@ fn main() -> ExitCode {
         let n = params.block_elems() << doublings;
         let builder = WorstCaseBuilder::new(params.w, params.e, params.b)?;
         let (backend, algorithm) = (args.backend, args.algorithm);
+        let algo = algorithm.instance();
 
         let report_of = |input: &[u32]| -> Result<SortReport, WcmsError> {
-            let (out, report) = backend.sort_algo_with_report(algorithm, input, &params)?;
+            let (out, report) =
+                sort_algo_with_report_traced_on(input, &params, algo, &backend, Obs::noop())?;
             assert!(out.windows(2).all(|w| w[0] <= w[1]));
             Ok(report)
         };
@@ -100,7 +103,8 @@ fn main() -> ExitCode {
         let padded_params = SortParams::new(params.w, params.e, params.b)?.with_padding();
         let worst_input = builder.build(n)?;
         for (label, p) in [("flat tiles", &params), ("padded tiles", &padded_params)] {
-            let (out, r) = backend.sort_algo_with_report(algorithm, &worst_input, p)?;
+            let (out, r) =
+                sort_algo_with_report_traced_on(&worst_input, p, algo, &backend, Obs::noop())?;
             assert!(out.windows(2).all(|w| w[0] <= w[1]));
             println!(
                 "{label:>14}: beta2 {:.2}, conflicts/elem {:.3}, tile {} B",

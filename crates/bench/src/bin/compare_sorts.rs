@@ -16,7 +16,8 @@ use wcms_bench::panel::adhoc_binary_main;
 use wcms_error::WcmsError;
 use wcms_gpu_sim::DeviceSpec;
 use wcms_mergesort::bitonic::bitonic_sort_with_report;
-use wcms_mergesort::{SortParams, SortReport};
+use wcms_mergesort::{sort_algo_with_report_traced_on, SortParams, SortReport};
+use wcms_obs::Obs;
 use wcms_workloads::random::random_permutation;
 
 fn main() -> ExitCode {
@@ -29,6 +30,7 @@ fn main() -> ExitCode {
         let doublings = if args.quick { 3..=6 } else { 3..=9 };
         let worst_input = |n: usize| -> Vec<u32> { (0..n as u32).collect() };
         let (backend, algorithm) = (args.backend, args.algorithm);
+        let algo = algorithm.instance();
 
         println!(
             "device = {}, {algorithm} E=16/b=128 (backend = {backend}) vs bitonic (same tile)",
@@ -50,8 +52,10 @@ fn main() -> ExitCode {
                 Ok(model_time(&device, &params, report)? * 1e3)
             };
 
-            let (_, pr) = backend.sort_algo_with_report(algorithm, &random, &params)?;
-            let (_, pw) = backend.sort_algo_with_report(algorithm, &worst, &params)?;
+            let (_, pr) =
+                sort_algo_with_report_traced_on(&random, &params, algo, &backend, Obs::noop())?;
+            let (_, pw) =
+                sort_algo_with_report_traced_on(&worst, &params, algo, &backend, Obs::noop())?;
             let (_, br) = bitonic_sort_with_report(&random, &params)?;
             let (_, bw) = bitonic_sort_with_report(&worst, &params)?;
             assert_eq!(

@@ -10,7 +10,10 @@ use serde::{Deserialize, Serialize};
 use wcms_dmm::stats::Summary;
 use wcms_error::{CancelToken, WcmsError};
 use wcms_gpu_sim::{CostModel, DeviceSpec, Occupancy};
-use wcms_mergesort::{AlgorithmKind, BackendKind, SortParams, SortReport};
+use wcms_mergesort::{
+    sort_algo_with_report_traced_on, AlgorithmKind, BackendKind, Cancellable, SortParams,
+    SortReport,
+};
 use wcms_obs::Obs;
 use wcms_workloads::WorkloadSpec;
 
@@ -136,7 +139,7 @@ pub fn measure_on(
     runs: u64,
     backend: BackendKind,
 ) -> Result<Measurement, WcmsError> {
-    measure_cancellable(device, params, spec, n, runs, backend, &CancelToken::never())
+    measure_algo_on(device, params, spec, n, runs, AlgorithmKind::Pairwise, backend)
 }
 
 /// [`measure_on`] for an explicit algorithm — the ad-hoc binaries'
@@ -167,60 +170,23 @@ pub fn measure_algo_on(
     )
 }
 
-/// [`measure_on`] under a [`CancelToken`]: the token is threaded into
-/// the backend's per-unit checks (and polled between runs), so a
-/// supervisor deadline stops the measurement at the next work-unit
-/// boundary instead of after the whole cell.
+/// Measure one point of `algorithm` on `backend` — the fully general
+/// cell: `(device, params, workload, N, algorithm, backend)` under a
+/// [`CancelToken`] and an [`Obs`] bundle. Multiway runs fewer, wider
+/// global rounds than pairwise and reports its own conflict profile.
+///
+/// The token is threaded into the backend's per-unit checks (and polled
+/// between runs), so a supervisor deadline stops the measurement at the
+/// next work-unit boundary instead of after the whole cell. Every
+/// sort's spans and per-round counter events land in the trace, and its
+/// merge-step / conflict counters in the metrics registry; the
+/// measurement itself is byte-identical to the untraced path
+/// (observation is read-only).
 ///
 /// # Errors
 ///
 /// Same conditions as [`measure_on`], plus [`WcmsError::Cancelled`]
 /// when the token fires mid-measurement.
-#[allow(clippy::too_many_arguments)] // the cell tuple plus its token
-pub fn measure_cancellable(
-    device: &DeviceSpec,
-    params: &SortParams,
-    spec: WorkloadSpec,
-    n: usize,
-    runs: u64,
-    backend: BackendKind,
-    token: &CancelToken,
-) -> Result<Measurement, WcmsError> {
-    measure_traced(device, params, spec, n, runs, backend, token, Obs::noop())
-}
-
-/// [`measure_cancellable`] under an [`Obs`] bundle: every sort's spans
-/// and per-round counter events land in the trace, and its merge-step /
-/// conflict counters in the metrics registry. The measurement itself is
-/// byte-identical to the untraced path (observation is read-only).
-///
-/// # Errors
-///
-/// Same conditions as [`measure_cancellable`].
-#[allow(clippy::too_many_arguments)] // the cell tuple plus token and obs
-pub fn measure_traced(
-    device: &DeviceSpec,
-    params: &SortParams,
-    spec: WorkloadSpec,
-    n: usize,
-    runs: u64,
-    backend: BackendKind,
-    token: &CancelToken,
-    obs: &Obs,
-) -> Result<Measurement, WcmsError> {
-    measure_algo_traced(device, params, spec, n, runs, AlgorithmKind::Pairwise, backend, token, obs)
-}
-
-/// Measure one point of `algorithm` on `backend` — the fully general
-/// cell: `(device, params, workload, N, algorithm, backend)`. The
-/// pairwise algorithm reproduces [`measure_traced`] bit for bit (the
-/// generic driver dispatches it through the legacy pairwise work
-/// units); multiway runs fewer, wider global rounds and reports its own
-/// conflict profile.
-///
-/// # Errors
-///
-/// Same conditions as [`measure_traced`].
 #[allow(clippy::too_many_arguments)] // the cell tuple plus token and obs
 pub fn measure_algo_traced(
     device: &DeviceSpec,
@@ -238,11 +204,12 @@ pub fn measure_algo_traced(
     let mut beta1 = Vec::new();
     let mut beta2 = Vec::new();
     let mut cpe = Vec::new();
+    let gated = Cancellable::new(backend, token.clone());
     for run in 0..runs {
         token.check()?;
         let input = spec.with_run_seed(run).generate(n, params.w, params.e, params.b)?;
-        let (out, report) = backend
-            .sort_algo_with_report_cancellable_traced(algorithm, &input, params, token, obs)?;
+        let (out, report) =
+            sort_algo_with_report_traced_on(&input, params, algorithm.instance(), &gated, obs)?;
         debug_assert!(out.windows(2).all(|w| w[0] <= w[1]));
         // The reference backend does no GPU work at all, so the cost
         // model does not apply — not even its per-launch overhead floor.
@@ -354,7 +321,18 @@ mod tests {
         let spec = WorkloadSpec::RandomPermutation { seed: 5 };
         let plain = measure_on(&d, &p, spec, n, 2, BackendKind::Sim).unwrap();
         let token = CancelToken::new("cell");
-        let gated = measure_cancellable(&d, &p, spec, n, 2, BackendKind::Sim, &token).unwrap();
+        let gated = measure_algo_traced(
+            &d,
+            &p,
+            spec,
+            n,
+            2,
+            AlgorithmKind::Pairwise,
+            BackendKind::Sim,
+            &token,
+            Obs::noop(),
+        )
+        .unwrap();
         assert_eq!(plain, gated, "an unfired token must not perturb the measurement");
     }
 
@@ -364,8 +342,18 @@ mod tests {
         let n = p.block_elems() * 2;
         let token = CancelToken::new("cell-x");
         token.cancel();
-        let err = measure_cancellable(&d, &p, WorkloadSpec::Sorted, n, 1, BackendKind::Sim, &token)
-            .unwrap_err();
+        let err = measure_algo_traced(
+            &d,
+            &p,
+            WorkloadSpec::Sorted,
+            n,
+            1,
+            AlgorithmKind::Pairwise,
+            BackendKind::Sim,
+            &token,
+            Obs::noop(),
+        )
+        .unwrap_err();
         assert!(matches!(err, WcmsError::Cancelled { ref cell } if cell == "cell-x"), "{err}");
     }
 

@@ -19,7 +19,7 @@ use wcms_bench::figures::{throughput_figure, Config};
 use wcms_bench::resilient::ResilienceConfig;
 use wcms_bench::supervisor::SweepOptions;
 use wcms_gpu_sim::DeviceSpec;
-use wcms_mergesort::{BackendKind, SortParams};
+use wcms_mergesort::{sort_algo_with_report_traced_on, BackendKind, PairwiseMerge, SortParams};
 use wcms_obs::journal::{bench_stats, chrome_from_journal, parse_journal, validate};
 use wcms_obs::{journal_jsonl, json, Clock, Obs, RingCollector};
 use wcms_workloads::WorkloadSpec;
@@ -49,7 +49,9 @@ proptest! {
             .unwrap();
         let backend = if sim { BackendKind::Sim } else { BackendKind::Analytic };
         let obs = Obs::enabled(Clock::virtual_us(1));
-        let (out, report) = backend.sort_with_report_traced(&input, &params, &obs).unwrap();
+        let (out, report) =
+            sort_algo_with_report_traced_on(&input, &params, &PairwiseMerge, &backend, &obs)
+                .unwrap();
         prop_assert!(out.windows(2).all(|w| w[0] <= w[1]));
 
         let total = report.total();
@@ -225,8 +227,7 @@ fn stolen_cells_chain_to_the_admitting_root_across_journals() {
             .find(|r| {
                 r.phase == wcms_obs::Phase::Begin
                     && r.name == name
-                    && cell
-                        .is_none_or(|c| r.field("cell").and_then(json::Value::as_str) == Some(c))
+                    && cell.is_none_or(|c| r.field("cell").and_then(json::Value::as_str) == Some(c))
             })
             .cloned()
             .unwrap_or_else(|| panic!("no Begin '{name}' ({cell:?}) in journal"))

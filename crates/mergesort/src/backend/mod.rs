@@ -9,19 +9,23 @@
 //! drivers in [`crate::driver`] are generic over it:
 //!
 //! ```text
-//!                 sort_with_report_on / sort_resilient_on
-//!                      (round loop, exec fan-out,
-//!                       retry/degrade policy)
-//!                                │
-//!                        trait ExecBackend
-//!                 base_block · merge_unit · partition_unit
-//!             ┌──────────────────┼──────────────────┐
-//!        SimBackend       AnalyticBackend     ReferenceBackend
-//!        lockstep          schedule replay       sort_unstable
-//!        SharedMemory      into a                / merge_emit,
-//!        replay, exact     StepAccumulator,      no counters
-//!        values+counters   exact counters        (degrade ladder)
+//!          sort_with_report_on · sort_algo_with_report_traced_on
+//!                     sort_resilient_algo_traced_on
+//!        (round loop, exec fan-out, retry/degrade policy; a group
+//!         of two runs → the pairwise units, wider → the k-way units)
+//!                                   │
+//!                           trait ExecBackend
+//!       base_block · merge_unit(_multi) · partition_unit(_multi)
+//!       ┌────────────────┬──────────┴───────┬──────────────────┐
+//!  BackendKind       SimBackend      AnalyticBackend    ReferenceBackend
+//!  (--backend)       lockstep        schedule replay    sort_unstable
+//!  forwards each     SharedMemory    into a             / merge_emit,
+//!  unit to the       replay, exact   StepAccumulator,   no counters
+//!  backend it names  values+counters exact counters     (degrade ladder)
 //! ```
+//!
+//! [`Cancellable`] wraps any of them so every unit first polls a
+//! [`CancelToken`].
 //!
 //! [`SimBackend`] and [`AnalyticBackend`] consume the *same* address
 //! schedules ([`crate::schedule::MergeSchedule`]) and differ only in the
@@ -38,17 +42,9 @@ pub use sim::SimBackend;
 
 use wcms_error::cancel::CancelToken;
 use wcms_error::WcmsError;
-use wcms_gpu_sim::fault::FaultInjector;
 use wcms_gpu_sim::GpuKey;
 
-use wcms_obs::Obs;
-
-use crate::algorithm::AlgorithmKind;
-use crate::driver::{
-    sort_algo_with_report_traced_on, sort_resilient_algo_traced_on, sort_resilient_traced_on,
-    sort_with_report_traced_on, FaultReport, RecoveryPolicy,
-};
-use crate::instrument::{RoundCounters, SortReport};
+use crate::instrument::RoundCounters;
 use crate::params::SortParams;
 
 /// One execution engine for the sort's work units.
@@ -278,264 +274,91 @@ impl BackendKind {
             BackendKind::Reference => None,
         }
     }
+}
 
-    /// Run the full instrumented sort on this backend (value-level
-    /// dispatch over [`sort_with_report_on`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_with_report_on`].
-    pub fn sort_with_report<K: GpuKey>(
-        self,
-        input: &[K],
-        params: &SortParams,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        self.sort_with_report_traced(input, params, Obs::noop())
-    }
-
-    /// [`BackendKind::sort_with_report`] under an [`Obs`] bundle
-    /// (value-level dispatch over [`sort_with_report_traced_on`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_with_report_on`](crate::driver::sort_with_report_on).
-    pub fn sort_with_report_traced<K: GpuKey>(
-        self,
-        input: &[K],
-        params: &SortParams,
-        obs: &Obs,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        match self {
-            BackendKind::Sim => sort_with_report_traced_on(input, params, &SimBackend, obs),
-            BackendKind::Analytic => {
-                sort_with_report_traced_on(input, params, &AnalyticBackend, obs)
-            }
-            BackendKind::Reference => {
-                sort_with_report_traced_on(input, params, &ReferenceBackend, obs)
-            }
-        }
-    }
-
-    /// [`BackendKind::sort_with_report`] under a [`CancelToken`]: the
-    /// chosen backend is wrapped in [`Cancellable`], so the sort stops
-    /// at the next work-unit boundary once `token` fires.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_with_report_on`](crate::driver::sort_with_report_on),
-    /// plus [`WcmsError::Cancelled`] when `token` fires mid-sort.
-    pub fn sort_with_report_cancellable<K: GpuKey>(
-        self,
-        input: &[K],
-        params: &SortParams,
-        token: &CancelToken,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        self.sort_with_report_cancellable_traced(input, params, token, Obs::noop())
-    }
-
-    /// [`BackendKind::sort_with_report_cancellable`] under an [`Obs`]
-    /// bundle — the variant the traced sweep supervisor calls, so
-    /// per-round events land in the journal while the cell stays
-    /// cancellable.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BackendKind::sort_with_report_cancellable`].
-    pub fn sort_with_report_cancellable_traced<K: GpuKey>(
-        self,
-        input: &[K],
-        params: &SortParams,
-        token: &CancelToken,
-        obs: &Obs,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        let token = token.clone();
-        match self {
+/// Evaluate `$body` with `$b` bound to the backend that `$kind` names.
+macro_rules! on_backend {
+    ($kind:expr, |$b:ident| $body:expr) => {
+        match $kind {
             BackendKind::Sim => {
-                sort_with_report_traced_on(input, params, &Cancellable::new(SimBackend, token), obs)
-            }
-            BackendKind::Analytic => sort_with_report_traced_on(
-                input,
-                params,
-                &Cancellable::new(AnalyticBackend, token),
-                obs,
-            ),
-            BackendKind::Reference => sort_with_report_traced_on(
-                input,
-                params,
-                &Cancellable::new(ReferenceBackend, token),
-                obs,
-            ),
-        }
-    }
-
-    /// Run the full instrumented sort of `algo` on this backend —
-    /// value-level dispatch over the
-    /// `(SortAlgorithm, ExecBackend)`-generic
-    /// [`sort_algo_with_report_traced_on`]. With
-    /// [`AlgorithmKind::Pairwise`] this is bit-identical to
-    /// [`BackendKind::sort_with_report`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_with_report_on`](crate::driver::sort_with_report_on).
-    pub fn sort_algo_with_report<K: GpuKey>(
-        self,
-        algo: AlgorithmKind,
-        input: &[K],
-        params: &SortParams,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        self.sort_algo_with_report_traced(algo, input, params, Obs::noop())
-    }
-
-    /// [`BackendKind::sort_algo_with_report`] under an [`Obs`] bundle.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_with_report_on`](crate::driver::sort_with_report_on).
-    pub fn sort_algo_with_report_traced<K: GpuKey>(
-        self,
-        algo: AlgorithmKind,
-        input: &[K],
-        params: &SortParams,
-        obs: &Obs,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        let a = algo.instance();
-        match self {
-            BackendKind::Sim => sort_algo_with_report_traced_on(input, params, a, &SimBackend, obs),
-            BackendKind::Analytic => {
-                sort_algo_with_report_traced_on(input, params, a, &AnalyticBackend, obs)
-            }
-            BackendKind::Reference => {
-                sort_algo_with_report_traced_on(input, params, a, &ReferenceBackend, obs)
-            }
-        }
-    }
-
-    /// [`BackendKind::sort_algo_with_report`] under a [`CancelToken`]
-    /// and an [`Obs`] bundle — the variant the traced sweep supervisor
-    /// calls.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_with_report_on`](crate::driver::sort_with_report_on),
-    /// plus [`WcmsError::Cancelled`] when `token` fires mid-sort.
-    pub fn sort_algo_with_report_cancellable_traced<K: GpuKey>(
-        self,
-        algo: AlgorithmKind,
-        input: &[K],
-        params: &SortParams,
-        token: &CancelToken,
-        obs: &Obs,
-    ) -> Result<(Vec<K>, SortReport), WcmsError> {
-        let a = algo.instance();
-        let token = token.clone();
-        match self {
-            BackendKind::Sim => sort_algo_with_report_traced_on(
-                input,
-                params,
-                a,
-                &Cancellable::new(SimBackend, token),
-                obs,
-            ),
-            BackendKind::Analytic => sort_algo_with_report_traced_on(
-                input,
-                params,
-                a,
-                &Cancellable::new(AnalyticBackend, token),
-                obs,
-            ),
-            BackendKind::Reference => sort_algo_with_report_traced_on(
-                input,
-                params,
-                a,
-                &Cancellable::new(ReferenceBackend, token),
-                obs,
-            ),
-        }
-    }
-
-    /// Run the fault-hardened sort of `algo` on this backend
-    /// (value-level dispatch over [`sort_resilient_algo_traced_on`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_resilient_on`](crate::driver::sort_resilient_on).
-    pub fn sort_algo_resilient_traced<K: GpuKey>(
-        self,
-        algo: AlgorithmKind,
-        input: &[K],
-        params: &SortParams,
-        injector: &FaultInjector,
-        policy: &RecoveryPolicy,
-        obs: &Obs,
-    ) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-        let a = algo.instance();
-        match self {
-            BackendKind::Sim => {
-                sort_resilient_algo_traced_on(input, params, a, injector, policy, &SimBackend, obs)
-            }
-            BackendKind::Analytic => sort_resilient_algo_traced_on(
-                input,
-                params,
-                a,
-                injector,
-                policy,
-                &AnalyticBackend,
-                obs,
-            ),
-            BackendKind::Reference => sort_resilient_algo_traced_on(
-                input,
-                params,
-                a,
-                injector,
-                policy,
-                &ReferenceBackend,
-                obs,
-            ),
-        }
-    }
-
-    /// Run the fault-hardened sort on this backend (value-level dispatch
-    /// over [`sort_resilient_on`](crate::driver::sort_resilient_on)).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_resilient_on`](crate::driver::sort_resilient_on).
-    pub fn sort_resilient<K: GpuKey>(
-        self,
-        input: &[K],
-        params: &SortParams,
-        injector: &FaultInjector,
-        policy: &RecoveryPolicy,
-    ) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-        self.sort_resilient_traced(input, params, injector, policy, Obs::noop())
-    }
-
-    /// [`BackendKind::sort_resilient`] under an [`Obs`] bundle
-    /// (value-level dispatch over [`sort_resilient_traced_on`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sort_resilient_on`](crate::driver::sort_resilient_on).
-    pub fn sort_resilient_traced<K: GpuKey>(
-        self,
-        input: &[K],
-        params: &SortParams,
-        injector: &FaultInjector,
-        policy: &RecoveryPolicy,
-        obs: &Obs,
-    ) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-        match self {
-            BackendKind::Sim => {
-                sort_resilient_traced_on(input, params, injector, policy, &SimBackend, obs)
+                let $b = SimBackend;
+                $body
             }
             BackendKind::Analytic => {
-                sort_resilient_traced_on(input, params, injector, policy, &AnalyticBackend, obs)
+                let $b = AnalyticBackend;
+                $body
             }
             BackendKind::Reference => {
-                sort_resilient_traced_on(input, params, injector, policy, &ReferenceBackend, obs)
+                let $b = ReferenceBackend;
+                $body
             }
         }
+    };
+}
+
+/// A [`BackendKind`] runs every unit on the backend it names, so the
+/// generic drivers take `&kind`, or `&Cancellable::new(kind, token)`,
+/// like any concrete backend.
+impl ExecBackend for BackendKind {
+    fn name(&self) -> &'static str {
+        BackendKind::name(*self)
+    }
+
+    fn base_block<K: GpuKey>(
+        &self,
+        chunk: &[K],
+        global_offset: usize,
+        params: &SortParams,
+    ) -> Result<(Vec<K>, RoundCounters), WcmsError> {
+        on_backend!(self, |e| e.base_block(chunk, global_offset, params))
+    }
+
+    fn merge_unit<K: GpuKey>(
+        &self,
+        a: &[K],
+        b: &[K],
+        a_offset: usize,
+        b_offset: usize,
+        block_index: usize,
+        params: &SortParams,
+        precomputed: Option<(usize, usize)>,
+    ) -> Result<(Vec<K>, RoundCounters), WcmsError> {
+        on_backend!(self, |e| {
+            e.merge_unit(a, b, a_offset, b_offset, block_index, params, precomputed)
+        })
+    }
+
+    fn partition_unit<K: GpuKey>(
+        &self,
+        a: &[K],
+        b: &[K],
+        num_blocks: usize,
+        params: &SortParams,
+    ) -> (Vec<(usize, usize)>, RoundCounters) {
+        on_backend!(self, |e| e.partition_unit(a, b, num_blocks, params))
+    }
+
+    fn merge_unit_multi<K: GpuKey>(
+        &self,
+        runs: &[&[K]],
+        run_offsets: &[usize],
+        out_offset: usize,
+        block_index: usize,
+        params: &SortParams,
+        precomputed: Option<&[(usize, usize)]>,
+    ) -> Result<(Vec<K>, RoundCounters), WcmsError> {
+        on_backend!(self, |e| {
+            e.merge_unit_multi(runs, run_offsets, out_offset, block_index, params, precomputed)
+        })
+    }
+
+    fn partition_unit_multi<K: GpuKey>(
+        &self,
+        runs: &[&[K]],
+        num_blocks: usize,
+        params: &SortParams,
+    ) -> (Vec<Vec<(usize, usize)>>, RoundCounters) {
+        on_backend!(self, |e| e.partition_unit_multi(runs, num_blocks, params))
     }
 }
 
@@ -564,6 +387,7 @@ impl std::str::FromStr for BackendKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::sort_with_report_on;
 
     #[test]
     fn kind_round_trips_through_names() {
@@ -579,6 +403,9 @@ mod tests {
         assert_eq!(BackendKind::Sim.name(), SimBackend.name());
         assert_eq!(BackendKind::Analytic.name(), AnalyticBackend.name());
         assert_eq!(BackendKind::Reference.name(), ReferenceBackend.name());
+        for kind in BackendKind::ALL {
+            assert_eq!(ExecBackend::name(&kind), kind.name());
+        }
     }
 
     #[test]
@@ -598,9 +425,9 @@ mod tests {
         let params = SortParams::new(8, 3, 16).unwrap();
         let input: Vec<u32> = (0..params.block_elems() as u32 * 4).rev().collect();
         for kind in BackendKind::ALL {
-            let plain = kind.sort_with_report(&input, &params).unwrap();
-            let cancellable =
-                kind.sort_with_report_cancellable(&input, &params, &CancelToken::new("t")).unwrap();
+            let plain = sort_with_report_on(&input, &params, &kind).unwrap();
+            let gated = Cancellable::new(kind, CancelToken::new("t"));
+            let cancellable = sort_with_report_on(&input, &params, &gated).unwrap();
             assert_eq!(plain, cancellable, "{kind}: wrapper must be transparent");
         }
     }
@@ -611,8 +438,8 @@ mod tests {
         let input: Vec<u32> = (0..params.block_elems() as u32 * 4).rev().collect();
         let token = CancelToken::new("fig4/wc/192");
         token.cancel();
-        let err =
-            BackendKind::Sim.sort_with_report_cancellable(&input, &params, &token).unwrap_err();
+        let gated = Cancellable::new(BackendKind::Sim, token);
+        let err = sort_with_report_on(&input, &params, &gated).unwrap_err();
         assert!(matches!(err, WcmsError::Cancelled { ref cell } if cell == "fig4/wc/192"), "{err}");
     }
 }

@@ -9,7 +9,6 @@
 
 use wcms_error::WcmsError;
 use wcms_gpu_sim::GpuKey;
-use wcms_mergepath::cpu::merge_ref;
 use wcms_mergepath::diagonal::merge_path;
 use wcms_mergepath::multiway::{multiway_emit, multiway_select};
 use wcms_mergepath::serial::{merge_emit, MergeSource};
@@ -25,15 +24,8 @@ use super::ExecBackend;
 pub struct ReferenceBackend;
 
 impl ReferenceBackend {
-    /// Merge a whole sorted pair on the CPU (the degrade unit of the
-    /// resilient global rounds).
-    #[must_use]
-    pub fn merge_pair<K: GpuKey>(&self, a: &[K], b: &[K]) -> Vec<K> {
-        merge_ref(a, b)
-    }
-
     /// Merge a whole group of sorted runs on the CPU (the degrade unit
-    /// of the resilient *multiway* global rounds).
+    /// of the resilient global rounds).
     #[must_use]
     pub fn merge_group<K: GpuKey>(&self, runs: &[&[K]]) -> Vec<K> {
         let lens: Vec<usize> = runs.iter().map(|r| r.len()).collect();

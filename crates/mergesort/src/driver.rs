@@ -9,11 +9,16 @@
 //! by the thread that ran it, and the counters are reduced in window
 //! order — outputs, reports and the first error returned are
 //! bit-identical at any thread count.
+//!
+//! A global round merges groups of consecutive runs, and a group of two
+//! is the paper's pairwise merge. Two private helpers, `partition_group`
+//! and `merge_group_block`, are the only code that picks the pairwise
+//! work unit for two runs or the k-way unit for more; both drivers call
+//! them.
 
 use wcms_error::WcmsError;
 use wcms_gpu_sim::fault::FaultInjector;
 use wcms_gpu_sim::FaultCounters;
-use wcms_mergepath::diagonal::merge_path;
 use wcms_mergepath::multiway::multiway_select;
 use wcms_obs::{event, span, Obs};
 
@@ -29,31 +34,76 @@ use crate::verify::{check_round_output, multiset_hash};
 /// `runs.chunks(fan_in)` is the round's group decomposition.
 type RunSpan = (usize, usize);
 
-/// One round group's precomputed co-ranks (the Modern GPU structure):
-/// pairwise groups carry per-block pairs, multiway groups per-block
-/// per-run vectors, passthrough groups nothing.
+/// One group's co-ranks from its partition kernel (the Modern GPU
+/// structure), per output block: a pair carries its first run's
+/// `(start, end)` pair, a wider group one pair per run.
 enum GroupCoranks {
     Pair(Vec<(usize, usize)>),
     Multi(Vec<Vec<(usize, usize)>>),
-    None,
 }
 
-fn group_refs<'a, K>(cur: &'a [K], grp: &[RunSpan]) -> Vec<&'a [K]> {
-    grp.iter().map(|&(off, len)| &cur[off..off + len]).collect()
-}
-
-fn split_runs<'a, K>(data: &'a [K], lens: &[usize]) -> Vec<&'a [K]> {
-    let mut out = Vec::with_capacity(lens.len());
-    let mut off = 0usize;
-    for &l in lens {
-        out.push(&data[off..off + l]);
-        off += l;
+impl GroupCoranks {
+    /// Block `j`'s co-ranks, one `(start, end)` pair per run from the
+    /// first run on.
+    fn block(&self, j: usize) -> &[(usize, usize)] {
+        match self {
+            GroupCoranks::Pair(pairs) => std::slice::from_ref(&pairs[j]),
+            GroupCoranks::Multi(pairs) => &pairs[j],
+        }
     }
-    out
 }
 
 fn group_len(grp: &[RunSpan]) -> usize {
     grp.iter().map(|r| r.1).sum()
+}
+
+/// The keys of group `grp` in `cur`: its runs back to back.
+fn group_keys<'a, K>(cur: &'a [K], grp: &[RunSpan]) -> &'a [K] {
+    &cur[grp[0].0..grp[0].0 + group_len(grp)]
+}
+
+/// The runs of `grp` as slices of `keys`, the group's keys.
+fn group_refs<'a, K>(keys: &'a [K], grp: &[RunSpan]) -> Vec<&'a [K]> {
+    let base = grp[0].0;
+    grp.iter().map(|&(off, len)| &keys[off - base..off - base + len]).collect()
+}
+
+/// Run the partition kernel of a group of two or more runs whose keys
+/// are `keys`: the pairwise unit for two runs, the k-way unit for more.
+fn partition_group<K: wcms_gpu_sim::GpuKey>(
+    backend: &impl ExecBackend,
+    keys: &[K],
+    grp: &[RunSpan],
+    params: &SortParams,
+) -> (GroupCoranks, RoundCounters) {
+    let blocks = keys.len() / params.block_elems();
+    if let [(_, a_len), _] = *grp {
+        let (a, b) = keys.split_at(a_len);
+        let (pairs, c) = backend.partition_unit(a, b, blocks, params);
+        return (GroupCoranks::Pair(pairs), c);
+    }
+    let (pairs, c) = backend.partition_unit_multi(&group_refs(keys, grp), blocks, params);
+    (GroupCoranks::Multi(pairs), c)
+}
+
+/// Merge output block `j` of a group of two or more runs whose keys are
+/// `keys`: the pairwise unit for two runs, the k-way unit for more.
+/// `pre` is the block's co-ranks as [`GroupCoranks::block`] gives them
+/// (Modern GPU); `None` makes the block search its own (Thrust).
+fn merge_group_block<K: wcms_gpu_sim::GpuKey>(
+    backend: &impl ExecBackend,
+    keys: &[K],
+    grp: &[RunSpan],
+    j: usize,
+    params: &SortParams,
+    pre: Option<&[(usize, usize)]>,
+) -> Result<(Vec<K>, RoundCounters), WcmsError> {
+    if let [(a_off, a_len), (b_off, _)] = *grp {
+        let (a, b) = keys.split_at(a_len);
+        return backend.merge_unit(a, b, a_off, b_off, j, params, pre.map(|p| p[0]));
+    }
+    let offsets: Vec<usize> = grp.iter().map(|r| r.0).collect();
+    backend.merge_unit_multi(&group_refs(keys, grp), &offsets, grp[0].0, j, params, pre)
 }
 
 /// `buf` cut into consecutive windows of the given lengths.
@@ -140,68 +190,22 @@ pub fn sort_with_report_on<K: wcms_gpu_sim::GpuKey>(
     params: &SortParams,
     backend: &impl ExecBackend,
 ) -> Result<(Vec<K>, SortReport), WcmsError> {
-    sort_with_report_traced_on(input, params, backend, Obs::noop())
+    sort_algo_with_report_traced_on(input, params, &PairwiseMerge, backend, Obs::noop())
 }
 
-/// [`sort_with_report_on`] generic over the algorithm as well (see
-/// [`sort_algo_with_report_traced_on`]).
+/// [`sort_with_report_on`] generic over the *algorithm* as well, under
+/// an [`Obs`] bundle. The round loop asks `algo` for each round's
+/// fan-in; a group of two runs merges through the pairwise work units
+/// and a wider group through the k-way units, so [`PairwiseMerge`] is
+/// the paper's pairwise merge sort. Every `(algorithm, backend)`
+/// combination sees the identical decomposition into work units.
 ///
-/// # Errors
-///
-/// Same conditions as [`sort_with_report`].
-pub fn sort_algo_with_report_on<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-    algo: &(impl SortAlgorithm + ?Sized),
-    backend: &impl ExecBackend,
-) -> Result<(Vec<K>, SortReport), WcmsError> {
-    sort_algo_with_report_traced_on(input, params, algo, backend, Obs::noop())
-}
-
-/// [`sort_resilient_on`] generic over the algorithm as well (see
-/// [`sort_resilient_algo_traced_on`]).
-///
-/// # Errors
-///
-/// Same conditions as [`sort_resilient`].
-pub fn sort_resilient_algo_on<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-    algo: &(impl SortAlgorithm + ?Sized),
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-    sort_resilient_algo_traced_on(input, params, algo, injector, policy, backend, Obs::noop())
-}
-
-/// [`sort_with_report_on`] under an [`Obs`] bundle: a `sort` span wraps
-/// the whole pipeline, each global round runs inside a `merge-round`
-/// span, per-round `round-counters` events carry the merge-step and
-/// bank-conflict totals (round 0 is the base case), and the accepted
-/// totals feed the `sort_*` metric counters. With [`Obs::noop`] every
-/// probe is a single untaken branch — the untraced entry points
-/// delegate here.
-///
-/// # Errors
-///
-/// Same conditions as [`sort_with_report`].
-pub fn sort_with_report_traced_on<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-    backend: &impl ExecBackend,
-    obs: &Obs,
-) -> Result<(Vec<K>, SortReport), WcmsError> {
-    sort_algo_with_report_traced_on(input, params, &PairwiseMerge, backend, obs)
-}
-
-/// [`sort_with_report_traced_on`] generic over the *algorithm* as well:
-/// the round loop asks `algo` for each round's fan-in, dispatches 2-way
-/// groups through the exact legacy pairwise work units (so
-/// [`PairwiseMerge`] is bit-identical — outputs, counters and trace
-/// events — to the pre-refactor pipeline) and wider groups through the
-/// k-way units. Every `(algorithm, backend)` combination sees the
-/// identical decomposition into work units.
+/// A `sort` span wraps the whole pipeline, each global round runs inside
+/// a `merge-round` span, per-round `round-counters` events carry the
+/// merge-step and bank-conflict totals (round 0 is the base case), and
+/// the accepted totals feed the `sort_*` metric counters. With
+/// [`Obs::noop`] every probe is a single untaken branch — the untraced
+/// entry points delegate here.
 ///
 /// # Errors
 ///
@@ -267,26 +271,13 @@ fn sort_on_threads<K: wcms_gpu_sim::GpuKey>(
         let _round_span = span!(obs, "merge-round", round => round, list_len => list_len);
 
         // Modern GPU structure: a separate partition kernel per round
-        // computes every block's co-ranks up front.
-        let partitions: Option<Vec<(GroupCoranks, RoundCounters)>> =
+        // computes every block's co-ranks up front. A passthrough group
+        // (one run) has none.
+        let partitions: Option<Vec<Option<(GroupCoranks, RoundCounters)>>> =
             (params.variant == SortVariant::ModernGpu).then(|| {
                 exec::map(threads(), &groups, |_, grp| {
-                    let blocks = group_len(grp) / be;
-                    match grp.len() {
-                        1 => (GroupCoranks::None, RoundCounters::default()),
-                        2 => {
-                            let (off0, len0) = grp[0];
-                            let a = &cur[off0..off0 + len0];
-                            let b = &cur[grp[1].0..grp[1].0 + grp[1].1];
-                            let (pairs, c) = backend.partition_unit(a, b, blocks, params);
-                            (GroupCoranks::Pair(pairs), c)
-                        }
-                        _ => {
-                            let refs = group_refs(&cur, grp);
-                            let (pairs, c) = backend.partition_unit_multi(&refs, blocks, params);
-                            (GroupCoranks::Multi(pairs), c)
-                        }
-                    }
+                    (grp.len() > 1)
+                        .then(|| partition_group(backend, group_keys(&cur, grp), grp, params))
                 })
             });
 
@@ -302,36 +293,18 @@ fn sort_on_threads<K: wcms_gpu_sim::GpuKey>(
         let unit_counters =
             exec::try_map(threads(), units, |w, (window, &(gi, j))| -> Result<_, WcmsError> {
                 let grp = groups[gi];
-                let (out, c) = match grp.len() {
-                    1 => {
-                        window.copy_from_slice(&cur[w * be..(w + 1) * be]);
-                        return Ok(RoundCounters::default());
-                    }
-                    2 => {
-                        let (off0, len0) = grp[0];
-                        let a = &cur[off0..off0 + len0];
-                        let b = &cur[grp[1].0..grp[1].0 + grp[1].1];
-                        let pre = partitions.as_ref().and_then(|p| match &p[gi].0 {
-                            GroupCoranks::Pair(pairs) => Some(pairs[j]),
-                            _ => None,
-                        });
-                        backend.merge_unit(a, b, off0, grp[1].0, j, params, pre)?
-                    }
-                    _ => {
-                        let refs = group_refs(&cur, grp);
-                        let offs: Vec<usize> = grp.iter().map(|r| r.0).collect();
-                        let pre = partitions.as_ref().and_then(|p| match &p[gi].0 {
-                            GroupCoranks::Multi(pairs) => Some(pairs[j].as_slice()),
-                            _ => None,
-                        });
-                        backend.merge_unit_multi(&refs, &offs, grp[0].0, j, params, pre)?
-                    }
-                };
+                if grp.len() == 1 {
+                    window.copy_from_slice(&cur[w * be..(w + 1) * be]);
+                    return Ok(RoundCounters::default());
+                }
+                let pre = partitions.as_ref().and_then(|p| p[gi].as_ref()).map(|(c, _)| c.block(j));
+                let keys = group_keys(&cur, grp);
+                let (out, c) = merge_group_block(backend, keys, grp, j, params, pre)?;
                 fill_window(window, &out, round, w)?;
                 Ok(c)
             })?;
 
-        let partition_counters = partitions.iter().flatten().map(|(_, c)| c);
+        let partition_counters = partitions.iter().flatten().flatten().map(|(_, c)| c);
         let round_counters = sum_counters(partition_counters.chain(&unit_counters));
         event!(obs, "round-counters",
             round => round,
@@ -363,18 +336,6 @@ fn observe_report(obs: &Obs, report: &SortReport) {
     obs.metrics.counter("sort_merge_steps_total").add(total.shared.merge.steps as u64);
     obs.metrics.counter("sort_blocks_launched_total").add(report.blocks_launched() as u64);
     total.to_kernel().observe(&obs.metrics, "sort");
-}
-
-/// Sort without keeping the report (convenience for tests/examples).
-///
-/// # Errors
-///
-/// Same conditions as [`sort_with_report`].
-pub fn sort<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-) -> Result<Vec<K>, WcmsError> {
-    Ok(sort_with_report(input, params)?.0)
 }
 
 /// Sort an arbitrary-length input by padding with max-value sentinels up
@@ -425,7 +386,7 @@ pub struct FaultReport {
     pub counters: FaultCounters,
     /// Work units that fell back to the CPU reference path, as
     /// `(round, unit)` — unit is the block index in round 0 (base case)
-    /// and the pair index in global merge rounds.
+    /// and the group index in global merge rounds.
     pub degraded: Vec<(usize, usize)>,
 }
 
@@ -450,7 +411,7 @@ impl FaultReport {
 /// input) before it is accepted.
 ///
 /// Detection and recovery per work unit — a thread block in the base
-/// case, a merged pair in a global round:
+/// case, a merged group of runs in a global round:
 ///
 /// 1. a typed kernel error (CREW violation, out-of-bounds tile, invalid
 ///    co-rank) or a failed [`check_round_output`] marks the attempt bad;
@@ -458,9 +419,9 @@ impl FaultReport {
 ///    [`RecoveryPolicy::max_retries`] times — transient faults (keyed by
 ///    attempt) clear, hard faults do not;
 /// 3. on exhaustion the unit degrades to the trusted CPU reference path
-///    (`sort_unstable` / [`merge_ref`]) and is recorded in the
-///    [`FaultReport`], or fails with [`WcmsError::FaultUnrecoverable`]
-///    if `cpu_fallback` is off.
+///    (`sort_unstable` / [`ReferenceBackend::merge_group`]) and is
+///    recorded in the [`FaultReport`], or fails with
+///    [`WcmsError::FaultUnrecoverable`] if `cpu_fallback` is off.
 ///
 /// The [`SortReport`] counts only the *accepted* GPU work (a degraded
 /// unit contributes no GPU counters); wasted attempts show up in the
@@ -498,53 +459,33 @@ pub fn sort_resilient<K: wcms_gpu_sim::GpuKey>(
     injector: &FaultInjector,
     policy: &RecoveryPolicy,
 ) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-    sort_resilient_on(input, params, injector, policy, &SimBackend)
+    sort_resilient_algo_traced_on(
+        input,
+        params,
+        &PairwiseMerge,
+        injector,
+        policy,
+        &SimBackend,
+        Obs::noop(),
+    )
 }
 
-/// [`sort_resilient`] generic over the execution backend: the
-/// retry/degrade policy is a pure wrapper around *any* [`ExecBackend`] —
-/// injection corrupts a unit's inputs, the unit runs on `backend`, and
-/// the degrade ladder always bottoms out on the trusted
-/// [`ReferenceBackend`] regardless of the primary backend.
+/// [`sort_resilient`] generic over the algorithm and the execution
+/// backend, under an [`Obs`] bundle.
 ///
-/// # Errors
+/// The retry/degrade policy is a pure wrapper around *any*
+/// [`ExecBackend`]: injection corrupts a unit's inputs, the unit runs on
+/// `backend`, and the degrade ladder always bottoms out on the trusted
+/// [`ReferenceBackend`] regardless of the primary backend. Retry in the
+/// global rounds is *group*-granular: the group of runs merged together
+/// is the smallest unit whose output multiset is known in advance (the
+/// pair, for [`PairwiseMerge`]).
 ///
-/// Same conditions as [`sort_resilient`].
-pub fn sort_resilient_on<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-    sort_resilient_traced_on(input, params, injector, policy, backend, Obs::noop())
-}
-
-/// [`sort_resilient_on`] under an [`Obs`] bundle: the pipeline runs in
-/// a `sort-resilient` span, every injected fault becomes a
-/// `fault-injected` event carrying the injector seed and the fault's
-/// exact coordinates (round, unit, attempt) — enough to replay it —
-/// and the fault totals feed the `fault_*` metric counters.
-///
-/// # Errors
-///
-/// Same conditions as [`sort_resilient`].
-pub fn sort_resilient_traced_on<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-    obs: &Obs,
-) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-    sort_resilient_algo_traced_on(input, params, &PairwiseMerge, injector, policy, backend, obs)
-}
-
-/// [`sort_resilient_traced_on`] generic over the algorithm: retry is
-/// *group*-granular (the group of runs merged together is the smallest
-/// unit whose output multiset is known in advance — the pair, for
-/// [`PairwiseMerge`]), and the degrade ladder bottoms out on the CPU
-/// k-way reference merge.
+/// The pipeline runs in a `sort-resilient` span, every injected fault
+/// becomes a `fault-injected` event carrying the injector seed and the
+/// fault's exact coordinates (round, kernel-wide block as `unit`,
+/// attempt) — enough to replay it — and the fault totals feed the
+/// `fault_*` metric counters.
 ///
 /// # Errors
 ///
@@ -624,40 +565,14 @@ fn sort_resilient_on_threads<K: wcms_gpu_sim::GpuKey>(
         let group_results =
             exec::try_map(threads(), windows, |gi, window| -> Result<_, WcmsError> {
                 let grp = groups[gi];
-                let base = grp[0].0;
-                let group_input = &cur[base..base + window.len()];
-                let (out, c, f) = match grp.len() {
-                    1 => {
-                        window.copy_from_slice(group_input);
-                        return Ok((RoundCounters::default(), FaultReport::default()));
-                    }
-                    2 => resilient_merge_pair(
-                        group_input,
-                        grp[0].1,
-                        gi,
-                        round,
-                        params,
-                        injector,
-                        policy,
-                        backend,
-                        obs,
-                    )?,
-                    _ => {
-                        let lens: Vec<usize> = grp.iter().map(|r| r.1).collect();
-                        resilient_merge_multi(
-                            group_input,
-                            &lens,
-                            base,
-                            gi,
-                            round,
-                            params,
-                            injector,
-                            policy,
-                            backend,
-                            obs,
-                        )?
-                    }
-                };
+                let keys = group_keys(&cur, grp);
+                if grp.len() == 1 {
+                    window.copy_from_slice(keys);
+                    return Ok((RoundCounters::default(), FaultReport::default()));
+                }
+                let (out, c, f) = resilient_merge_group(
+                    keys, grp, gi, round, params, injector, policy, backend, obs,
+                )?;
                 fill_window(window, &out, round, gi)?;
                 Ok((c, f))
             })?;
@@ -743,132 +658,16 @@ fn resilient_base_block<K: wcms_gpu_sim::GpuKey>(
     Ok((out, RoundCounters::default(), f))
 }
 
-/// One merged pair of one global round under injection: run every block
-/// of the pair, check the assembled pair output, retry the whole pair
-/// from the immutable round input on detection.
+/// One group of two or more runs in one global round under injection:
+/// run the group's partition kernel (Modern GPU) and every block, check
+/// the assembled group output, retry the whole group from its immutable
+/// `keys` on detection, degrade to the CPU merge on exhaustion. Faults
+/// are drawn per kernel-wide block id, counted from the group's first
+/// run.
 #[allow(clippy::too_many_arguments)] // internal retry-loop plumbing
-fn resilient_merge_pair<K: wcms_gpu_sim::GpuKey>(
-    pair_input: &[K],
-    list_len: usize,
-    pair: usize,
-    round: usize,
-    params: &SortParams,
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-    obs: &Obs,
-) -> Result<(Vec<K>, RoundCounters, FaultReport), WcmsError> {
-    let be = params.block_elems();
-    let pair_len = pair_input.len();
-    let blocks_per_pair = pair_len / be;
-    let a = &pair_input[..list_len];
-    let b = &pair_input[list_len..];
-    let pair_base = pair * pair_len;
-    let expect_hash = multiset_hash(pair_input);
-    let mut f = FaultReport::default();
-
-    for attempt in 0..=policy.max_retries {
-        if attempt > 0 {
-            f.counters.retries += 1;
-        }
-        // The Modern GPU partition kernel reruns with the rest of the
-        // attempt (its co-ranks are inputs to every merge block).
-        let partitions = (params.variant == SortVariant::ModernGpu)
-            .then(|| backend.partition_unit(a, b, blocks_per_pair, params));
-        let mut counters = partitions.as_ref().map(|(_, c)| *c).unwrap_or_default();
-        let mut out = Vec::with_capacity(pair_len);
-        let mut kernel_fault = false;
-
-        for j in 0..blocks_per_pair {
-            let block = pair * blocks_per_pair + j; // kernel-wide block id
-            let mut pre = partitions.as_ref().map(|(coranks, _)| coranks[j]);
-
-            // Inject: corrupt the block's co-rank pair (models a faulty
-            // partition kernel or a torn read of the partition array).
-            if injector.corank_fault_at(round, block, attempt) {
-                let correct = pre.unwrap_or_else(|| {
-                    let diag = j * be;
-                    (
-                        merge_path(diag, a.len(), b.len(), |i| a[i], |x| b[x]),
-                        merge_path(diag + be, a.len(), b.len(), |i| a[i], |x| b[x]),
-                    )
-                });
-                pre = Some(injector.corrupt_corank(correct, round, block, attempt));
-                f.counters.corank_faults += 1;
-                event!(obs, "fault-injected",
-                    kind => "corank",
-                    seed => injector.config().seed,
-                    round => round,
-                    unit => block,
-                    attempt => attempt);
-            }
-
-            // Inject: bit-flips in the pair data this block reads.
-            let result = if injector.tile_fault_at(round, block, attempt) {
-                let mut tile = pair_input.to_vec();
-                f.counters.tile_faults += 1;
-                f.counters.bits_flipped +=
-                    injector.flip_tile_bits(&mut tile, round, block, attempt);
-                event!(obs, "fault-injected",
-                    kind => "tile-bitflip",
-                    seed => injector.config().seed,
-                    round => round,
-                    unit => block,
-                    attempt => attempt);
-                let (ta, tb) = tile.split_at(list_len);
-                backend.merge_unit(ta, tb, pair_base, pair_base + list_len, j, params, pre)
-            } else {
-                backend.merge_unit(a, b, pair_base, pair_base + list_len, j, params, pre)
-            };
-            match result {
-                Ok((chunk, c)) => {
-                    counters.absorb(&c);
-                    out.extend(chunk);
-                }
-                Err(
-                    WcmsError::PartitionValidation { .. }
-                    | WcmsError::SmemOutOfBounds { .. }
-                    | WcmsError::CrewViolation { .. }
-                    | WcmsError::CorruptOutput { .. },
-                ) => {
-                    f.counters.detected += 1;
-                    kernel_fault = true;
-                    break;
-                }
-                Err(other) => return Err(other),
-            }
-        }
-
-        if !kernel_fault {
-            if check_round_output(&out, pair_len, expect_hash, round, pair).is_ok() {
-                return Ok((out, counters, f));
-            }
-            f.counters.detected += 1;
-        }
-    }
-
-    if !policy.cpu_fallback {
-        return Err(WcmsError::FaultUnrecoverable {
-            round,
-            block: pair,
-            retries: policy.max_retries,
-        });
-    }
-    f.counters.cpu_fallbacks += 1;
-    f.degraded.push((round, pair));
-    Ok((ReferenceBackend.merge_pair(a, b), RoundCounters::default(), f))
-}
-
-/// One merged *multiway* group of one global round under injection — the
-/// k-way analogue of [`resilient_merge_pair`]: run every block of the
-/// group, check the assembled group output, retry the whole group from
-/// the immutable round input on detection, degrade to the CPU k-way
-/// merge on exhaustion.
-#[allow(clippy::too_many_arguments)] // internal retry-loop plumbing
-fn resilient_merge_multi<K: wcms_gpu_sim::GpuKey>(
-    group_input: &[K],
-    member_lens: &[usize],
-    group_base: usize,
+fn resilient_merge_group<K: wcms_gpu_sim::GpuKey>(
+    keys: &[K],
+    grp: &[RunSpan],
     group: usize,
     round: usize,
     params: &SortParams,
@@ -878,44 +677,40 @@ fn resilient_merge_multi<K: wcms_gpu_sim::GpuKey>(
     obs: &Obs,
 ) -> Result<(Vec<K>, RoundCounters, FaultReport), WcmsError> {
     let be = params.block_elems();
-    let total = group_input.len();
-    let blocks = total / be;
-    let refs = split_runs(group_input, member_lens);
-    let run_offsets: Vec<usize> = {
-        let mut offs = Vec::with_capacity(member_lens.len());
-        let mut off = group_base;
-        for &l in member_lens {
-            offs.push(off);
-            off += l;
-        }
-        offs
-    };
-    let expect_hash = multiset_hash(group_input);
+    let first_block = grp[0].0 / be;
+    let refs = group_refs(keys, grp);
+    let lens: Vec<usize> = grp.iter().map(|r| r.1).collect();
+    let expect_hash = multiset_hash(keys);
     let mut f = FaultReport::default();
 
     for attempt in 0..=policy.max_retries {
         if attempt > 0 {
             f.counters.retries += 1;
         }
+        // The Modern GPU partition kernel reruns with the rest of the
+        // attempt (its co-ranks are inputs to every merge block).
         let partitions = (params.variant == SortVariant::ModernGpu)
-            .then(|| backend.partition_unit_multi(&refs, blocks, params));
+            .then(|| partition_group(backend, keys, grp, params));
         let mut counters = partitions.as_ref().map(|(_, c)| *c).unwrap_or_default();
-        let mut out = Vec::with_capacity(total);
+        let mut out = Vec::with_capacity(keys.len());
         let mut kernel_fault = false;
 
-        for j in 0..blocks {
-            let block = group_base / be + j; // kernel-wide block id
-            let mut pre: Option<Vec<(usize, usize)>> =
-                partitions.as_ref().map(|(coranks, _)| coranks[j].clone());
+        for j in 0..keys.len() / be {
+            let block = first_block + j;
+            let pre = partitions.as_ref().map(|(coranks, _)| coranks.block(j));
 
-            // Inject: corrupt one run's co-rank pair (models a faulty
-            // partition kernel or a torn read of the partition array).
-            if injector.corank_fault_at(round, block, attempt) {
-                let mut pairs = pre.take().unwrap_or_else(|| {
-                    let starts = multiway_select(member_lens, j * be, |i, x| refs[i][x]);
-                    let ends = multiway_select(member_lens, (j + 1) * be, |i, x| refs[i][x]);
-                    starts.into_iter().zip(ends).collect()
-                });
+            // Inject: corrupt the first run's co-rank pair (models a
+            // faulty partition kernel or a torn read of the partition
+            // array).
+            let corrupted = injector.corank_fault_at(round, block, attempt).then(|| {
+                let mut pairs: Vec<(usize, usize)> = pre.map_or_else(
+                    || {
+                        let starts = multiway_select(&lens, j * be, |i, x| refs[i][x]);
+                        let ends = multiway_select(&lens, (j + 1) * be, |i, x| refs[i][x]);
+                        starts.into_iter().zip(ends).collect()
+                    },
+                    <[_]>::to_vec,
+                );
                 pairs[0] = injector.corrupt_corank(pairs[0], round, block, attempt);
                 f.counters.corank_faults += 1;
                 event!(obs, "fault-injected",
@@ -924,12 +719,12 @@ fn resilient_merge_multi<K: wcms_gpu_sim::GpuKey>(
                     round => round,
                     unit => block,
                     attempt => attempt);
-                pre = Some(pairs);
-            }
+                pairs
+            });
 
             // Inject: bit-flips in the group data this block reads.
-            let result = if injector.tile_fault_at(round, block, attempt) {
-                let mut tile = group_input.to_vec();
+            let tile = injector.tile_fault_at(round, block, attempt).then(|| {
+                let mut tile = keys.to_vec();
                 f.counters.tile_faults += 1;
                 f.counters.bits_flipped +=
                     injector.flip_tile_bits(&mut tile, round, block, attempt);
@@ -939,19 +734,18 @@ fn resilient_merge_multi<K: wcms_gpu_sim::GpuKey>(
                     round => round,
                     unit => block,
                     attempt => attempt);
-                let trefs = split_runs(&tile, member_lens);
-                backend.merge_unit_multi(
-                    &trefs,
-                    &run_offsets,
-                    group_base,
-                    j,
-                    params,
-                    pre.as_deref(),
-                )
-            } else {
-                backend.merge_unit_multi(&refs, &run_offsets, group_base, j, params, pre.as_deref())
-            };
-            match result {
+                tile
+            });
+
+            let block_keys = tile.as_deref().unwrap_or(keys);
+            match merge_group_block(
+                backend,
+                block_keys,
+                grp,
+                j,
+                params,
+                corrupted.as_deref().or(pre),
+            ) {
                 Ok((chunk, c)) => {
                     counters.absorb(&c);
                     out.extend(chunk);
@@ -971,7 +765,7 @@ fn resilient_merge_multi<K: wcms_gpu_sim::GpuKey>(
         }
 
         if !kernel_fault {
-            if check_round_output(&out, total, expect_hash, round, group).is_ok() {
+            if check_round_output(&out, keys.len(), expect_hash, round, group).is_ok() {
                 return Ok((out, counters, f));
             }
             f.counters.detected += 1;
@@ -1041,7 +835,7 @@ mod tests {
         }
     }
 
-    use crate::algorithm::MultiwayMerge;
+    use crate::algorithm::{AlgorithmKind, MultiwayMerge};
     use crate::backend::{AnalyticBackend, BackendKind};
 
     #[test]
@@ -1050,7 +844,14 @@ mod tests {
             let n = p.block_elems() * 8;
             let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
             let legacy = sort_with_report(&input, &p).unwrap();
-            let algo = sort_algo_with_report_on(&input, &p, &PairwiseMerge, &SimBackend).unwrap();
+            let algo = sort_algo_with_report_traced_on(
+                &input,
+                &p,
+                &PairwiseMerge,
+                &SimBackend,
+                Obs::noop(),
+            )
+            .unwrap();
             assert_eq!(legacy, algo, "PairwiseMerge must preserve semantics exactly");
         }
     }
@@ -1063,7 +864,8 @@ mod tests {
         let mut want = input.clone();
         want.sort_unstable();
         let algo = MultiwayMerge::default();
-        let (out, report) = sort_algo_with_report_on(&input, &p, &algo, &SimBackend).unwrap();
+        let (out, report) =
+            sort_algo_with_report_traced_on(&input, &p, &algo, &SimBackend, Obs::noop()).unwrap();
         assert_eq!(out, want);
         assert_eq!(report.rounds.len(), 2);
         let (_, pair_report) = sort_with_report(&input, &p).unwrap();
@@ -1078,11 +880,14 @@ mod tests {
             let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(31) % 4096).collect();
             let algo = MultiwayMerge::default();
             let (sim_out, sim_rep) =
-                sort_algo_with_report_on(&input, &p, &algo, &SimBackend).unwrap();
+                sort_algo_with_report_traced_on(&input, &p, &algo, &SimBackend, Obs::noop())
+                    .unwrap();
             let (ana_out, ana_rep) =
-                sort_algo_with_report_on(&input, &p, &algo, &AnalyticBackend).unwrap();
+                sort_algo_with_report_traced_on(&input, &p, &algo, &AnalyticBackend, Obs::noop())
+                    .unwrap();
             let (ref_out, ref_rep) =
-                sort_algo_with_report_on(&input, &p, &algo, &ReferenceBackend).unwrap();
+                sort_algo_with_report_traced_on(&input, &p, &algo, &ReferenceBackend, Obs::noop())
+                    .unwrap();
             assert_eq!(ana_out, sim_out);
             assert_eq!(ref_out, sim_out);
             assert_eq!(ana_rep, sim_rep, "analytic counters must be integer-identical");
@@ -1100,31 +905,37 @@ mod tests {
         let mut want = input.clone();
         want.sort_unstable();
         let algo = MultiwayMerge { k: 3 };
-        let (out, report) = sort_algo_with_report_on(&input, &p, &algo, &SimBackend).unwrap();
+        let (out, report) =
+            sort_algo_with_report_traced_on(&input, &p, &algo, &SimBackend, Obs::noop()).unwrap();
         assert_eq!(out, want);
         assert_eq!(report.rounds.len(), 2);
     }
 
+    /// Also 3-way over 8 runs, whose tail group is a pair of unequal
+    /// position: every group shape goes through the resilient group path.
     #[test]
     fn multiway_resilient_disabled_injector_matches_plain() {
         let p = params();
-        let n = p.block_elems() * 16;
-        let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(7) % 512).collect();
-        let algo = MultiwayMerge::default();
-        let (plain_out, plain_rep) =
-            sort_algo_with_report_on(&input, &p, &algo, &SimBackend).unwrap();
-        let (out, rep, faults) = sort_resilient_algo_on(
-            &input,
-            &p,
-            &algo,
-            &FaultInjector::disabled(),
-            &RecoveryPolicy::default(),
-            &SimBackend,
-        )
-        .unwrap();
-        assert_eq!(out, plain_out);
-        assert_eq!(rep, plain_rep);
-        assert!(faults.clean(), "{faults:?}");
+        for (algo, runs) in [(MultiwayMerge::default(), 16), (MultiwayMerge { k: 3 }, 8)] {
+            let n = p.block_elems() * runs;
+            let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(7) % 512).collect();
+            let (plain_out, plain_rep) =
+                sort_algo_with_report_traced_on(&input, &p, &algo, &SimBackend, Obs::noop())
+                    .unwrap();
+            let (out, rep, faults) = sort_resilient_algo_traced_on(
+                &input,
+                &p,
+                &algo,
+                &FaultInjector::disabled(),
+                &RecoveryPolicy::default(),
+                &SimBackend,
+                Obs::noop(),
+            )
+            .unwrap();
+            assert_eq!(out, plain_out, "k = {}", algo.k);
+            assert_eq!(rep, plain_rep, "k = {}", algo.k);
+            assert!(faults.clean(), "k = {}: {faults:?}", algo.k);
+        }
     }
 
     #[test]
@@ -1137,13 +948,14 @@ mod tests {
         let algo = MultiwayMerge::default();
         for (tile, corank) in [(0.3, 0.0), (0.0, 0.5), (1.0, 0.0)] {
             let inj = faulty(7, tile, corank);
-            let (out, _, faults) = sort_resilient_algo_on(
+            let (out, _, faults) = sort_resilient_algo_traced_on(
                 &input,
                 &p,
                 &algo,
                 &inj,
                 &RecoveryPolicy { max_retries: 4, cpu_fallback: true },
                 &SimBackend,
+                Obs::noop(),
             )
             .unwrap();
             assert_eq!(out, want, "tile={tile} corank={corank}");
@@ -1152,21 +964,27 @@ mod tests {
         }
     }
 
+    /// The driver on `&kind` returns what it returns on the backend the
+    /// kind names, for every kind, algorithm and kernel structure.
     #[test]
     fn backend_kind_algo_dispatch_matches_generic_drivers() {
-        let p = params();
-        let n = p.block_elems() * 8;
-        let input: Vec<u32> = (0..n as u32).rev().collect();
-        let algo = MultiwayMerge::default();
-        let direct = sort_algo_with_report_on(&input, &p, &algo, &SimBackend).unwrap();
-        let kind = BackendKind::Sim
-            .sort_algo_with_report(crate::algorithm::AlgorithmKind::Multiway, &input, &p)
-            .unwrap();
-        assert_eq!(direct, kind);
-        let pairwise = BackendKind::Sim
-            .sort_algo_with_report(crate::algorithm::AlgorithmKind::Pairwise, &input, &p)
-            .unwrap();
-        assert_eq!(pairwise, sort_with_report(&input, &p).unwrap());
+        for p in [params(), params().with_variant(SortVariant::ModernGpu)] {
+            let n = p.block_elems() * 8;
+            let input: Vec<u32> = (0..n as u32).rev().collect();
+            for algo in AlgorithmKind::ALL {
+                let a = algo.instance();
+                let direct = [
+                    sort_algo_with_report_traced_on(&input, &p, a, &SimBackend, Obs::noop()),
+                    sort_algo_with_report_traced_on(&input, &p, a, &AnalyticBackend, Obs::noop()),
+                    sort_algo_with_report_traced_on(&input, &p, a, &ReferenceBackend, Obs::noop()),
+                ];
+                for (kind, direct) in BackendKind::ALL.into_iter().zip(direct) {
+                    let on_kind =
+                        sort_algo_with_report_traced_on(&input, &p, a, &kind, Obs::noop());
+                    assert_eq!(on_kind.unwrap(), direct.unwrap(), "{kind} {algo} {:?}", p.variant);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1509,5 +1327,146 @@ mod tests {
         // The partition kernels add global requests and launches.
         assert!(rep_m.total().global.requests > rep_t.total().global.requests);
         assert!(rep_m.blocks_launched() > rep_t.blocks_launched());
+    }
+
+    /// Outcome of one resilient run: every `FaultCounters` field as
+    /// `[tile_faults, bits_flipped, corank_faults, detected, retries,
+    /// cpu_fallbacks]` with the degraded units, or the error.
+    type Pinned = Result<([usize; 6], &'static [(usize, usize)]), &'static str>;
+
+    /// One pinned case: algorithm, runs, injector as `(seed, tile rate,
+    /// co-rank rate)`, strict policy, outcome.
+    type PinRow<'a> = (&'a dyn SortAlgorithm, usize, (u64, f64, f64), bool, Pinned);
+
+    /// The fault path, pinned: counters, degraded units and the
+    /// no-fallback error for pairwise and 4-way, 8 and 16 runs, tile,
+    /// co-rank and mixed injectors, the default and a strict policy. Both
+    /// kernel structures draw the same faults, so each row holds for
+    /// Thrust and Modern GPU alike. Any change to a literal is a change of
+    /// fault behaviour.
+    #[test]
+    fn pinned_fault_reports() {
+        const E0_1: &str = "round 0, block 1: fault persisted through 1 retries and CPU fallback";
+        const E1_0: &str = "round 1, block 0: fault persisted through 1 retries and CPU fallback";
+        const E1_1: &str = "round 1, block 1: fault persisted through 1 retries and CPU fallback";
+        let (tile, corank, mixed) = ((7, 0.3, 0.0), (5, 0.0, 0.5), (99, 0.3, 0.3));
+        let multiway = MultiwayMerge::default();
+        #[rustfmt::skip]
+        let rows: [PinRow; 24] = [
+            (&PairwiseMerge, 8, tile, false, Ok(([9, 9, 0, 6, 6, 0], &[]))),
+            (&PairwiseMerge, 8, tile, true, Err(E1_0)),
+            (&PairwiseMerge, 8, corank, false,
+                Ok(([0, 0, 31, 13, 9, 4], &[(1, 1), (2, 0), (2, 1), (3, 0)]))),
+            (&PairwiseMerge, 8, corank, true, Err(E1_1)),
+            (&PairwiseMerge, 8, mixed, false,
+                Ok(([25, 25, 24, 17, 13, 4], &[(1, 0), (1, 1), (2, 0), (3, 0)]))),
+            (&PairwiseMerge, 8, mixed, true, Err(E0_1)),
+            (&PairwiseMerge, 16, tile, false, Ok(([37, 37, 0, 13, 13, 0], &[]))),
+            (&PairwiseMerge, 16, tile, true, Err(E1_0)),
+            (&PairwiseMerge, 16, corank, false, Ok(([0, 0, 69, 30, 21, 9],
+                &[(1, 1), (1, 4), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (4, 0)]))),
+            (&PairwiseMerge, 16, corank, true, Err(E1_1)),
+            (&PairwiseMerge, 16, mixed, false, Ok(([64, 64, 61, 37, 29, 8],
+                &[(1, 0), (1, 1), (1, 6), (2, 0), (2, 2), (3, 0), (3, 1), (4, 0)]))),
+            (&PairwiseMerge, 16, mixed, true, Err(E0_1)),
+            (&multiway, 8, tile, false, Ok(([7, 7, 0, 4, 4, 0], &[]))),
+            (&multiway, 8, tile, true, Ok(([7, 7, 0, 4, 4, 0], &[]))),
+            (&multiway, 8, corank, false, Ok(([0, 0, 20, 9, 6, 3], &[(1, 0), (1, 1), (2, 0)]))),
+            (&multiway, 8, corank, true, Err(E1_0)),
+            (&multiway, 8, mixed, false, Ok(([14, 14, 16, 12, 9, 3], &[(1, 0), (1, 1), (2, 0)]))),
+            (&multiway, 8, mixed, true, Err(E0_1)),
+            (&multiway, 16, tile, false, Ok(([16, 16, 0, 7, 7, 0], &[]))),
+            (&multiway, 16, tile, true, Ok(([16, 16, 0, 7, 7, 0], &[]))),
+            (&multiway, 16, corank, false,
+                Ok(([0, 0, 13, 12, 8, 4], &[(1, 0), (1, 1), (1, 2), (2, 0)]))),
+            (&multiway, 16, corank, true, Err(E1_0)),
+            (&multiway, 16, mixed, false,
+                Ok(([17, 17, 17, 22, 17, 5], &[(1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]))),
+            (&multiway, 16, mixed, true, Err(E0_1)),
+        ];
+        for (algo, runs, (seed, tile, corank), strict, want) in rows {
+            let policy = if strict {
+                RecoveryPolicy { max_retries: 1, cpu_fallback: false }
+            } else {
+                RecoveryPolicy::default()
+            };
+            for p in [params(), params().with_variant(SortVariant::ModernGpu)] {
+                let n = p.block_elems() * runs;
+                let input: Vec<u32> =
+                    (0..n as u32).map(|i| i.wrapping_mul(48_271) % 9973).collect();
+                let inj = faulty(seed, tile, corank);
+                let got = sort_resilient_algo_traced_on(
+                    &input,
+                    &p,
+                    algo,
+                    &inj,
+                    &policy,
+                    &SimBackend,
+                    Obs::noop(),
+                );
+                let got = match &got {
+                    Ok((_, _, f)) => {
+                        let c = &f.counters;
+                        let fields = [
+                            c.tile_faults,
+                            c.bits_flipped,
+                            c.corank_faults,
+                            c.detected,
+                            c.retries,
+                            c.cpu_fallbacks,
+                        ];
+                        Ok((fields, f.degraded.as_slice()))
+                    }
+                    Err(e) => Err(e.to_string()),
+                };
+                let want = want.map_err(str::to_string);
+                let row = format!(
+                    "{} {runs} runs {:?} strict={strict} {:?}",
+                    algo.name(),
+                    (seed, tile, corank),
+                    p.variant
+                );
+                assert_eq!(got, want, "{row}");
+            }
+        }
+    }
+
+    /// In a 3-way round over 8 runs the tail group is a pair owning
+    /// blocks 6–7: every block of the round, the tail pair's included,
+    /// draws its faults under its own kernel-wide id.
+    #[test]
+    fn tail_pair_of_a_kway_round_uses_its_own_block_ids() {
+        use std::sync::Arc;
+        use wcms_obs::{Clock, FieldValue, RingCollector};
+
+        let p = params();
+        let input: Vec<u32> = (0..p.block_elems() as u32 * 8).rev().collect();
+        let ring = Arc::new(RingCollector::new());
+        let obs = Obs::with_recorder(ring.clone(), Clock::virtual_us(1));
+        let inj = FaultInjector::new(FaultConfig {
+            seed: 3,
+            tile_bitflip_rate: 1.0,
+            ..FaultConfig::default()
+        });
+        let policy = RecoveryPolicy { max_retries: 0, cpu_fallback: true };
+        let three_way = MultiwayMerge { k: 3 };
+        sort_resilient_algo_traced_on(&input, &p, &three_way, &inj, &policy, &SimBackend, &obs)
+            .unwrap();
+        let field = |fields: &[wcms_obs::Field], key| {
+            fields.iter().find(|f| f.key == key).map(|f| f.value.clone())
+        };
+        let mut units: Vec<u64> = ring
+            .drain()
+            .0
+            .iter()
+            .filter(|r| r.name == "fault-injected")
+            .filter(|r| field(&r.fields, "round") == Some(FieldValue::U64(1)))
+            .filter_map(|r| match field(&r.fields, "unit") {
+                Some(FieldValue::U64(unit)) => Some(unit),
+                _ => None,
+            })
+            .collect();
+        units.sort_unstable();
+        assert_eq!(units, (0..8).collect::<Vec<u64>>());
     }
 }

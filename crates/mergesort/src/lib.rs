@@ -63,10 +63,8 @@ pub use backend::{
 };
 pub use bitonic::bitonic_sort_with_report;
 pub use driver::{
-    sort, sort_algo_with_report_on, sort_algo_with_report_traced_on, sort_padded, sort_resilient,
-    sort_resilient_algo_on, sort_resilient_algo_traced_on, sort_resilient_on,
-    sort_resilient_traced_on, sort_with_report, sort_with_report_on, sort_with_report_traced_on,
-    FaultReport, RecoveryPolicy,
+    sort_algo_with_report_traced_on, sort_padded, sort_resilient, sort_resilient_algo_traced_on,
+    sort_with_report, sort_with_report_on, FaultReport, RecoveryPolicy,
 };
 pub use instrument::{PhaseTotals, RoundCounters, SortReport};
 pub use params::SortParams;

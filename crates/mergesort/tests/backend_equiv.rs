@@ -8,9 +8,10 @@
 use proptest::prelude::*;
 use wcms_core::WorstCaseBuilder;
 use wcms_mergesort::{
-    sort_algo_with_report_on, sort_with_report_on, AlgorithmKind, AnalyticBackend,
+    sort_algo_with_report_traced_on, sort_with_report_on, AlgorithmKind, AnalyticBackend,
     ReferenceBackend, SimBackend, SortParams,
 };
+use wcms_obs::Obs;
 
 const W: usize = 8;
 const B: usize = 16;
@@ -149,11 +150,13 @@ proptest! {
         want.sort_unstable();
         let algo = AlgorithmKind::ALL[algo_idx].instance();
 
-        let (sim_out, sim_rep) = sort_algo_with_report_on(&input, &p, algo, &SimBackend).unwrap();
+        let noop = Obs::noop();
+        let (sim_out, sim_rep) =
+            sort_algo_with_report_traced_on(&input, &p, algo, &SimBackend, noop).unwrap();
         let (ana_out, ana_rep) =
-            sort_algo_with_report_on(&input, &p, algo, &AnalyticBackend).unwrap();
+            sort_algo_with_report_traced_on(&input, &p, algo, &AnalyticBackend, noop).unwrap();
         let (ref_out, ref_rep) =
-            sort_algo_with_report_on(&input, &p, algo, &ReferenceBackend).unwrap();
+            sort_algo_with_report_traced_on(&input, &p, algo, &ReferenceBackend, noop).unwrap();
 
         prop_assert_eq!(&sim_out, &want);
         prop_assert_eq!(&ana_out, &want);
