@@ -3,13 +3,13 @@
 //!
 //! The analytic backend's whole value proposition is that it replays the
 //! shared Merge Path schedules into a counting accumulator instead of
-//! moving data through the simulated shared memory — an order of
-//! magnitude faster with exactly the same counters. "Exactly" is a
-//! strong claim, so this harness runs both backends over the figure-4
-//! grid and the paper's worst-case families (small-E Theorem 3, large-E
-//! Theorem 9, and the power-of-two case where sorted order *is* the
-//! worst case) and compares outputs and full [`SortReport`]s with `==`
-//! — no tolerances anywhere.
+//! moving data through the simulated shared memory — faster (every run
+//! prints the measured ratio) with exactly the same counters. "Exactly"
+//! is a strong claim, so this harness runs both backends over the
+//! figure-4 grid (padded tiles included) and the paper's worst-case
+//! families (small-E Theorem 3, large-E Theorem 9, and the power-of-two
+//! case where sorted order *is* the worst case) and compares outputs and
+//! full [`SortReport`]s with `==` — no tolerances anywhere.
 //!
 //! The grid quantifies over the *algorithm* too: every cell runs once
 //! per [`AlgorithmKind`], so the k-way multiway rounds are held to the
@@ -207,9 +207,10 @@ pub fn cross_validate_traced(jobs: &[CrossJob], obs: &Obs) -> Result<CrossReport
 }
 
 /// The standard validation grid: the Fig. 4 presets (worst-case and
-/// random) plus the three worst-case families — small-E (Theorem 3),
-/// large-E (Theorem 9), power-of-two E (where sorted order is worst) —
-/// and a sorted-input control.
+/// random), the Fig. 4 Thrust preset with padded tiles, the three
+/// worst-case families — small-E (Theorem 3), large-E (Theorem 9),
+/// power-of-two E (where sorted order is worst) — and a sorted-input
+/// control.
 ///
 /// # Errors
 ///
@@ -236,6 +237,16 @@ pub fn default_jobs(sweep: &SweepConfig) -> Result<Vec<CrossJob>, WcmsError> {
             }
         }
     }
+    // Padded tiles at the production tuning, on its worst-case input at
+    // the sweep's smallest size: padding moves every shared-memory
+    // address, so its schedules need a cell of their own.
+    let padded = SortParams::thrust(&device)?.with_padding();
+    cells.push((
+        format!("fig4/Thrust E={} b={} worst-case padded", padded.e, padded.b),
+        padded,
+        WorkloadSpec::WorstCase,
+        padded.block_elems() << sweep.min_doublings,
+    ));
     // The worst-case families of §III, at a bench-friendly block size.
     let families = [
         ("family/small-E (Thm 3)", SortParams::new(32, 3, 64)?, WorkloadSpec::WorstCase),
@@ -310,8 +321,12 @@ mod tests {
             assert!(jobs.iter().any(|j| j.label.contains(needle)), "missing {needle}");
         }
         assert!(jobs.iter().any(|j| matches!(j.spec, WorkloadSpec::Sorted)));
-        // Every cell appears once per algorithm.
+        // Every cell appears once per algorithm, the padded one included.
         for kind in AlgorithmKind::ALL {
+            assert!(
+                jobs.iter().any(|j| j.algorithm == kind && j.params.smem_padding),
+                "missing a padded cell under {kind}"
+            );
             assert_eq!(
                 jobs.iter().filter(|j| j.algorithm == kind).count(),
                 jobs.len() / AlgorithmKind::ALL.len(),

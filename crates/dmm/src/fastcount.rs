@@ -5,40 +5,41 @@
 //! scans for CREW races — exact, but `O(w log w)` per step plus the
 //! staging around it. When a kernel's address schedule is already known
 //! to be race-free (the analytic sort backend replays schedules whose
-//! structure the lockstep simulator validates), the same metrics can be
-//! accumulated in `O(active lanes)` per step with generation-stamped
-//! per-bank and per-address slots: bumping one counter starts a fresh
-//! step without clearing anything.
+//! structure the lockstep simulator validates), the same metrics follow
+//! from one histogram per step: count, then reduce. Each access adds one
+//! to its bank's counter of distinct addresses `m_b` — a broadcast adds
+//! zero, found through a generation-stamped per-address table that a
+//! step never has to clear — and closing the step reads the `w`
+//! counters once, taking `degree = max_b m_b` and
+//! `conflicting_accesses = Σ_b m_b·[m_b ≥ 2]` and zeroing each counter
+//! as it goes. That is `O(active lanes + w)` per step with no branch on
+//! the data: the paper's worst-case inputs make every merge step a
+//! many-way conflict, which an incremental per-access fold would have to
+//! branch on.
 //!
 //! The arithmetic is identical to [`crate::ConflictCounter`] by
 //! construction — `degree` is the maximum number of *distinct* addresses
-//! any bank receives, `conflicting_accesses` sums the distinct counts of
-//! banks with two or more, broadcasts (repeated addresses) dedupe — and
-//! the property tests below pin the two engines against each other on
-//! arbitrary read steps.
+//! any bank receives (a step is conflict-free exactly when every bank's
+//! count is at most one), `conflicting_accesses` sums the distinct
+//! counts of banks with two or more, broadcasts (repeated addresses)
+//! dedupe — and the property tests below pin the two engines against
+//! each other on arbitrary multi-step schedules.
 
 use crate::conflict::{ConflictTotals, StepConflicts};
 use crate::BankModel;
-
-/// One bank's state in the current step.
-#[derive(Debug, Clone, Copy, Default)]
-struct BankSlot {
-    /// Step stamp of the last touch; stale if it differs from the
-    /// accumulator's.
-    stamp: u32,
-    /// Distinct addresses received in the stamped step.
-    distinct: u32,
-}
 
 /// Streaming per-step conflict accumulator over physical addresses.
 ///
 /// Drive it one warp step at a time: [`StepAccumulator::begin_step`],
 /// one [`StepAccumulator::access`] per active lane, then
-/// [`StepAccumulator::end_step`]. Reads and conflict-free writes share
-/// the same serialization arithmetic, so one accumulator serves both;
-/// CREW discipline is the *caller's* obligation (the accumulator always
-/// reports zero violations) — use [`crate::ConflictCounter`] when the
-/// schedule is untrusted.
+/// [`StepAccumulator::end_step`]. Each access bumps its bank's
+/// distinct-address counter; `end_step` reduces the `w` counters to the
+/// step's metrics in one pass and leaves them zeroed for the next step,
+/// so a step costs `O(active lanes + w)`. Reads and conflict-free writes
+/// share the same serialization arithmetic, so one accumulator serves
+/// both; CREW discipline is the *caller's* obligation (the accumulator
+/// always reports zero violations) — use [`crate::ConflictCounter`] when
+/// the schedule is untrusted.
 ///
 /// ```
 /// use wcms_dmm::{BankModel, StepAccumulator};
@@ -55,24 +56,16 @@ struct BankSlot {
 pub struct StepAccumulator {
     model: BankModel,
     totals: ConflictTotals,
-    /// Generation counter; a slot whose stamp differs is stale. 32 bits
-    /// keep the address table at cache-friendly density; `begin_step`
-    /// clears the tables on the (essentially unreachable) wrap.
+    /// Generation counter; an address whose stamp differs has not been
+    /// seen this step. 32 bits keep the address table at cache-friendly
+    /// density; `begin_step` clears the table on the (essentially
+    /// unreachable) wrap.
     stamp: u32,
     /// Per-address stamp: deduplicates broadcast accesses within a step.
     addr_stamp: Vec<u32>,
-    /// Per-bank slot: the step stamp it was last touched in and the
-    /// distinct-address count it accumulated there — one vector, so each
-    /// access costs one bounds check and one cache line.
-    banks: Vec<BankSlot>,
-    /// Maximum `bank_distinct` of the current step, folded per access so
-    /// closing a step is O(1).
-    step_degree: usize,
-    /// Sum of `bank_distinct` over banks with two or more distinct
-    /// addresses, folded per access: a bank's second address contributes
-    /// both (the first retroactively becomes conflicting), every later
-    /// one contributes itself.
-    step_conflicting: usize,
+    /// Distinct addresses each bank received in the open step; all zero
+    /// between steps (`end_step` zeroes them as it reduces).
+    bank_distinct: Vec<u32>,
     /// Lanes that issued a request this step (broadcasts included).
     active: usize,
 }
@@ -80,20 +73,17 @@ pub struct StepAccumulator {
 impl StepAccumulator {
     /// New accumulator for a tile of `words` physical addresses.
     ///
-    /// Addresses at or beyond `words` are still accepted (the slot table
+    /// Addresses at or beyond `words` are still accepted (the stamp table
     /// grows), so a padded physical layout only needs its nominal length
     /// here.
     #[must_use]
     pub fn new(model: BankModel, words: usize) -> Self {
-        let banks = model.banks();
         Self {
             model,
             totals: ConflictTotals::default(),
             stamp: 0,
             addr_stamp: vec![0; words],
-            banks: vec![BankSlot::default(); banks],
-            step_degree: 0,
-            step_conflicting: 0,
+            bank_distinct: vec![0; model.banks()],
             active: 0,
         }
     }
@@ -105,18 +95,19 @@ impl StepAccumulator {
     }
 
     /// Open a fresh step. Any accesses recorded before the next
-    /// [`StepAccumulator::end_step`] belong to it.
+    /// [`StepAccumulator::end_step`] belong to it; accesses of a step
+    /// left unclosed are dropped.
     #[inline]
     pub fn begin_step(&mut self) {
+        if self.active != 0 {
+            self.bank_distinct.fill(0);
+            self.active = 0;
+        }
         if self.stamp == u32::MAX {
             self.addr_stamp.fill(0);
-            self.banks.fill(BankSlot::default());
             self.stamp = 0;
         }
         self.stamp += 1;
-        self.step_degree = 0;
-        self.step_conflicting = 0;
-        self.active = 0;
     }
 
     /// One lane's request of physical address `addr` in the current step.
@@ -126,28 +117,10 @@ impl StepAccumulator {
         if addr >= self.addr_stamp.len() {
             self.addr_stamp.resize(addr + 1, 0);
         }
-        if self.addr_stamp[addr] == self.stamp {
-            return; // broadcast: the address already counted this step
-        }
+        // A broadcast (the address already counted this step) adds zero.
+        let fresh = self.addr_stamp[addr] != self.stamp;
         self.addr_stamp[addr] = self.stamp;
-        self.count_distinct_in_bank(self.model.bank_of(addr));
-    }
-
-    /// Fold one distinct address landing in `bank` into the step metrics.
-    #[inline]
-    fn count_distinct_in_bank(&mut self, bank: usize) {
-        let slot = &mut self.banks[bank];
-        if slot.stamp != self.stamp {
-            *slot = BankSlot { stamp: self.stamp, distinct: 0 };
-        }
-        slot.distinct += 1;
-        let d = slot.distinct as usize;
-        self.step_degree = self.step_degree.max(d);
-        if d == 2 {
-            self.step_conflicting += 2;
-        } else if d > 2 {
-            self.step_conflicting += 1;
-        }
+        self.bank_distinct[self.model.bank_of(addr)] += u32::from(fresh);
     }
 
     /// One lane's request of `addr` when the caller guarantees `addr` is
@@ -172,20 +145,27 @@ impl StepAccumulator {
             );
             self.addr_stamp[addr] = self.stamp;
         }
-        self.count_distinct_in_bank(self.model.bank_of(addr));
+        self.bank_distinct[self.model.bank_of(addr)] += 1;
     }
 
     /// Close the current step, fold it into the totals and return its
     /// metrics. An idle step (no accesses) records nothing, matching
-    /// [`ConflictTotals::record`]. O(1): the per-bank fold happened
-    /// access by access.
+    /// [`ConflictTotals::record`]. One pass over the `w` bank counters
+    /// reduces them and leaves them zeroed.
     #[inline]
     pub fn end_step(&mut self) -> StepConflicts {
+        let mut degree = 0;
+        let mut conflicting = 0;
+        for m in &mut self.bank_distinct {
+            let m = std::mem::take(m) as usize;
+            degree = degree.max(m);
+            conflicting += m * usize::from(m >= 2);
+        }
         let s = StepConflicts {
-            degree: self.step_degree,
-            conflicting_accesses: self.step_conflicting,
+            degree,
+            conflicting_accesses: conflicting,
             crew_violations: 0,
-            active_lanes: self.active,
+            active_lanes: std::mem::take(&mut self.active),
         };
         self.totals.record(s);
         s
@@ -316,21 +296,113 @@ mod tests {
         assert_eq!(s.degree, 2);
     }
 
+    #[test]
+    fn begin_step_drops_an_unclosed_step() {
+        let mut acc = StepAccumulator::new(BankModel::new(8), 32);
+        acc.begin_step();
+        acc.access(0);
+        acc.access_distinct(8);
+        let s = acc.step([16usize, 1]);
+        assert_eq!((s.degree, s.conflicting_accesses, s.active_lanes), (1, 0, 2));
+        assert_eq!(acc.totals().steps, 1);
+    }
+
+    #[test]
+    fn stamp_wrap_matches_conflict_counter() {
+        let model = BankModel::new(8);
+        let mut fast = StepAccumulator::new(model, 32);
+        let mut slow = ConflictCounter::new(model);
+        // The first step stamps its addresses 1, the stamp the wrap
+        // restarts from, and the first step after the wrap reuses them:
+        // a wrap that kept the address table would dedupe them as
+        // broadcasts there.
+        let first: &[usize] = &[5, 13, 21, 5];
+        let across_wrap: &[&[usize]] = &[
+            &[0, 8, 8, 16, 1],     // stamp MAX-1
+            &[16, 16, 0, 2, 10],   // stamp MAX
+            &[5, 13, 21, 5, 5, 3], // wrap: stamp 1 again
+            &[0, 8, 0, 8, 40],
+            &[21, 13, 5, 29, 29],
+            &[7, 7, 7, 7],
+        ];
+        let s = slow.count(&WarpStep::all_read(first));
+        assert_eq!(fast.step(first.iter().copied()), s);
+        fast.stamp = u32::MAX - 2;
+        for addrs in across_wrap {
+            let s = slow.count(&WarpStep::all_read(addrs));
+            assert_eq!(fast.step(addrs.iter().copied()), s, "addrs={addrs:?}");
+        }
+        assert_eq!(fast.stamp, 4, "the wrap was crossed");
+        assert_eq!(fast.totals(), slow.totals());
+    }
+
+    /// One step of a generated schedule, driven through one entry point.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `access` per lane; repeated addresses broadcast.
+        Access(Vec<usize>),
+        /// `access_distinct` per lane on addresses deduplicated up front.
+        Distinct(Vec<usize>),
+        /// `repeat_step` of the last recorded step, this many more times.
+        Repeat(usize),
+        /// A step in which no lane issues a request.
+        Idle,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let addrs = || proptest::collection::vec(0usize..256, 0..40);
+        prop_oneof![
+            addrs().prop_map(Op::Access),
+            addrs().prop_map(|mut a| {
+                let mut seen = [false; 256];
+                a.retain(|&x| !std::mem::replace(&mut seen[x], true));
+                Op::Distinct(a)
+            }),
+            (0usize..4).prop_map(Op::Repeat),
+            Just(Op::Idle),
+        ]
+    }
+
     proptest! {
-        /// The stamp engine and the sort-and-scan engine agree on every
-        /// metric for arbitrary multi-step read schedules.
+        /// The count-then-reduce engine and the sort-and-scan engine
+        /// agree on every metric for arbitrary multi-step read schedules
+        /// through every entry point — broadcasting and distinct steps,
+        /// folded repeats and idle steps interleaved — with addresses
+        /// past the nominal table length.
         #[test]
         fn agrees_with_conflict_counter(
             w in 1usize..40,
-            steps in proptest::collection::vec(
-                proptest::collection::vec(0usize..256, 0..40), 1..12),
+            words in 0usize..64,
+            ops in proptest::collection::vec(op(), 1..12),
         ) {
-            let mut fast = StepAccumulator::new(BankModel::new(w), 256);
+            let mut fast = StepAccumulator::new(BankModel::new(w), words);
             let mut slow = ConflictCounter::new(BankModel::new(w));
-            for addrs in &steps {
-                let f = fast.step(addrs.iter().copied());
-                let s = slow.count(&WarpStep::all_read(addrs));
-                prop_assert_eq!(f, s);
+            let mut last: Option<(StepConflicts, &[usize])> = None;
+            for op in &ops {
+                let addrs: &[usize] = match op {
+                    Op::Access(addrs) | Op::Distinct(addrs) => addrs,
+                    Op::Idle => &[],
+                    Op::Repeat(times) => {
+                        if let Some((f, addrs)) = last {
+                            fast.repeat_step(f, *times);
+                            for _ in 0..*times {
+                                slow.count(&WarpStep::all_read(addrs));
+                            }
+                        }
+                        continue;
+                    }
+                };
+                let f = if matches!(op, Op::Distinct(_)) {
+                    fast.begin_step();
+                    for &a in addrs {
+                        fast.access_distinct(a);
+                    }
+                    fast.end_step()
+                } else {
+                    fast.step(addrs.iter().copied())
+                };
+                prop_assert_eq!(f, slow.count(&WarpStep::all_read(addrs)));
+                last = Some((f, addrs));
             }
             prop_assert_eq!(fast.totals(), slow.totals());
         }

@@ -23,9 +23,9 @@
 //! * [`conflict`] — the conflict accounting engine and its three metrics
 //!   (per-step *degree*, the paper's *conflicting accesses* count, and
 //!   hardware-style *extra cycles*);
-//! * [`fastcount`] — the stamp-based accumulator computing the same
-//!   metrics in `O(active lanes)` per step for trusted (race-free)
-//!   schedules — the engine behind the analytic sort backend;
+//! * [`fastcount`] — the count-then-reduce accumulator computing the
+//!   same metrics in `O(active lanes + w)` per step for trusted
+//!   (race-free) schedules — the engine behind the analytic sort backend;
 //! * [`layout`] — the Dotsenko-style padding that defeats bank conflicts
 //!   at the price of `1/w` extra shared memory;
 //! * [`trace`] — optional step-by-step access traces for rendering figures;

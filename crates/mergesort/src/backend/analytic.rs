@@ -8,8 +8,8 @@
 //! schedules are *streamed* from the shared walkers in
 //! [`crate::schedule`] (the same construction the simulator
 //! materialises) straight into a [`StepAccumulator`] in `O(active
-//! lanes)` per step, buffering only one warp's addresses at a time in
-//! reused flat scratch — no per-thread allocation anywhere. Data
+//! lanes + w)` per step, buffering only one warp's addresses at a time
+//! in reused flat scratch — no per-thread allocation anywhere. Data
 //! movement is plain slice copies. Counters come out integer-for-integer
 //! equal to [`super::SimBackend`] because the two backends share
 //! schedule construction and the accumulator reproduces the
@@ -33,7 +33,8 @@ use crate::schedule::{
 use super::ExecBackend;
 
 /// Schedule-replay conflict prediction: identical counters to
-/// [`super::SimBackend`], an order of magnitude faster.
+/// [`super::SimBackend`], 7.4–7.6× faster over `crossval --quick`'s 34
+/// cells.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyticBackend;
 

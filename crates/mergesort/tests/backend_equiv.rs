@@ -20,6 +20,12 @@ const B: usize = 16;
 /// power-of-two case where sorted order is itself the worst case.
 const ES: [usize; 6] = [2, 3, 4, 5, 7, 8];
 
+/// `(w, b)` shapes for the variant switches: the scaled-down default,
+/// a bank count that is not a power of two (bank selection by modulo, a
+/// 12-wide reduction, and blocks ending in a partial warp of 12 + 12 + 8
+/// lanes), and the hardware's 32 banks.
+const SHAPES: [(usize, usize); 3] = [(W, B), (12, 32), (32, 64)];
+
 fn params(e: usize) -> SortParams {
     SortParams::new(W, e, B).unwrap()
 }
@@ -96,16 +102,19 @@ proptest! {
 
     /// Same equivalence under the Modern GPU kernel structure (separate
     /// partition kernels) and under padded shared-memory tiles — the two
-    /// structural switches that change which schedules execute.
+    /// structural switches that change which schedules execute — at
+    /// every `(w, b)` shape of [`SHAPES`].
     #[test]
     fn backends_agree_on_variants(
+        shape in 0usize..SHAPES.len(),
         e_idx in 0usize..ES.len(),
         seed in 0u64..500,
         mgpu in proptest::bool::ANY,
         padded in proptest::bool::ANY,
     ) {
+        let (w, b) = SHAPES[shape];
         let e = ES[e_idx];
-        let mut p = params(e);
+        let mut p = SortParams::new(w, e, b).unwrap();
         if mgpu {
             p = p.with_variant(wcms_mergesort::params::SortVariant::ModernGpu);
         }
