@@ -16,8 +16,8 @@
 //! `a₀ − j₀ ≡ s (mod w)`. Aligned counts and per-step window
 //! multiplicities are then interval sums over the chunks that satisfy
 //! their congruence — pure arithmetic over the assignment's shares
-//! ([`alignment_of_assignment`]) or over any schedule-IR address stream
-//! decomposed into maximal stride-1 runs ([`alignment_of_seqs`]).
+//! (`alignment_of_assignment`) or over any schedule-IR address stream
+//! decomposed into maximal stride-1 runs (`alignment_of_seqs`).
 
 use wcms_core::assignment::{ScanFirst, WarpAssignment};
 use wcms_core::numtheory::gcd;
@@ -81,7 +81,7 @@ pub fn classify(w: usize, e: usize) -> BoundCase {
 /// Propagates [`WcmsError::NonCoprime`] from `theorem_aligned_count`
 /// (cannot happen for `classify`-admitted regimes, but the analyzer's
 /// own lint forbids panicking on it).
-pub fn closed_form_aligned(w: usize, e: usize) -> Result<usize, WcmsError> {
+fn closed_form_aligned(w: usize, e: usize) -> Result<usize, WcmsError> {
     match classify(w, e) {
         BoundCase::SmallOdd | BoundCase::LargeOdd { .. } => theorem_aligned_count(w, e),
         BoundCase::PowerOfTwo => Ok(e * e),
@@ -97,7 +97,7 @@ pub fn closed_form_aligned(w: usize, e: usize) -> Result<usize, WcmsError> {
 ///
 /// Propagates [`WcmsError::NonCoprime`] from the constructions (cannot
 /// happen for `classify`-admitted regimes).
-pub fn reference_assignment(w: usize, e: usize) -> Result<WarpAssignment, WcmsError> {
+pub(crate) fn reference_assignment(w: usize, e: usize) -> Result<WarpAssignment, WcmsError> {
     match classify(w, e) {
         BoundCase::SmallOdd | BoundCase::LargeOdd { .. } => construct(w, e),
         BoundCase::PowerOfTwo | BoundCase::Sorted { .. } => Ok(sorted_warp(w, e)),
@@ -107,17 +107,17 @@ pub fn reference_assignment(w: usize, e: usize) -> Result<WarpAssignment, WcmsEr
 /// Result of the symbolic alignment pass: the statically derived
 /// counterparts of what `wcms_core::evaluate` measures with the DMM.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaticAlignment {
+pub(crate) struct StaticAlignment {
     /// Total aligned elements (Σ of aligned chunk lengths).
-    pub aligned: usize,
+    pub(crate) aligned: usize,
     /// Per-step window multiplicity: how many accesses land in the
     /// expected bank `(s + j) mod w` at step `j`.
-    pub multiplicity: Vec<usize>,
+    pub(crate) multiplicity: Vec<usize>,
     /// Lower bound on the merge stage's serialized cycles:
     /// Σⱼ max(multiplicityⱼ, 1).
-    pub min_cycles: usize,
+    pub(crate) min_cycles: usize,
     /// Chunks (maximal stride-1 runs) the pass examined.
-    pub chunks: usize,
+    chunks: usize,
 }
 
 impl StaticAlignment {
@@ -144,7 +144,7 @@ impl StaticAlignment {
 ///   `pb ≡ s (mod w)`; `A`-chunk over `[b, E)` aligned iff
 ///   `pa ≡ s + b (mod w)`.
 #[must_use]
-pub fn alignment_of_assignment(asg: &WarpAssignment) -> StaticAlignment {
+pub(crate) fn alignment_of_assignment(asg: &WarpAssignment) -> StaticAlignment {
     let (w, e, s) = (asg.w, asg.e, asg.window_start);
     let mut mult = vec![0usize; e];
     let mut chunks = 0usize;
@@ -182,7 +182,7 @@ pub fn alignment_of_assignment(asg: &WarpAssignment) -> StaticAlignment {
 /// `steps` is the merge-stage length `E`; streams shorter than `steps`
 /// simply contribute fewer runs.
 #[must_use]
-pub fn alignment_of_seqs(
+fn alignment_of_seqs(
     w: usize,
     steps: usize,
     window_start: usize,
@@ -217,8 +217,6 @@ pub fn alignment_of_seqs(
 /// The verdict of the symbolic verifier for one `(w, E)`.
 #[derive(Debug, Clone)]
 pub struct BoundVerdict {
-    /// Warp width / bank count.
-    pub w: usize,
     /// Elements per thread.
     pub e: usize,
     /// Which closed form applies.
@@ -227,8 +225,6 @@ pub struct BoundVerdict {
     pub aligned: usize,
     /// Aligned count the closed form predicts.
     pub closed_form: usize,
-    /// Per-step window multiplicities from the symbolic pass.
-    pub multiplicity: Vec<usize>,
     /// Static lower bound on merge-stage cycles.
     pub min_cycles: usize,
     /// Everything the verifier found wrong (empty = the bound is proved).
@@ -302,12 +298,10 @@ pub fn verify_bound(w: usize, e: usize) -> Result<BoundVerdict, WcmsError> {
     }
 
     Ok(BoundVerdict {
-        w,
         e,
         case,
         aligned: from_shares.aligned,
         closed_form,
-        multiplicity: from_shares.multiplicity,
         min_cycles: from_shares.min_cycles,
         failures,
     })
@@ -340,8 +334,6 @@ pub fn verify_grid(w: usize) -> Result<Vec<BoundVerdict>, WcmsError> {
 pub struct MultiwayRoundVerdict {
     /// Which round this is ("sorted" identity, "interleaved" k-way).
     pub label: &'static str,
-    /// Warp width / bank count.
-    pub w: usize,
     /// Elements per thread.
     pub e: usize,
     /// Fan-in of the round.
@@ -457,7 +449,6 @@ pub fn verify_multiway_rounds(
         }
         out.push(MultiwayRoundVerdict {
             label,
-            w,
             e,
             k,
             per_warp_aligned,

@@ -1,8 +1,8 @@
 //! Pass 2 (engine) — exhaustive bounded interleaving exploration.
 //!
-//! A mini-loom: a [`Model`] describes a finite set of processes as a
+//! A mini-loom: a `Model` describes a finite set of processes as a
 //! deterministic transition function over an explicit state, and
-//! [`explore`] enumerates **every** schedule (total order of process
+//! `explore` enumerates **every** schedule (total order of process
 //! steps) up to a bound by depth-first search, checking a safety
 //! invariant at every state and a terminal condition at every complete
 //! schedule. A state where no process can step but the model is not
@@ -14,7 +14,7 @@
 //! runs (PR 3) sample this space, the checker covers it.
 
 /// A finite-state concurrent system to explore.
-pub trait Model {
+pub(crate) trait Model {
     /// Explicit system state (cloned once per explored branch).
     type State: Clone;
 
@@ -53,10 +53,10 @@ pub trait Model {
 pub struct ExploreConfig {
     /// Stop after this many complete schedules (the exploration is
     /// reported as truncated).
-    pub max_schedules: usize,
+    max_schedules: usize,
     /// Abort any single schedule longer than this many steps (guards
     /// against models with unbounded loops).
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
 }
 
 impl Default for ExploreConfig {
@@ -97,20 +97,10 @@ impl ExploreReport {
     pub fn clean(&self) -> bool {
         self.violations.is_empty() && !self.truncated
     }
-
-    /// Fold another model's report into this one (for multi-scenario
-    /// totals).
-    pub fn absorb(&mut self, other: ExploreReport) {
-        self.schedules += other.schedules;
-        self.states += other.states;
-        self.max_depth_seen = self.max_depth_seen.max(other.max_depth_seen);
-        self.violations.extend(other.violations);
-        self.truncated |= other.truncated;
-    }
 }
 
 /// Exhaustively explore every schedule of `model` up to `cfg`'s bounds.
-pub fn explore<M: Model>(model: &M, cfg: &ExploreConfig) -> ExploreReport {
+pub(crate) fn explore<M: Model>(model: &M, cfg: &ExploreConfig) -> ExploreReport {
     let mut report = ExploreReport::default();
     let mut schedule = Vec::new();
     let state = model.initial();
@@ -176,7 +166,7 @@ fn dfs<M: Model>(
 
 /// Replay `schedule` on a fresh copy of the model, returning the final
 /// state (for counterexample inspection and conformance replay).
-pub fn replay<M: Model>(model: &M, schedule: &[usize]) -> M::State {
+pub(crate) fn replay<M: Model>(model: &M, schedule: &[usize]) -> M::State {
     let mut state = model.initial();
     for &pid in schedule {
         model.step(&mut state, pid);

@@ -32,7 +32,7 @@
 //!   the failure mode `wcms-serve` is built to exclude. File-scoped:
 //!   the first socket token is flagged once per file.
 //! * `wall-clock-in-protocol` — `Instant::now` *or* `SystemTime::now`
-//!   inside the scale-out protocol files ([`PROTOCOL_PATHS`]). Lease
+//!   inside the scale-out protocol files (`PROTOCOL_PATHS`). Lease
 //!   expiry is a cross-process contract whose decisions the model
 //!   checker explores under virtual time; a raw clock read at a
 //!   protocol decision site is a state the checker cannot reach. Time
@@ -47,7 +47,7 @@
 //!   `wall-clock`. A bare `fs::rename` (quarantine, move-aside) forces
 //!   no data and is not flagged.
 //! * `span-without-context` — a fleet-observed file (the serve crate's
-//!   library plus the scale-out [`PROTOCOL_PATHS`]) that opens spans
+//!   library plus the scale-out `PROTOCOL_PATHS`) that opens spans
 //!   (`span!` or `.span(`) outside tests but never touches the trace
 //!   context machinery (`TraceContext` / `stamp` / `with_context`).
 //!   Spans in those paths cross process boundaries; one emitted
@@ -76,7 +76,7 @@ const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"
 /// The scale-out protocol files: every clock read in these must go
 /// through an injected `wcms_obs::Clock` (see `wall-clock-in-protocol`
 /// in the module docs).
-pub const PROTOCOL_PATHS: [&str; 5] = [
+const PROTOCOL_PATHS: [&str; 5] = [
     "crates/bench/src/protocol.rs",
     "crates/bench/src/shard.rs",
     "crates/bench/src/checkpoint.rs",
@@ -105,13 +105,13 @@ pub struct Finding {
 
 /// One parsed allowlist entry.
 #[derive(Debug, Clone)]
-pub struct AllowEntry {
+struct AllowEntry {
     /// Rule id the entry covers.
-    pub rule: String,
+    pub(crate) rule: String,
     /// Repo-relative path it covers.
-    pub path: String,
+    pub(crate) path: String,
     /// Why the finding is acceptable (mandatory).
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 /// The lint pass's full result.
@@ -478,7 +478,7 @@ fn next_nonspace(masked: &[u8], end: usize) -> Option<u8> {
 /// `is_test_file` marks whole-file test context (tests/, benches/,
 /// examples/).
 #[must_use]
-pub fn lint_source(path: &str, src: &str, is_test_file: bool) -> Vec<Finding> {
+fn lint_source(path: &str, src: &str, is_test_file: bool) -> Vec<Finding> {
     let masked = mask_source(src);
     let regions = if is_test_file { Vec::new() } else { test_mod_regions(&masked) };
     let in_test = |off: usize| is_test_file || regions.iter().any(|&(a, b)| off > a && off < b);
@@ -605,7 +605,7 @@ pub fn lint_source(path: &str, src: &str, is_test_file: bool) -> Vec<Finding> {
 
 /// Parse the allowlist file contents. Returns `(entries, malformed)`.
 #[must_use]
-pub fn parse_allowlist(text: &str) -> (Vec<AllowEntry>, Vec<String>) {
+fn parse_allowlist(text: &str) -> (Vec<AllowEntry>, Vec<String>) {
     let mut entries = Vec::new();
     let mut malformed = Vec::new();
     for (lineno, line) in text.lines().enumerate() {

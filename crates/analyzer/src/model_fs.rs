@@ -19,7 +19,7 @@
 //!
 //! ## The crash model
 //!
-//! [`ModelFs`] mimics a metadata-journaling, data-delayed filesystem
+//! `ModelFs` mimics a metadata-journaling, data-delayed filesystem
 //! (ext4 `data=ordered` reality): names are durable as soon as the
 //! operation returns — `create`, `rename`, `hard_link` and `remove`
 //! survive a crash — but file *contents* written since the last
@@ -53,7 +53,7 @@ use wcms_bench::protocol::{
 
 /// One filesystem operation of a commit script.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FsOp {
+enum FsOp {
     /// Create an empty file (truncating; data not durable yet).
     Create(&'static str),
     /// Replace a file's cached contents (creates the file if absent;
@@ -86,20 +86,20 @@ struct FileNode {
 /// metadata-journaled (operations on them are crash-durable); data is
 /// delayed (see module docs).
 #[derive(Debug, Clone, Default)]
-pub struct ModelFs {
+pub(crate) struct ModelFs {
     files: BTreeMap<&'static str, FileNode>,
 }
 
 impl ModelFs {
     /// Start with `name` present and durable with `bytes` (a file a
     /// previous, completed commit left behind).
-    pub fn seed_durable(&mut self, name: &'static str, bytes: Vec<u8>) {
+    fn seed_durable(&mut self, name: &'static str, bytes: Vec<u8>) {
         self.files.insert(name, FileNode { cached: bytes.clone(), durable: Some(bytes) });
     }
 
     /// Execute one operation (scripts are single-writer; the ops
     /// cannot fail on the states our scripts produce).
-    pub fn apply(&mut self, op: &FsOp) {
+    fn apply(&mut self, op: &FsOp) {
         match op {
             FsOp::Create(name) => {
                 self.files.insert(name, FileNode { cached: Vec::new(), durable: None });
@@ -268,9 +268,9 @@ impl FsVariant {
 /// (generated from the protocol's step plan), and the recovery
 /// contract.
 #[derive(Debug, Clone)]
-pub struct FsScript {
+struct FsScript {
     /// Display name (`atomic-write/fresh`, `lease-claim/publish`, …).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     initial: Vec<(&'static str, Vec<u8>)>,
     ops: Vec<FsOp>,
     contract: Contract,
@@ -330,7 +330,7 @@ fn claim_info() -> LeaseInfo {
 /// The standard script suite for one variant: every durable publish
 /// sequence the store runs, generated from the protocol constants.
 #[must_use]
-pub fn standard_fs_scripts(variant: FsVariant) -> Vec<FsScript> {
+fn standard_fs_scripts(variant: FsVariant) -> Vec<FsScript> {
     let new = cell_payload_new();
     let old = cell_payload_old();
     let framed_new = encode_file(&new).into_bytes();
@@ -427,11 +427,7 @@ fn run_prefix(script: &FsScript, crash_after: usize) -> (ModelFs, bool) {
 /// Deterministically rebuild one crash image and judge it — the
 /// replay entry point for [`FsViolation`]s. Errors iff the
 /// counterexample still violates the contract.
-pub fn replay_fs_case(
-    script: &FsScript,
-    crash_after: usize,
-    choice: &[usize],
-) -> Result<(), String> {
+fn replay_fs_case(script: &FsScript, crash_after: usize, choice: &[usize]) -> Result<(), String> {
     let (fs, acked) = run_prefix(script, crash_after);
     let (names, options) = fs.crash_space();
     let mut disk: BTreeMap<&'static str, Vec<u8>> = BTreeMap::new();
@@ -445,7 +441,7 @@ pub fn replay_fs_case(
 
 /// Explore every crash point × every crash image of one script.
 #[must_use]
-pub fn explore_fs_script(script: &FsScript) -> FsScriptReport {
+fn explore_fs_script(script: &FsScript) -> FsScriptReport {
     let mut report = FsScriptReport {
         script: script.name,
         crash_points: script.ops.len() + 1,

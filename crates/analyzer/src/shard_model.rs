@@ -102,40 +102,40 @@ impl ShardVariant {
 
 /// One named protocol configuration to explore exhaustively.
 #[derive(Debug, Clone)]
-pub struct ShardScenario {
+struct ShardScenario {
     /// Display name (`steal/expiry`, `lease/corrupt-evidence`, …).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Cooperating workers.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Acquisition attempts per worker before it gives up (production
     /// retries forever with jitter; the model bounds the loop).
-    pub max_attempts: u8,
+    max_attempts: u8,
     /// Lease time-to-live stamped by claims.
-    pub ttl_ms: u64,
+    ttl_ms: u64,
     /// Per-worker clock offset added to global time (models clock
     /// skew between hosts; the legitimacy bound is the maximum).
-    pub skew_ms: Vec<u64>,
+    skew_ms: Vec<u64>,
     /// How many times the global clock may tick.
-    pub clock_ticks: u8,
+    clock_ticks: u8,
     /// Milliseconds per clock tick.
-    pub tick_ms: u64,
+    tick_ms: u64,
     /// Total machine crashes the crasher processes may inject.
-    pub crash_budget: u8,
+    crash_budget: u8,
     /// Which workers own a crasher process.
-    pub crashable: Vec<bool>,
+    crashable: Vec<bool>,
     /// Start with a corrupt lease already on disk.
-    pub initial_corrupt: bool,
+    initial_corrupt: bool,
     /// Start with the cell already committed.
-    pub precommitted: bool,
+    precommitted: bool,
     /// Check the evidence-preservation obligation at terminal states.
     /// Only meaningful in scenarios where no steal can collaterally
     /// reap the corrupt file (no expiry ⇒ no steal decisions).
-    pub check_evidence: bool,
+    check_evidence: bool,
     /// Require the cell to be committed in every terminal state
     /// (only sound for uncontended, crash-free scenarios).
-    pub expect_commit: bool,
+    expect_commit: bool,
     /// Protocol variant under test.
-    pub variant: ShardVariant,
+    pub(crate) variant: ShardVariant,
 }
 
 /// On-disk lease content (the model's two-point byte abstraction).
@@ -198,7 +198,7 @@ struct Worker {
 
 /// Explorer state for [`ShardModel`].
 #[derive(Debug, Clone)]
-pub struct ShardState {
+struct ShardState {
     disk: Disk,
     workers: Vec<Worker>,
     now_ms: u64,
@@ -217,7 +217,7 @@ enum Proc {
 
 /// The lease/steal protocol as an explorable [`Model`].
 #[derive(Debug, Clone)]
-pub struct ShardModel {
+struct ShardModel {
     scenario: ShardScenario,
     procs: Vec<Proc>,
     max_skew_ms: u64,
@@ -226,7 +226,7 @@ pub struct ShardModel {
 impl ShardModel {
     /// Build the model for one scenario.
     #[must_use]
-    pub fn new(scenario: ShardScenario) -> Self {
+    pub(crate) fn new(scenario: ShardScenario) -> Self {
         let mut procs: Vec<Proc> = (0..scenario.workers).map(Proc::Worker).collect();
         for (w, crashable) in scenario.crashable.iter().enumerate() {
             if *crashable {
@@ -554,7 +554,7 @@ fn base(name: &'static str, workers: usize) -> ShardScenario {
 /// The standard scenario suite the `--model-check-shard` pass explores
 /// (all on the correct protocol).
 #[must_use]
-pub fn standard_shard_scenarios() -> Vec<ShardScenario> {
+fn standard_shard_scenarios() -> Vec<ShardScenario> {
     vec![
         // A SIGKILLed claimant's lease expires and is stolen; every
         // crash point of worker 0 interleaves with worker 1's rounds
@@ -625,7 +625,7 @@ pub fn check_shard_protocol(cfg: &ExploreConfig) -> Vec<ShardScenarioReport> {
 /// The seeded-mutation acceptance suite: each variant paired with the
 /// scenario whose schedule space exposes it.
 #[must_use]
-pub fn shard_mutation_suite() -> Vec<(ShardVariant, ShardScenario)> {
+fn shard_mutation_suite() -> Vec<(ShardVariant, ShardScenario)> {
     vec![
         (
             ShardVariant::BuggyStaleDeadline,

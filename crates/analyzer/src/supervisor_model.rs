@@ -26,7 +26,7 @@
 //! semantics and the implementation's observable behaviour agree on
 //! every explored interleaving.
 //!
-//! Deliberately broken protocol variants ([`ProtocolVariant`]) exist so
+//! Deliberately broken protocol variants (`ProtocolVariant`) exist so
 //! tests can demonstrate the checker detects the bug classes it claims
 //! to: committing a late result, and reusing a fired token across
 //! attempts.
@@ -36,7 +36,7 @@ use wcms_error::{mc, CancelToken};
 
 /// What a worker sends back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Msg {
+enum Msg {
     /// A measurement.
     Ok,
     /// The worker observed its token and bailed out cooperatively.
@@ -45,7 +45,7 @@ pub enum Msg {
 
 /// The durable per-cell outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Commit {
+pub(crate) enum Commit {
     /// A result arrived within budget.
     Done,
     /// Replayed from a valid checkpoint.
@@ -58,7 +58,7 @@ pub enum Commit {
 
 /// Worker behaviours (each step is one atomic action).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerKind {
+pub(crate) enum WorkerKind {
     /// Polls the token before and after computing, sends `Ok` or
     /// `Cancelled` — the contract `run_with_budget` documents.
     Cooperative,
@@ -83,7 +83,7 @@ impl WorkerKind {
 
 /// The cell's checkpoint situation at startup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Checkpoint {
+pub(crate) enum Checkpoint {
     /// No checkpoint: spawn the first attempt immediately.
     None,
     /// A valid record: replay it, never spawn a worker.
@@ -94,7 +94,7 @@ pub enum Checkpoint {
 
 /// Correct protocol or a deliberately seeded bug (for checker tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolVariant {
+pub(crate) enum ProtocolVariant {
     /// The protocol as implemented in `wcms-bench`.
     Correct,
     /// Bug: a late `Ok` draining during the grace period is committed
@@ -108,22 +108,22 @@ pub enum ProtocolVariant {
 
 /// One cell of a scenario.
 #[derive(Debug, Clone)]
-pub struct CellSpec {
+pub(crate) struct CellSpec {
     /// Checkpoint situation.
-    pub checkpoint: Checkpoint,
+    pub(crate) checkpoint: Checkpoint,
     /// Worker kind per attempt (respawn walks this list).
-    pub attempts: Vec<WorkerKind>,
+    pub(crate) attempts: Vec<WorkerKind>,
 }
 
 /// A named protocol configuration to explore exhaustively.
 #[derive(Debug, Clone)]
-pub struct Scenario {
+pub(crate) struct Scenario {
     /// Display name (`cell/cooperative`, `pair/mixed`, …).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// The cells running concurrently (as under `parallel_map`).
-    pub cells: Vec<CellSpec>,
+    pub(crate) cells: Vec<CellSpec>,
     /// Protocol variant under test.
-    pub variant: ProtocolVariant,
+    pub(crate) variant: ProtocolVariant,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,7 +169,7 @@ struct CellState {
 
 /// Explorer state for [`SupervisorModel`].
 #[derive(Debug, Clone)]
-pub struct SupState {
+struct SupState {
     cells: Vec<CellState>,
     trace: Vec<TraceOp>,
     violation: Option<String>,
@@ -180,7 +180,7 @@ pub struct SupState {
 /// Process ids: cell `i` owns `i·(1 + A)` (its supervisor) and
 /// `i·(1 + A) + 1 + k` (its attempt-`k` worker), `A` = max attempts.
 #[derive(Debug, Clone)]
-pub struct SupervisorModel {
+struct SupervisorModel {
     scenario: Scenario,
     slots: usize, // 1 + max attempts, the per-cell pid stride
 }
@@ -188,7 +188,7 @@ pub struct SupervisorModel {
 impl SupervisorModel {
     /// Build the model for one scenario.
     #[must_use]
-    pub fn new(scenario: Scenario) -> Self {
+    pub(crate) fn new(scenario: Scenario) -> Self {
         let slots = 1 + scenario.cells.iter().map(|c| c.attempts.len()).max().unwrap_or(1);
         Self { scenario, slots }
     }
@@ -494,7 +494,7 @@ fn cell(checkpoint: Checkpoint, attempts: &[WorkerKind]) -> CellSpec {
 
 /// The standard scenario suite the `--model-check` pass explores.
 #[must_use]
-pub fn standard_scenarios() -> Vec<Scenario> {
+fn standard_scenarios() -> Vec<Scenario> {
     use WorkerKind::{Cooperative, Silent, Uncooperative};
     vec![
         Scenario {

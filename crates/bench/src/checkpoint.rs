@@ -22,10 +22,10 @@
 //!   different configuration fails with a typed error instead of
 //!   stitching stale cells into the new sweep.
 //!
-//! The JSON codec is hand-rolled and deliberately tiny: it covers
-//! exactly the [`CellResult`] and [`SweepFingerprint`] shapes, with
-//! `f64` round-tripping through Rust's shortest-representation
-//! formatting.
+//! The encoders are hand-rolled and cover exactly the [`CellResult`]
+//! and [`SweepFingerprint`] shapes, with `f64` round-tripping through
+//! Rust's shortest-representation formatting; decoding goes through the
+//! workspace's one JSON reader, [`wcms_obs::json`].
 
 use std::fs;
 use std::io::Write as _;
@@ -36,18 +36,19 @@ use std::sync::Arc;
 use wcms_dmm::stats::Summary;
 use wcms_error::WcmsError;
 use wcms_obs::context::fnv1a64;
+use wcms_obs::json::{self, escape_into, Value};
 
 use crate::experiment::Measurement;
 use crate::protocol::{self, CommitStep, ATOMIC_WRITE_STEPS};
 
 /// On-disk schema version, recorded in the manifest. Bump whenever the
 /// cell codec or the fingerprint shape changes incompatibly.
-pub const SCHEMA_VERSION: u64 = 2;
+const SCHEMA_VERSION: u64 = 2;
 
 /// How many quarantined files a store retains (newest first). Repeated
 /// chaos cycles quarantine without bound otherwise; everything evicted
 /// is counted in the `checkpoint_quarantine_evicted_total` metric.
-pub const QUARANTINE_RETAIN: usize = 32;
+pub(crate) const QUARANTINE_RETAIN: usize = 32;
 
 /// The persisted outcome of one sweep cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,17 +74,6 @@ pub enum CellResult {
         /// Attempts made before giving up.
         attempts: usize,
     },
-}
-
-impl CellResult {
-    /// The measurement, when one exists (done or demoted).
-    #[must_use]
-    pub fn measurement(&self) -> Option<&Measurement> {
-        match self {
-            CellResult::Done(m) | CellResult::Demoted { m, .. } => Some(m),
-            CellResult::Skipped { .. } => None,
-        }
-    }
 }
 
 /// What [`CheckpointStore::load`] found for a cell.
@@ -134,13 +124,13 @@ impl SweepFingerprint {
     fn encode(&self) -> String {
         format!(
             concat!(
-                "{{\"schema\":{},\"figure\":\"{}\",\"backend\":\"{}\",\"algorithm\":\"{}\",",
+                "{{\"schema\":{},\"figure\":{},\"backend\":{},\"algorithm\":{},",
                 "\"min_doublings\":{},\"max_doublings\":{},\"runs\":{},\"seed\":{}}}"
             ),
             SCHEMA_VERSION,
-            escape(&self.figure),
-            escape(&self.backend),
-            escape(&self.algorithm),
+            quoted(&self.figure),
+            quoted(&self.backend),
+            quoted(&self.algorithm),
             self.min_doublings,
             self.max_doublings,
             self.runs,
@@ -149,19 +139,18 @@ impl SweepFingerprint {
     }
 
     fn decode(text: &str) -> Option<(u64, SweepFingerprint)> {
-        let v = parse_value(text)?;
-        let obj = v.as_object()?;
+        let v = json::parse(text).ok()?;
         Some((
-            obj.get_num("schema")? as u64,
+            get_num(&v, "schema")? as u64,
             SweepFingerprint {
-                figure: obj.get_str("figure")?.to_string(),
-                backend: obj.get_str("backend")?.to_string(),
+                figure: get_str(&v, "figure")?.to_string(),
+                backend: get_str(&v, "backend")?.to_string(),
                 // Pre-algorithm manifests could only have been pairwise.
-                algorithm: obj.get_str("algorithm").unwrap_or("pairwise").to_string(),
-                min_doublings: obj.get_num("min_doublings")? as u32,
-                max_doublings: obj.get_num("max_doublings")? as u32,
-                runs: obj.get_num("runs")? as u64,
-                seed: obj.get_num("seed")? as u64,
+                algorithm: get_str(&v, "algorithm").unwrap_or("pairwise").to_string(),
+                min_doublings: get_num(&v, "min_doublings")? as u32,
+                max_doublings: get_num(&v, "max_doublings")? as u32,
+                runs: get_num(&v, "runs")? as u64,
+                seed: get_num(&v, "seed")? as u64,
             },
         ))
     }
@@ -169,10 +158,7 @@ impl SweepFingerprint {
     /// The first fingerprint field differing from `other`, as
     /// `(field, expected, found)` — `None` when they match.
     #[must_use]
-    pub fn first_mismatch(
-        &self,
-        other: &SweepFingerprint,
-    ) -> Option<(&'static str, String, String)> {
+    fn first_mismatch(&self, other: &SweepFingerprint) -> Option<(&'static str, String, String)> {
         if self.figure != other.figure {
             return Some(("figure", self.figure.clone(), other.figure.clone()));
         }
@@ -305,7 +291,7 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Returns [`WcmsError::Io`] on filesystem failures.
-    pub fn clear(&self) -> Result<(), WcmsError> {
+    pub(crate) fn clear(&self) -> Result<(), WcmsError> {
         for entry in fs::read_dir(&self.dir)? {
             let path = entry?.path();
             if path.extension().is_some_and(|e| e == "json" || e == "tmp" || e == "prom") {
@@ -337,7 +323,7 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Returns [`WcmsError::Io`] on filesystem failures.
-    pub fn cell_files(&self) -> Result<Vec<PathBuf>, WcmsError> {
+    fn cell_files(&self) -> Result<Vec<PathBuf>, WcmsError> {
         let mut cells = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let path = entry?.path();
@@ -396,7 +382,7 @@ impl CheckpointStore {
 
     /// Drain the count of quarantine evictions since the last call —
     /// the feed for the `checkpoint_quarantine_evicted_total` counter.
-    pub fn take_quarantine_evictions(&self) -> u64 {
+    pub(crate) fn take_quarantine_evictions(&self) -> u64 {
         self.evicted.swap(0, Ordering::Relaxed)
     }
 
@@ -483,7 +469,7 @@ pub(crate) fn temp_path(target: &Path) -> PathBuf {
 
 /// The workspace's one durable-publish executor: run `plan`
 /// ([`ATOMIC_WRITE_STEPS`] or [`protocol::LEASE_CLAIM_STEPS`]) to put
-/// `bytes` under `target` via a private [`temp_path`], one syscall per
+/// `bytes` under `target` via a private `temp_path`, one syscall per
 /// step, recording each step on the conformance probe. Every durable
 /// write (cells, manifests, leases, merges, serve cache and journal)
 /// comes here, so the `wcms-analyzer` crash explorer, which enumerates
@@ -606,19 +592,10 @@ pub fn decode_file(text: &str) -> Result<String, String> {
 
 // --- JSON codec -----------------------------------------------------------
 
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `s` as a JSON string literal, quotes included.
+pub(crate) fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
     out
 }
 
@@ -655,36 +632,46 @@ pub fn encode(result: &CellResult) -> String {
             format!("{{\"status\":\"done\",{}}}", encode_measurement(m))
         }
         CellResult::Demoted { m, on, attempts } => format!(
-            "{{\"status\":\"demoted\",\"on\":\"{}\",\"attempts\":{attempts},{}}}",
-            escape(on),
+            "{{\"status\":\"demoted\",\"on\":{},\"attempts\":{attempts},{}}}",
+            quoted(on),
             encode_measurement(m)
         ),
         CellResult::Skipped { reason, attempts } => {
             format!(
-                "{{\"status\":\"skipped\",\"reason\":\"{}\",\"attempts\":{attempts}}}",
-                escape(reason)
+                "{{\"status\":\"skipped\",\"reason\":{},\"attempts\":{attempts}}}",
+                quoted(reason)
             )
         }
     }
 }
 
-fn decode_measurement(obj: &[(String, Value)]) -> Option<Measurement> {
-    let spread = obj.field("spread")?.as_object()?;
+/// The number under `key` of object `v`.
+pub(crate) fn get_num(v: &Value, key: &str) -> Option<f64> {
+    v.get(key)?.as_f64()
+}
+
+/// The string under `key` of object `v`.
+pub(crate) fn get_str<'v>(v: &'v Value, key: &str) -> Option<&'v str> {
+    v.get(key)?.as_str()
+}
+
+fn decode_measurement(v: &Value) -> Option<Measurement> {
+    let spread = v.get("spread")?;
     Some(Measurement {
-        n: obj.get_num("n")? as usize,
-        throughput: obj.get_num("throughput")?,
-        ms: obj.get_num("ms")?,
+        n: get_num(v, "n")? as usize,
+        throughput: get_num(v, "throughput")?,
+        ms: get_num(v, "ms")?,
         throughput_spread: Summary {
-            n: spread.get_num("n")? as usize,
-            mean: spread.get_num("mean")?,
-            min: spread.get_num("min")?,
-            max: spread.get_num("max")?,
-            stddev: spread.get_num("stddev")?,
+            n: get_num(spread, "n")? as usize,
+            mean: get_num(spread, "mean")?,
+            min: get_num(spread, "min")?,
+            max: get_num(spread, "max")?,
+            stddev: get_num(spread, "stddev")?,
         },
-        beta1: obj.get_num("beta1")?,
-        beta2: obj.get_num("beta2")?,
-        conflicts_per_element: obj.get_num("conflicts_per_element")?,
-        ms_per_element: obj.get_num("ms_per_element")?,
+        beta1: get_num(v, "beta1")?,
+        beta2: get_num(v, "beta2")?,
+        conflicts_per_element: get_num(v, "conflicts_per_element")?,
+        ms_per_element: get_num(v, "ms_per_element")?,
     })
 }
 
@@ -692,197 +679,26 @@ fn decode_measurement(obj: &[(String, Value)]) -> Option<Measurement> {
 /// malformed (the store then quarantines the file).
 #[must_use]
 pub fn decode(text: &str) -> Option<CellResult> {
-    let v = parse_value(text)?;
-    let obj = v.as_object()?;
-    match obj.get_str("status")? {
-        "done" => Some(CellResult::Done(decode_measurement(obj)?)),
+    let v = json::parse(text).ok()?;
+    match get_str(&v, "status")? {
+        "done" => Some(CellResult::Done(decode_measurement(&v)?)),
         "demoted" => Some(CellResult::Demoted {
-            m: decode_measurement(obj)?,
-            on: obj.get_str("on")?.to_string(),
-            attempts: obj.get_num("attempts")? as usize,
+            m: decode_measurement(&v)?,
+            on: get_str(&v, "on")?.to_string(),
+            attempts: get_num(&v, "attempts")? as usize,
         }),
         "skipped" => Some(CellResult::Skipped {
-            reason: obj.get_str("reason")?.to_string(),
-            attempts: obj.get_num("attempts")? as usize,
+            reason: get_str(&v, "reason")?.to_string(),
+            attempts: get_num(&v, "attempts")? as usize,
         }),
         _ => None,
-    }
-}
-
-/// Parse a complete JSON value, rejecting trailing garbage.
-pub(crate) fn parse_value(text: &str) -> Option<Value> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return None; // trailing garbage: treat as torn
-    }
-    Some(v)
-}
-
-pub(crate) enum Value {
-    Num(f64),
-    Str(String),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    pub(crate) fn as_object(&self) -> Option<&Vec<(String, Value)>> {
-        match self {
-            Value::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-}
-
-pub(crate) trait ObjExt {
-    fn field(&self, key: &str) -> Option<&Value>;
-    fn get_num(&self, key: &str) -> Option<f64>;
-    fn get_str(&self, key: &str) -> Option<&str>;
-}
-
-impl ObjExt for [(String, Value)] {
-    fn field(&self, key: &str) -> Option<&Value> {
-        self.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-    fn get_num(&self, key: &str) -> Option<f64> {
-        match self.field(key)? {
-            Value::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-    fn get_str(&self, key: &str) -> Option<&str> {
-        match self.field(key)? {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Option<()> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        self.skip_ws();
-        match self.bytes.get(self.pos)? {
-            b'{' => self.object(),
-            b'"' => Some(Value::Str(self.string()?)),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Option<Value> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Some(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos)? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Some(Value::Obj(fields));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.bytes.get(self.pos) != Some(&b'"') {
-            return None;
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                &b => {
-                    // Multi-byte UTF-8 sequences pass through byte-wise.
-                    let start = self.pos;
-                    let len = utf8_len(b);
-                    let chunk = self.bytes.get(start..start + len)?;
-                    out.push_str(std::str::from_utf8(chunk).ok()?);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<Value> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).ok()?.parse().ok().map(Value::Num)
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xF0..=0xF7 => 4,
-        0xE0..=0xEF => 3,
-        0xC0..=0xDF => 2,
-        _ => 1,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{classify_lease, LeaseInfo, LeaseView};
 
     fn meas() -> Measurement {
         Measurement {
@@ -932,6 +748,50 @@ mod tests {
             attempts: 3,
         };
         assert_eq!(decode(&encode(&r)), Some(r));
+    }
+
+    /// Frames written before decoding moved to `wcms_obs::json` (cells,
+    /// manifests with and without `algorithm`, untraced and traced
+    /// leases) still decode to the values that wrote them.
+    #[test]
+    fn frames_from_the_previous_reader_decode_unchanged() {
+        let frame = |text: &str| decode_file(text).unwrap();
+        let done = "{\"status\":\"done\",\"n\":3072,\"throughput\":125000000,\"ms\":0.024576,\"spread\":{\"n\":2,\"mean\":125000000,\"min\":120000000,\"max\":130000000,\"stddev\":7000000},\"beta1\":3.0999999999999996,\"beta2\":15,\"conflicts_per_element\":0.875,\"ms_per_element\":0.000008}\nfnv1a:f0c6a7258a94d4a0\n";
+        assert_eq!(decode(&frame(done)), Some(CellResult::Done(meas())));
+        let demoted = "{\"status\":\"demoted\",\"on\":\"analytic\",\"attempts\":7,\"n\":3072,\"throughput\":125000000,\"ms\":0.024576,\"spread\":{\"n\":2,\"mean\":125000000,\"min\":120000000,\"max\":130000000,\"stddev\":7000000},\"beta1\":3.0999999999999996,\"beta2\":15,\"conflicts_per_element\":0.875,\"ms_per_element\":0.000008}\nfnv1a:103e7b0624a2e777\n";
+        assert_eq!(
+            decode(&frame(demoted)),
+            Some(CellResult::Demoted { m: meas(), on: "analytic".into(), attempts: 7 })
+        );
+        let skipped = "{\"status\":\"skipped\",\"reason\":\"cell \\\"fig4/wc\\\" \\\\ timed out\\n\\tafter 3 s\\r\\u0001\\u001f é€😀\",\"attempts\":3}\nfnv1a:c7757f081719a28d\n";
+        let reason = "cell \"fig4/wc\" \\ timed out\n\tafter 3 s\r\u{1}\u{1f} é€😀";
+        let skipped_cell = CellResult::Skipped { reason: reason.into(), attempts: 3 };
+        assert_eq!(decode(&frame(skipped)), Some(skipped_cell.clone()));
+        assert_eq!(encode_file(&encode(&skipped_cell)), skipped, "encoded bytes changed");
+
+        let manifest = "{\"schema\":2,\"figure\":\"fig5\",\"backend\":\"analytic\",\"algorithm\":\"multiway\",\"min_doublings\":1,\"max_doublings\":5,\"runs\":2,\"seed\":12648430}\nfnv1a:d98a2750f2456d54\n";
+        let multiway = SweepFingerprint {
+            figure: "fig5".into(),
+            backend: "analytic".into(),
+            algorithm: "multiway".into(),
+            ..fp()
+        };
+        assert_eq!(SweepFingerprint::decode(&frame(manifest)), Some((SCHEMA_VERSION, multiway)));
+        let legacy = "{\"schema\":2,\"figure\":\"figX\",\"backend\":\"sim\",\"min_doublings\":1,\"max_doublings\":5,\"runs\":2,\"seed\":12648430}\nfnv1a:448a01c1cbc153f0\n";
+        assert_eq!(SweepFingerprint::decode(&frame(legacy)), Some((SCHEMA_VERSION, fp())));
+
+        let untraced = "{\"pid\":4242,\"worker\":\"w1\",\"fingerprint\":\"feedbeef01234567\",\"deadline_ms\":1700000000123}\nfnv1a:7deb23d7030b127d\n";
+        let lease = LeaseInfo {
+            pid: 4242,
+            worker: "w1".into(),
+            fingerprint: 0xfeed_beef_0123_4567,
+            deadline_ms: 1_700_000_000_123,
+            trace: None,
+        };
+        assert_eq!(classify_lease(Some(untraced)), LeaseView::Valid(lease.clone()));
+        let traced = "{\"pid\":4242,\"worker\":\"w1\",\"fingerprint\":\"feedbeef01234567\",\"deadline_ms\":1700000000123,\"trace\":\"00000000000000ab/00000000000000cd\"}\nfnv1a:84997718eb51d48d\n";
+        let lease = LeaseInfo { trace: Some("00000000000000ab/00000000000000cd".into()), ..lease };
+        assert_eq!(classify_lease(Some(traced)), LeaseView::Valid(lease));
     }
 
     #[test]

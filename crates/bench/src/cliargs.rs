@@ -66,11 +66,11 @@ pub struct FigureArgs {
     /// Render markdown instead of CSV.
     pub markdown: bool,
     /// `--trace`: where to write the JSONL span/event journal.
-    pub trace: Option<PathBuf>,
+    pub(crate) trace: Option<PathBuf>,
     /// `--metrics`: where to write the Prometheus text snapshot.
-    pub metrics: Option<PathBuf>,
+    pub(crate) metrics: Option<PathBuf>,
     /// The trace ring the sweep's recorder fills (present iff `--trace`).
-    pub ring: Option<Arc<RingCollector>>,
+    ring: Option<Arc<RingCollector>>,
 }
 
 impl FigureArgs {
@@ -249,7 +249,7 @@ pub fn parse_figure_args(figure: &str, args: &[String]) -> Result<FigureArgs, Wc
 /// # Errors
 ///
 /// Returns the [`BackendKind`] parse error for an unknown backend name.
-pub fn backend_from_args(args: &[String]) -> Result<BackendKind, WcmsError> {
+pub(crate) fn backend_from_args(args: &[String]) -> Result<BackendKind, WcmsError> {
     match args.iter().position(|a| a == "--backend").and_then(|i| args.get(i + 1)) {
         Some(name) => name.parse(),
         None => Ok(BackendKind::default()),
@@ -264,7 +264,7 @@ pub fn backend_from_args(args: &[String]) -> Result<BackendKind, WcmsError> {
 ///
 /// Returns the [`AlgorithmKind`] parse error for an unknown algorithm
 /// name.
-pub fn algorithm_from_args(args: &[String]) -> Result<AlgorithmKind, WcmsError> {
+pub(crate) fn algorithm_from_args(args: &[String]) -> Result<AlgorithmKind, WcmsError> {
     match args.iter().position(|a| a == "--algorithm").and_then(|i| args.get(i + 1)) {
         Some(name) => name.parse(),
         None => Ok(AlgorithmKind::default()),
@@ -278,7 +278,7 @@ pub fn algorithm_from_args(args: &[String]) -> Result<AlgorithmKind, WcmsError> 
 /// # Errors
 ///
 /// Rejects a missing, non-numeric or zero worker count.
-pub fn jobs_from_args(args: &[String]) -> Result<usize, WcmsError> {
+pub(crate) fn jobs_from_args(args: &[String]) -> Result<usize, WcmsError> {
     match args.iter().position(|a| a == "--jobs").and_then(|i| args.get(i + 1)) {
         Some(n) => {
             let jobs: usize =
@@ -308,7 +308,7 @@ pub fn jobs_from_args(args: &[String]) -> Result<usize, WcmsError> {
 /// Rejects mixed modes, a lone `--shard-index`/`--shard-count`, an
 /// out-of-range index, `--steal` without a worker id, a non-positive
 /// lease TTL, and `--worker-id`/`--lease-ttl` outside `--steal`.
-pub fn shard_from_args(args: &[String]) -> Result<ShardPolicy, WcmsError> {
+pub(crate) fn shard_from_args(args: &[String]) -> Result<ShardPolicy, WcmsError> {
     let value_of = |flag: &str| -> Option<&str> {
         args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
     };

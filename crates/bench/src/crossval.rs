@@ -32,31 +32,31 @@ use crate::figures::fig4_configs;
 #[derive(Debug, Clone)]
 pub struct CrossJob {
     /// Cell label for the report table.
-    pub label: String,
+    pub(crate) label: String,
     /// Tuning parameters.
-    pub params: SortParams,
+    pub(crate) params: SortParams,
     /// Input class.
-    pub spec: WorkloadSpec,
+    pub(crate) spec: WorkloadSpec,
     /// Input size.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Sort algorithm under validation.
-    pub algorithm: AlgorithmKind,
+    pub(crate) algorithm: AlgorithmKind,
 }
 
 /// The outcome of one validated cell.
 #[derive(Debug, Clone)]
 pub struct CrossCell {
     /// Cell label.
-    pub label: String,
+    pub(crate) label: String,
     /// Input size.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Total shared-memory cycles as counted by the simulator.
-    pub sim_cycles: usize,
+    sim_cycles: usize,
     /// Total shared-memory cycles as counted analytically.
-    pub analytic_cycles: usize,
+    analytic_cycles: usize,
     /// `None` when output and report match exactly; otherwise what
     /// diverged first.
-    pub mismatch: Option<String>,
+    pub(crate) mismatch: Option<String>,
 }
 
 /// A full cross-validation run: per-cell verdicts plus the wall-clock
@@ -64,11 +64,11 @@ pub struct CrossCell {
 #[derive(Debug, Clone, Default)]
 pub struct CrossReport {
     /// Per-cell outcomes.
-    pub cells: Vec<CrossCell>,
+    pub(crate) cells: Vec<CrossCell>,
     /// Total seconds spent in the sim backend.
-    pub sim_s: f64,
+    sim_s: f64,
     /// Total seconds spent in the analytic backend.
-    pub analytic_s: f64,
+    analytic_s: f64,
 }
 
 impl CrossReport {
@@ -86,7 +86,7 @@ impl CrossReport {
 
     /// Wall-clock speedup of the analytic backend over the simulator.
     #[must_use]
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         if self.analytic_s > 0.0 {
             self.sim_s / self.analytic_s
         } else {
@@ -167,7 +167,7 @@ pub fn cross_validate(jobs: &[CrossJob]) -> Result<CrossReport, WcmsError> {
 /// # Errors
 ///
 /// Same conditions as [`cross_validate`].
-pub fn cross_validate_traced(jobs: &[CrossJob], obs: &Obs) -> Result<CrossReport, WcmsError> {
+fn cross_validate_traced(jobs: &[CrossJob], obs: &Obs) -> Result<CrossReport, WcmsError> {
     let mut report = CrossReport::default();
     for job in jobs {
         let input = job.spec.generate(job.n, job.params.w, job.params.e, job.params.b)?;

@@ -105,21 +105,6 @@ pub fn model_time(
     Ok(t.total_s)
 }
 
-/// Measure one point on the default (cycle-accurate) backend.
-///
-/// # Errors
-///
-/// Same conditions as [`measure_on`].
-pub fn measure(
-    device: &DeviceSpec,
-    params: &SortParams,
-    spec: WorkloadSpec,
-    n: usize,
-    runs: u64,
-) -> Result<Measurement, WcmsError> {
-    measure_on(device, params, spec, n, runs, BackendKind::Sim)
-}
-
 /// Measure one point on `backend`, averaging seeded workloads over
 /// `runs` runs. The sim and analytic backends yield identical
 /// measurements (their counters agree integer for integer); the
@@ -264,7 +249,9 @@ mod tests {
     fn measure_random_point() {
         let (d, p) = tiny();
         let n = p.block_elems() * 4;
-        let m = measure(&d, &p, WorkloadSpec::RandomPermutation { seed: 1 }, n, 2).unwrap();
+        let m =
+            measure_on(&d, &p, WorkloadSpec::RandomPermutation { seed: 1 }, n, 2, BackendKind::Sim)
+                .unwrap();
         assert_eq!(m.n, n);
         assert!(m.throughput > 0.0);
         assert!(m.ms > 0.0);
@@ -276,8 +263,10 @@ mod tests {
     fn worst_case_slower_than_random() {
         let (d, p) = tiny();
         let n = p.block_elems() * 8;
-        let worst = measure(&d, &p, WorkloadSpec::WorstCase, n, 1).unwrap();
-        let random = measure(&d, &p, WorkloadSpec::RandomPermutation { seed: 3 }, n, 2).unwrap();
+        let worst = measure_on(&d, &p, WorkloadSpec::WorstCase, n, 1, BackendKind::Sim).unwrap();
+        let random =
+            measure_on(&d, &p, WorkloadSpec::RandomPermutation { seed: 3 }, n, 2, BackendKind::Sim)
+                .unwrap();
         assert!(
             worst.throughput < random.throughput,
             "worst {} !< random {}",
@@ -291,7 +280,7 @@ mod tests {
     fn deterministic_specs_run_once() {
         let (d, p) = tiny();
         let n = p.block_elems() * 2;
-        let m = measure(&d, &p, WorkloadSpec::Sorted, n, 5).unwrap();
+        let m = measure_on(&d, &p, WorkloadSpec::Sorted, n, 5, BackendKind::Sim).unwrap();
         assert_eq!(m.throughput_spread.n, 1);
     }
 

@@ -196,7 +196,7 @@ pub fn fig5_mgpu(opts: &SweepOptions) -> Result<SweepReport, WcmsError> {
 /// # Errors
 ///
 /// Same conditions as [`fig4`].
-pub fn fig6(opts: &SweepOptions) -> Result<SweepReport, WcmsError> {
+pub(crate) fn fig6(opts: &SweepOptions) -> Result<SweepReport, WcmsError> {
     let device = DeviceSpec::rtx_2080_ti();
     let configs = [
         Config { label: "Thrust".into(), params: SortParams::new(32, 15, 512)? },
@@ -217,10 +217,19 @@ pub fn fig6(opts: &SweepOptions) -> Result<SweepReport, WcmsError> {
 mod tests {
     use super::*;
     use crate::experiment::SweepConfig;
-    use wcms_mergesort::BackendKind;
+    use crate::resilient::ResilienceConfig;
+    use crate::shard::ShardPolicy;
+    use wcms_mergesort::{AlgorithmKind, BackendKind};
 
     fn plain(sweep: SweepConfig) -> SweepOptions {
-        SweepOptions::plain(sweep, BackendKind::Sim)
+        SweepOptions {
+            sweep,
+            resilience: ResilienceConfig::none(),
+            backend: BackendKind::Sim,
+            algorithm: AlgorithmKind::Pairwise,
+            jobs: 1,
+            shard: ShardPolicy::Off,
+        }
     }
 
     #[test]
@@ -266,7 +275,7 @@ mod tests {
             "t",
             &device,
             &configs,
-            &SweepOptions::plain(sweep, BackendKind::Analytic),
+            &SweepOptions { backend: BackendKind::Analytic, ..plain(sweep) },
         );
         assert_eq!(sim.series, analytic.series);
     }
@@ -279,7 +288,8 @@ mod tests {
         let configs = [Config { label: "T".into(), params: SortParams::new(32, 7, 64).unwrap() }];
         let sweep = SweepConfig { min_doublings: 1, max_doublings: 3, runs: 2 };
         let seq = throughput_figure("t", &device, &configs, &plain(sweep));
-        let par = throughput_figure("t", &device, &configs, &plain(sweep).with_jobs(4));
+        let par =
+            throughput_figure("t", &device, &configs, &SweepOptions { jobs: 4, ..plain(sweep) });
         assert_eq!(seq.series, par.series);
         assert_eq!(
             seq.csv(|m| m.throughput),
@@ -294,7 +304,6 @@ mod tests {
     /// conflict profile than the pairwise sweep.
     #[test]
     fn multiway_figure_runs_and_differs_from_pairwise() {
-        use wcms_mergesort::AlgorithmKind;
         let device = DeviceSpec::test_device();
         let configs = [Config { label: "T".into(), params: SortParams::new(32, 7, 64).unwrap() }];
         let sweep = SweepConfig { min_doublings: 2, max_doublings: 3, runs: 1 };
@@ -303,7 +312,7 @@ mod tests {
             "t",
             &device,
             &configs,
-            &plain(sweep).with_algorithm(AlgorithmKind::Multiway),
+            &SweepOptions { algorithm: AlgorithmKind::Multiway, ..plain(sweep) },
         );
         assert!(multiway.skipped.is_empty(), "{:?}", multiway.skipped);
         assert_eq!(pairwise.series.len(), multiway.series.len());

@@ -14,8 +14,7 @@
 //!   §IV-B, plus the Karsin β₁/β₂ averages.
 //!
 //! Binaries `fig4`, `fig5`, `fig6`, `summary` print the series as CSV or
-//! markdown; Criterion benches cover the generator, Merge Path, and the
-//! simulator itself.
+//! markdown.
 //!
 //! Every measuring entry point takes a [`wcms_mergesort::BackendKind`]
 //! (surfaced as `--backend` on the binaries): the cycle-accurate
@@ -46,14 +45,3 @@ pub mod series;
 pub mod shard;
 pub mod summary;
 pub mod supervisor;
-
-pub use checkpoint::{CellResult, CheckpointStore, LoadOutcome, SweepFingerprint};
-pub use cliargs::{backend_from_args, figure_args_from_env, jobs_from_args, FigureArgs};
-pub use experiment::{measure, measure_on, Measurement, SweepConfig};
-pub use panel::{figure_binary_main, FigurePanel, PanelSection};
-pub use resilient::{
-    run_cell, CellOutcome, QuarantinedCell, ResilienceConfig, SkippedCell, SweepReport, SweepStats,
-};
-pub use series::{Series, SeriesPoint};
-pub use shard::{LeaseAttempt, LeaseInfo, LeaseStore, RetryJitter, ShardPolicy};
-pub use supervisor::{parallel_map, run_sweep, supervise_cell, SupervisedSweep, SweepOptions};

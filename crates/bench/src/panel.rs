@@ -32,19 +32,19 @@ use crate::supervisor::{parallel_map, SweepOptions};
 
 /// One projected table of a panel: an optional stderr caption, the
 /// per-measurement value to print, and its unit (markdown mode only).
-pub struct PanelSection {
+struct PanelSection {
     /// Caption printed (as a `#` comment) before the table.
-    pub caption: Option<&'static str>,
+    caption: Option<&'static str>,
     /// Projection from a measurement to the printed value.
-    pub value: fn(&Measurement) -> f64,
+    pub(crate) value: fn(&Measurement) -> f64,
     /// Unit label for markdown tables.
-    pub unit: &'static str,
+    pub(crate) unit: &'static str,
 }
 
 impl PanelSection {
     /// The standard throughput section: millions of elements per second.
     #[must_use]
-    pub fn throughput() -> Self {
+    pub(crate) fn throughput() -> Self {
         Self { caption: None, value: |m| m.throughput / 1e6, unit: "ME/s" }
     }
 }
@@ -52,17 +52,17 @@ impl PanelSection {
 /// One figure panel: a sweep report plus how to present it.
 pub struct FigurePanel {
     /// Heading line (printed as a `#` comment, with the backend appended).
-    pub heading: String,
+    heading: String,
     /// Extra commentary lines (paper quotes) printed with the statistics.
-    pub notes: Vec<String>,
+    notes: Vec<String>,
     /// The sweep to render.
     pub report: SweepReport,
     /// Tables to print, in order.
-    pub sections: Vec<PanelSection>,
+    sections: Vec<PanelSection>,
     /// Print worst-case vs. random slowdown statistics (Figs. 4 and 5).
-    pub slowdown: bool,
+    pub(crate) slowdown: bool,
     /// Print conflict/runtime rank-agreement lines (Fig. 6).
-    pub rank_agreement: bool,
+    rank_agreement: bool,
 }
 
 impl FigurePanel {
@@ -82,7 +82,7 @@ impl FigurePanel {
 
     /// Attach commentary lines (printed under the statistics heading).
     #[must_use]
-    pub fn with_notes(mut self, notes: &[&str]) -> Self {
+    fn with_notes(mut self, notes: &[&str]) -> Self {
         self.notes = notes.iter().map(|s| (*s).to_string()).collect();
         self
     }
@@ -205,7 +205,7 @@ pub fn build_figure_panels(
 /// The correlation Fig. 6 highlights: per series, does the rank order of
 /// sizes by conflicts match the rank order by runtime?
 #[must_use]
-pub fn rank_agreement_lines(series: &[Series]) -> Vec<String> {
+fn rank_agreement_lines(series: &[Series]) -> Vec<String> {
     series
         .iter()
         .map(|s| {
@@ -247,7 +247,7 @@ pub struct AdhocArgs {
     /// among independent processes. The ad-hoc tables have no
     /// checkpoint store, so the lease-based modes (`--steal`,
     /// `--replay`) are rejected here — only static sharding applies.
-    pub shard: ShardPolicy,
+    pub(crate) shard: ShardPolicy,
 }
 
 impl AdhocArgs {
@@ -257,7 +257,7 @@ impl AdhocArgs {
     ///
     /// Returns the underlying parse error for an unknown backend or
     /// algorithm name, or a bad worker count.
-    pub fn parse(argv: Vec<String>) -> Result<Self, WcmsError> {
+    pub(crate) fn parse(argv: Vec<String>) -> Result<Self, WcmsError> {
         let quick = argv.iter().any(|a| a == "--quick");
         let backend = backend_from_args(&argv)?;
         let algorithm = algorithm_from_args(&argv)?;

@@ -33,7 +33,9 @@
 
 use std::time::Duration;
 
-use crate::checkpoint::{decode_file, parse_value, ObjExt};
+use wcms_obs::json;
+
+use crate::checkpoint::{decode_file, get_num, get_str, quoted};
 
 /// The payload of a lease file.
 ///
@@ -66,13 +68,12 @@ impl LeaseInfo {
     /// checksum footer via [`crate::checkpoint::encode_file`]).
     #[must_use]
     pub fn encode(&self) -> String {
-        let trace = self.trace.as_ref().map_or_else(String::new, |t| {
-            format!(",\"trace\":\"{}\"", crate::checkpoint::escape(t))
-        });
+        let trace =
+            self.trace.as_ref().map_or_else(String::new, |t| format!(",\"trace\":{}", quoted(t)));
         format!(
-            "{{\"pid\":{},\"worker\":\"{}\",\"fingerprint\":\"{:016x}\",\"deadline_ms\":{}{trace}}}",
+            "{{\"pid\":{},\"worker\":{},\"fingerprint\":\"{:016x}\",\"deadline_ms\":{}{trace}}}",
             self.pid,
-            crate::checkpoint::escape(&self.worker),
+            quoted(&self.worker),
             self.fingerprint,
             self.deadline_ms,
         )
@@ -83,14 +84,13 @@ impl LeaseInfo {
     /// `trace` key is an untraced claimant, not corruption.
     #[must_use]
     pub fn decode(text: &str) -> Option<Self> {
-        let v = parse_value(text)?;
-        let obj = v.as_object()?;
+        let v = json::parse(text).ok()?;
         Some(Self {
-            pid: obj.get_num("pid")? as u64,
-            worker: obj.get_str("worker")?.to_string(),
-            fingerprint: u64::from_str_radix(obj.get_str("fingerprint")?, 16).ok()?,
-            deadline_ms: obj.get_num("deadline_ms")? as u64,
-            trace: obj.get_str("trace").map(ToString::to_string),
+            pid: get_num(&v, "pid")? as u64,
+            worker: get_str(&v, "worker")?.to_string(),
+            fingerprint: u64::from_str_radix(get_str(&v, "fingerprint")?, 16).ok()?,
+            deadline_ms: get_num(&v, "deadline_ms")? as u64,
+            trace: get_str(&v, "trace").map(ToString::to_string),
         })
     }
 }
@@ -290,7 +290,7 @@ pub mod probe {
 
     /// True while a trace is armed on this thread.
     #[must_use]
-    pub fn is_armed() -> bool {
+    fn is_armed() -> bool {
         ARMED.with(Cell::get)
     }
 

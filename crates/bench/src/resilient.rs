@@ -36,12 +36,12 @@ use crate::shard::RetryJitter;
 /// Ceiling on the *jitter* added to one retry sleep (a fraction of the
 /// [`MAX_RETRY_BACKOFF`] cap — jitter decorrelates workers, it must
 /// never dominate the deterministic series).
-pub const MAX_RETRY_JITTER: Duration = Duration::from_millis(500);
+const MAX_RETRY_JITTER: Duration = Duration::from_millis(500);
 
 /// Ceiling on a single retry sleep. The exponential series doubles per
 /// attempt; saturating here keeps a generous base backoff from turning
 /// into effectively-infinite sleeps (or a `Duration` overflow panic).
-pub const MAX_RETRY_BACKOFF: Duration = Duration::from_secs(300);
+const MAX_RETRY_BACKOFF: Duration = Duration::from_secs(300);
 
 /// Retry/timeout/checkpoint policy for a sweep.
 #[derive(Debug, Clone)]
@@ -57,7 +57,7 @@ pub struct ResilienceConfig {
     /// Base backoff between attempts (attempt `k` waits
     /// `backoff × 2^(k-2)` — exponential, so a struggling cell backs
     /// off fast without stalling the happy path, capped at
-    /// [`MAX_RETRY_BACKOFF`] per sleep).
+    /// `MAX_RETRY_BACKOFF` (300 s) per sleep).
     pub backoff: Duration,
     /// Checkpoint store for resume; `None` disables persistence.
     pub checkpoint: Option<CheckpointStore>,
@@ -94,18 +94,6 @@ impl ResilienceConfig {
         Self::default()
     }
 
-    /// A typical resilient profile: per-cell budget with two retries
-    /// and exponential backoff starting at 100 ms.
-    #[must_use]
-    pub fn with_timeout(budget: Duration) -> Self {
-        Self {
-            timeout: Some(budget),
-            retries: 2,
-            backoff: Duration::from_millis(100),
-            ..Self::default()
-        }
-    }
-
     /// This policy without persistence (used by the supervisor's
     /// demotion ladder, which stores its own `Demoted` records).
     #[must_use]
@@ -116,7 +104,7 @@ impl ResilienceConfig {
     /// Persist `result` for `cell` if checkpointing is enabled. A
     /// failed write must not fail the sweep (the cell simply re-runs on
     /// resume), so it only warns.
-    pub fn persist(&self, cell: &str, result: &CellResult) {
+    pub(crate) fn persist(&self, cell: &str, result: &CellResult) {
         if let Some(store) = &self.checkpoint {
             match store.store(cell, result) {
                 // The commit event carries the cell's trace context (when
@@ -157,11 +145,11 @@ pub struct SkippedCell {
 /// A checkpoint file that failed integrity validation and was moved
 /// into quarantine (the cell re-measured).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantinedCell {
+pub(crate) struct QuarantinedCell {
     /// The sweep-cell name whose checkpoint was quarantined.
-    pub cell: String,
+    pub(crate) cell: String,
     /// What the integrity check found.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 /// Counters for one sweep, aggregated by the supervisor and emitted as
@@ -175,20 +163,20 @@ pub struct SweepStats {
     /// Cells replayed from the checkpoint store.
     pub cached: usize,
     /// Cells that needed more than one attempt.
-    pub retried: usize,
+    pub(crate) retried: usize,
     /// Cells measured on a demoted backend.
-    pub demoted: usize,
+    pub(crate) demoted: usize,
     /// Cells abandoned as gaps.
-    pub skipped: usize,
+    pub(crate) skipped: usize,
     /// Corrupt checkpoint files quarantined.
-    pub quarantined: usize,
+    pub(crate) quarantined: usize,
     /// Cells whose worker panicked at least once.
     pub panicked: usize,
     /// Timed-out workers that ignored their cancel token past the
     /// grace period (should be 0; anything else is a cancellation bug).
-    pub leaked_threads: usize,
+    pub(crate) leaked_threads: usize,
     /// Worker threads the sweep ran with.
-    pub jobs: usize,
+    pub(crate) jobs: usize,
     /// Wall-clock time of the sweep in seconds.
     pub wall_s: f64,
 }
@@ -218,7 +206,7 @@ impl SweepStats {
     /// Record these stats into `metrics` under `sweep_…` names: the
     /// counts as counters, `jobs`/`wall_s` as gauges (gauges round-trip
     /// `f64` bits exactly, so the rebuilt `wall_s` is bit-identical).
-    pub fn record(&self, metrics: &MetricsRegistry) {
+    pub(crate) fn record(&self, metrics: &MetricsRegistry) {
         metrics.counter("sweep_cells_total").add(self.cells as u64);
         metrics.counter("sweep_done_total").add(self.done as u64);
         metrics.counter("sweep_cached_total").add(self.cached as u64);
@@ -232,7 +220,7 @@ impl SweepStats {
         metrics.gauge("sweep_wall_seconds").set(self.wall_s);
     }
 
-    /// Rebuild the stats from a registry [`SweepStats::record`] wrote.
+    /// Rebuild the stats from a registry `SweepStats::record` wrote.
     /// The supervisor emits its `# sweep-summary` line from this round
     /// trip, making the metrics registry the single source of truth for
     /// the summary (a summary/metrics disagreement is structurally
@@ -264,7 +252,7 @@ pub struct SweepReport {
     /// Explicit gaps.
     pub skipped: Vec<SkippedCell>,
     /// Checkpoints that failed integrity checks (already re-measured).
-    pub quarantined: Vec<QuarantinedCell>,
+    pub(crate) quarantined: Vec<QuarantinedCell>,
     /// Aggregated counters for the `# sweep-summary` line.
     pub stats: SweepStats,
 }
@@ -277,7 +265,7 @@ impl SweepReport {
     /// they describe the run, not the data, and would break that
     /// byte-identity.
     #[must_use]
-    pub fn csv<F: Fn(&Measurement) -> f64 + Copy>(&self, f: F) -> String {
+    pub(crate) fn csv<F: Fn(&Measurement) -> f64 + Copy>(&self, f: F) -> String {
         let mut out = crate::series::to_csv(&self.series, f);
         for gap in &self.skipped {
             out.push_str(&format!(
@@ -294,7 +282,7 @@ impl SweepReport {
     /// Markdown rendering with trailing gap/quarantine tables when
     /// cells were skipped or checkpoints quarantined.
     #[must_use]
-    pub fn markdown<F: Fn(&Measurement) -> f64 + Copy>(&self, f: F, unit: &str) -> String {
+    pub(crate) fn markdown<F: Fn(&Measurement) -> f64 + Copy>(&self, f: F, unit: &str) -> String {
         let mut out = crate::series::to_markdown(&self.series, f, unit);
         if !self.skipped.is_empty() {
             out.push_str(
@@ -333,14 +321,14 @@ pub struct CellOutcome {
     pub from_checkpoint: bool,
     /// The cell's checkpoint existed but was corrupt and got
     /// quarantined before the (re-)measurement.
-    pub quarantined: Option<String>,
+    pub(crate) quarantined: Option<String>,
     /// Attempts actually made (0 when replayed from the checkpoint).
-    pub attempts: usize,
+    pub(crate) attempts: usize,
     /// The cell's final failure was a wall-clock timeout (the
     /// supervisor demotes such cells down the backend ladder).
     pub timed_out: bool,
     /// At least one attempt panicked (isolated, not propagated).
-    pub panicked: bool,
+    pub(crate) panicked: bool,
     /// A timed-out worker ignored its cancel token past the grace
     /// period and its thread was abandoned.
     pub leaked_thread: bool,

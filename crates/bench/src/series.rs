@@ -5,36 +5,13 @@ use std::fmt::Write as _;
 
 use crate::experiment::Measurement;
 
-/// One `(N, value)` point of a rendered series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SeriesPoint {
-    /// Input size.
-    pub n: usize,
-    /// Value (unit depends on the series).
-    pub value: f64,
-}
-
 /// A labelled series of measurements.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Series {
     /// Legend label, e.g. `"Thrust E=15 b=512 worst-case"`.
-    pub label: String,
+    pub(crate) label: String,
     /// Measurements in increasing `N`.
-    pub points: Vec<Measurement>,
-}
-
-impl Series {
-    /// Extract `(N, value)` pairs with an accessor.
-    #[must_use]
-    pub fn project<F: Fn(&Measurement) -> f64>(&self, f: F) -> Vec<SeriesPoint> {
-        self.points.iter().map(|m| SeriesPoint { n: m.n, value: f(m) }).collect()
-    }
-
-    /// Throughput in millions of elements per second.
-    #[must_use]
-    pub fn throughput_meps(&self) -> Vec<SeriesPoint> {
-        self.project(|m| m.throughput / 1e6)
-    }
+    pub(crate) points: Vec<Measurement>,
 }
 
 /// Render series as long-form CSV: `series,n,value`, one row per point.
@@ -54,7 +31,7 @@ pub fn to_csv<F: Fn(&Measurement) -> f64 + Copy>(series: &[Series], f: F) -> Str
 
 /// Render series as one aligned markdown table per series.
 #[must_use]
-pub fn to_markdown<F: Fn(&Measurement) -> f64 + Copy>(
+pub(crate) fn to_markdown<F: Fn(&Measurement) -> f64 + Copy>(
     series: &[Series],
     f: F,
     unit: &str,
@@ -126,11 +103,5 @@ mod tests {
         assert!(md.contains("**a**"));
         assert!(md.contains("value (ME/s)"));
         assert!(md.contains("| 100 | 1.000 |"));
-    }
-
-    #[test]
-    fn projection_units() {
-        let s = series("a", &[5e6]);
-        assert_eq!(s.throughput_meps()[0].value, 5.0);
     }
 }

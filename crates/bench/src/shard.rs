@@ -101,14 +101,14 @@ pub enum ShardPolicy {
 impl ShardPolicy {
     /// Whether sharding is disabled.
     #[must_use]
-    pub fn is_off(&self) -> bool {
+    pub(crate) fn is_off(&self) -> bool {
         matches!(self, ShardPolicy::Off)
     }
 
     /// Whether this policy makes the process responsible for executing
     /// the cell at submission index `i`.
     #[must_use]
-    pub fn owns(&self, i: usize) -> bool {
+    pub(crate) fn owns(&self, i: usize) -> bool {
         match self {
             ShardPolicy::Off | ShardPolicy::Steal { .. } => true,
             ShardPolicy::Static { index, count } => i % count.max(&1) == *index,
@@ -141,7 +141,7 @@ impl ShardPolicy {
 /// Reason string prefix marking a cell this shard did not execute
 /// (another shard owns it and has not committed it yet). Such cells
 /// are excluded from the shard's own sweep counters.
-pub const DEFERRED_PREFIX: &str = "shard-deferred:";
+pub(crate) const DEFERRED_PREFIX: &str = "shard-deferred:";
 
 /// Reason string prefix marking a cell a `--replay` run could not find
 /// in the checkpoint store: the cell was *lost* (never executed, or
@@ -166,7 +166,7 @@ impl RetryJitter {
     /// The jitter for retry `attempt` of `cell` under this
     /// configuration, uniform in `[0, max)`.
     #[must_use]
-    pub fn sample(&self, cell: &str, attempt: u64, max: Duration) -> Duration {
+    pub(crate) fn sample(&self, cell: &str, attempt: u64, max: Duration) -> Duration {
         jitter(self.seed, &format!("{}/{cell}", self.stream), attempt, max)
     }
 }
@@ -287,12 +287,6 @@ impl LeaseStore {
     pub fn with_trace(mut self, trace: Option<String>) -> Self {
         self.trace = trace;
         self
-    }
-
-    /// The worker id this store claims leases as.
-    #[must_use]
-    pub fn worker(&self) -> &str {
-        &self.worker
     }
 
     /// The manifest fingerprint every lease is stamped with (0 when the

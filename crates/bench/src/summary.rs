@@ -21,7 +21,7 @@ pub struct Slowdown {
 /// either series still yields statistics over the sizes both measured.
 /// Returns `None` when no size was measured in both series.
 #[must_use]
-pub fn slowdown(worst: &Series, random: &Series) -> Option<Slowdown> {
+pub(crate) fn slowdown(worst: &Series, random: &Series) -> Option<Slowdown> {
     let mut peak = f64::NEG_INFINITY;
     let mut peak_n = 0usize;
     let mut sum = 0.0;

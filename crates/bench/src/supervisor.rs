@@ -62,43 +62,6 @@ pub struct SweepOptions {
     pub shard: ShardPolicy,
 }
 
-impl SweepOptions {
-    /// Sequential, unsupervised options — the exact pre-supervisor
-    /// behaviour (used widely in tests).
-    #[must_use]
-    pub fn plain(sweep: SweepConfig, backend: BackendKind) -> Self {
-        Self {
-            sweep,
-            resilience: ResilienceConfig::none(),
-            backend,
-            algorithm: AlgorithmKind::Pairwise,
-            jobs: 1,
-            shard: ShardPolicy::Off,
-        }
-    }
-
-    /// These options with `jobs` workers.
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    /// These options under `shard`.
-    #[must_use]
-    pub fn with_shard(mut self, shard: ShardPolicy) -> Self {
-        self.shard = shard;
-        self
-    }
-
-    /// These options measuring `algorithm`.
-    #[must_use]
-    pub fn with_algorithm(mut self, algorithm: AlgorithmKind) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-}
-
 /// The outcome of a supervised sweep: per-cell outcomes in submission
 /// order, plus aggregated counters.
 #[derive(Debug, Clone)]
@@ -555,7 +518,14 @@ mod tests {
     }
 
     fn opts(jobs: usize) -> SweepOptions {
-        SweepOptions::plain(SweepConfig::quick(), BackendKind::Sim).with_jobs(jobs)
+        SweepOptions {
+            sweep: SweepConfig::quick(),
+            resilience: ResilienceConfig::none(),
+            backend: BackendKind::Sim,
+            algorithm: AlgorithmKind::Pairwise,
+            jobs,
+            shard: ShardPolicy::Off,
+        }
     }
 
     #[test]

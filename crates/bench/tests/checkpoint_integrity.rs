@@ -215,7 +215,12 @@ fn live_threads() -> usize {
 #[cfg(target_os = "linux")]
 #[test]
 fn timeout_leaves_no_live_background_thread() {
-    let cfg = ResilienceConfig::with_timeout(Duration::from_millis(30)).without_checkpoint();
+    let cfg = ResilienceConfig {
+        timeout: Some(Duration::from_millis(30)),
+        retries: 2,
+        backoff: Duration::from_millis(100),
+        ..ResilienceConfig::none()
+    };
     let polls = Arc::new(AtomicUsize::new(0));
 
     let before = live_threads();

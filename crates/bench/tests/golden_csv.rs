@@ -9,12 +9,21 @@
 use wcms_bench::experiment::SweepConfig;
 use wcms_bench::figures::fig4;
 use wcms_bench::panel::FigurePanel;
+use wcms_bench::resilient::ResilienceConfig;
+use wcms_bench::shard::ShardPolicy;
 use wcms_bench::supervisor::SweepOptions;
-use wcms_mergesort::BackendKind;
+use wcms_mergesort::{AlgorithmKind, BackendKind};
 
 #[test]
 fn pairwise_fig4_quick_csv_is_byte_identical_to_the_golden() {
-    let opts = SweepOptions::plain(SweepConfig::quick(), BackendKind::Analytic).with_jobs(4);
+    let opts = SweepOptions {
+        sweep: SweepConfig::quick(),
+        resilience: ResilienceConfig::none(),
+        backend: BackendKind::Analytic,
+        algorithm: AlgorithmKind::Pairwise,
+        jobs: 4,
+        shard: ShardPolicy::Off,
+    };
     let report = fig4(&opts).unwrap();
     let (data, _) = FigurePanel::throughput_panel(
         "Fig. 4 — Quadro M4000 throughput (modelled), conflicts measured in simulation",

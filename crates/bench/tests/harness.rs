@@ -1,20 +1,26 @@
 //! Integration tests of the figure harness at quick scale: layout,
 //! determinism and the orderings the paper's figures rely on.
 
-use wcms_bench::experiment::{measure, SweepConfig};
+use wcms_bench::experiment::{measure_on, SweepConfig};
 use wcms_bench::figures::{throughput_figure, Config};
+use wcms_bench::resilient::ResilienceConfig;
 use wcms_bench::series::to_csv;
+use wcms_bench::shard::ShardPolicy;
 use wcms_bench::summary::slowdown_table;
 use wcms_bench::supervisor::SweepOptions;
 use wcms_gpu_sim::DeviceSpec;
-use wcms_mergesort::{BackendKind, SortParams};
+use wcms_mergesort::{AlgorithmKind, BackendKind, SortParams};
 use wcms_workloads::WorkloadSpec;
 
 fn tiny_opts() -> SweepOptions {
-    SweepOptions::plain(
-        SweepConfig { min_doublings: 1, max_doublings: 3, runs: 1 },
-        BackendKind::Sim,
-    )
+    SweepOptions {
+        sweep: SweepConfig { min_doublings: 1, max_doublings: 3, runs: 1 },
+        resilience: ResilienceConfig::none(),
+        backend: BackendKind::Sim,
+        algorithm: AlgorithmKind::Pairwise,
+        jobs: 1,
+        shard: ShardPolicy::Off,
+    }
 }
 
 #[test]
@@ -60,8 +66,8 @@ fn measurements_are_deterministic() {
     for spec in
         [WorkloadSpec::WorstCase, WorkloadSpec::RandomPermutation { seed: 9 }, WorkloadSpec::Sorted]
     {
-        let a = measure(&device, &params, spec, n, 2).unwrap();
-        let b = measure(&device, &params, spec, n, 2).unwrap();
+        let a = measure_on(&device, &params, spec, n, 2, BackendKind::Sim).unwrap();
+        let b = measure_on(&device, &params, spec, n, 2, BackendKind::Sim).unwrap();
         assert_eq!(a.throughput.to_bits(), b.throughput.to_bits(), "{}", spec.label());
         assert_eq!(a.beta2.to_bits(), b.beta2.to_bits(), "{}", spec.label());
     }
@@ -72,11 +78,28 @@ fn beta_ordering_matches_theory_at_figure_level() {
     let device = DeviceSpec::quadro_m4000();
     let params = SortParams::new(32, 15, 64).unwrap();
     let n = params.block_elems() * 4;
-    let sorted = measure(&device, &params, WorkloadSpec::Sorted, n, 1).unwrap();
-    let random =
-        measure(&device, &params, WorkloadSpec::RandomPermutation { seed: 1 }, n, 1).unwrap();
-    let heavy = measure(&device, &params, WorkloadSpec::ConflictHeavy { stride: 8 }, n, 1).unwrap();
-    let worst = measure(&device, &params, WorkloadSpec::WorstCase, n, 1).unwrap();
+    let sorted =
+        measure_on(&device, &params, WorkloadSpec::Sorted, n, 1, BackendKind::Sim).unwrap();
+    let random = measure_on(
+        &device,
+        &params,
+        WorkloadSpec::RandomPermutation { seed: 1 },
+        n,
+        1,
+        BackendKind::Sim,
+    )
+    .unwrap();
+    let heavy = measure_on(
+        &device,
+        &params,
+        WorkloadSpec::ConflictHeavy { stride: 8 },
+        n,
+        1,
+        BackendKind::Sim,
+    )
+    .unwrap();
+    let worst =
+        measure_on(&device, &params, WorkloadSpec::WorstCase, n, 1, BackendKind::Sim).unwrap();
     assert!(sorted.beta2 <= random.beta2);
     assert!(random.beta2 < heavy.beta2, "stride heuristic must beat random in beta2");
     assert!(heavy.beta2 < worst.beta2);

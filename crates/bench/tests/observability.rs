@@ -20,8 +20,8 @@ use wcms_bench::resilient::ResilienceConfig;
 use wcms_bench::supervisor::SweepOptions;
 use wcms_gpu_sim::DeviceSpec;
 use wcms_mergesort::{sort_algo_with_report_traced_on, BackendKind, PairwiseMerge, SortParams};
-use wcms_obs::journal::{bench_stats, chrome_from_journal, parse_journal, validate};
-use wcms_obs::{journal_jsonl, json, Clock, Obs, RingCollector};
+use wcms_obs::journal::{chrome_from_journal, parse_journal, validate};
+use wcms_obs::{journal_jsonl, json, Clock, Obs, Phase, RingCollector};
 use wcms_workloads::WorkloadSpec;
 
 /// The tunings the contract is checked over: the full E range the
@@ -73,7 +73,7 @@ proptest! {
     }
 }
 
-/// One traced parallel sweep: journal validates, its bench stats agree
+/// One traced parallel sweep: journal validates, its records agree
 /// with the sweep counters, and the Chrome export is well-formed.
 #[test]
 fn traced_jobs4_sweep_journal_validates_end_to_end() {
@@ -86,7 +86,7 @@ fn traced_jobs4_sweep_journal_validates_end_to_end() {
         backend: BackendKind::Sim,
         algorithm: wcms_mergesort::AlgorithmKind::Pairwise,
         jobs: 4,
-        shard: wcms_bench::ShardPolicy::Off,
+        shard: wcms_bench::shard::ShardPolicy::Off,
     };
     let device = DeviceSpec::test_device();
     let configs = [Config { label: "T".into(), params: SortParams::new(32, 7, 64).unwrap() }];
@@ -102,16 +102,24 @@ fn traced_jobs4_sweep_journal_validates_end_to_end() {
     let validation = validate(&journal);
     assert!(validation.is_ok(), "journal must validate: {:?}", validation.errors);
 
-    // Its derived bench stats agree with the sweep's own counters.
-    let stats = bench_stats(&journal);
-    assert_eq!(stats.cells, report.stats.cells, "one `cell` span per sweep cell");
+    // Its records agree with the sweep's own counters.
+    let cells = journal.records.iter().filter(|r| r.phase == Phase::Begin && r.name == "cell");
+    assert_eq!(cells.count(), report.stats.cells, "one `cell` span per sweep cell");
+    let round_sum = |key: &str| {
+        journal
+            .records
+            .iter()
+            .filter(|r| r.phase == Phase::Event && r.name == "round-counters")
+            .filter_map(|r| r.field(key)?.as_u64())
+            .sum::<u64>()
+    };
     assert_eq!(
-        stats.total_merge_steps,
+        round_sum("merge_steps"),
         metrics.counter("sort_merge_steps_total").get(),
         "journal round-counter events must sum to the metrics counter"
     );
     assert_eq!(
-        stats.total_conflict_extra_cycles,
+        round_sum("extra_cycles"),
         metrics.counter("sort_conflict_extra_cycles_total").get()
     );
     // The latency histogram saw every cell.
@@ -137,8 +145,8 @@ fn traced_jobs4_sweep_journal_validates_end_to_end() {
 fn stolen_cells_chain_to_the_admitting_root_across_journals() {
     use wcms_bench::checkpoint::{encode_file, CheckpointStore};
     use wcms_bench::shard::LeaseStore;
+    use wcms_bench::shard::{LeaseInfo, ShardPolicy};
     use wcms_bench::supervisor::run_sweep;
-    use wcms_bench::{LeaseInfo, ShardPolicy};
     use wcms_obs::journal::{join_journals, parse_journal, Journal};
     use wcms_obs::{TraceContext, TRACE_SEED};
 
@@ -309,7 +317,7 @@ fn virtual_clock_sweep_is_deterministic_and_non_blocking() {
         backend: BackendKind::Analytic,
         algorithm: wcms_mergesort::AlgorithmKind::Pairwise,
         jobs: 1,
-        shard: wcms_bench::ShardPolicy::Off,
+        shard: wcms_bench::shard::ShardPolicy::Off,
     };
     let device = DeviceSpec::test_device();
     let configs = [Config { label: "T".into(), params: SortParams::new(32, 7, 64).unwrap() }];

@@ -16,11 +16,12 @@
 use std::time::Duration;
 
 use wcms_bench::checkpoint::encode_file;
+use wcms_bench::checkpoint::{CellResult, CheckpointStore};
 use wcms_bench::protocol::{
     probe::{self, ProbeOp},
     CommitStep, LeaseAction, LeaseInfo, LeaseView, ATOMIC_WRITE_STEPS, LEASE_CLAIM_STEPS,
 };
-use wcms_bench::{CellResult, CheckpointStore, LeaseAttempt, LeaseStore};
+use wcms_bench::shard::{LeaseAttempt, LeaseStore};
 use wcms_obs::Clock;
 
 fn tmp_store(tag: &str) -> CheckpointStore {

@@ -8,12 +8,13 @@ use proptest::prelude::*;
 use wcms_bench::checkpoint::{decode_file, encode_file, CheckpointStore};
 use wcms_bench::experiment::SweepConfig;
 use wcms_bench::figures::{throughput_figure, Config};
+use wcms_bench::resilient::ResilienceConfig;
 use wcms_bench::series::to_csv;
 use wcms_bench::shard::{jitter, LOST_PREFIX};
+use wcms_bench::shard::{LeaseInfo, ShardPolicy};
 use wcms_bench::supervisor::SweepOptions;
-use wcms_bench::{LeaseInfo, ShardPolicy};
 use wcms_gpu_sim::DeviceSpec;
-use wcms_mergesort::{BackendKind, SortParams};
+use wcms_mergesort::{AlgorithmKind, BackendKind, SortParams};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("wcms-shard-it-{tag}-{}", std::process::id()));
@@ -22,13 +23,14 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 }
 
 fn opts_with(store: CheckpointStore, shard: ShardPolicy) -> SweepOptions {
-    let mut opts = SweepOptions::plain(
-        SweepConfig { min_doublings: 1, max_doublings: 3, runs: 1 },
-        BackendKind::Sim,
-    );
-    opts.resilience.checkpoint = Some(store);
-    opts.shard = shard;
-    opts
+    SweepOptions {
+        sweep: SweepConfig { min_doublings: 1, max_doublings: 3, runs: 1 },
+        resilience: ResilienceConfig { checkpoint: Some(store), ..ResilienceConfig::none() },
+        backend: BackendKind::Sim,
+        algorithm: AlgorithmKind::Pairwise,
+        jobs: 1,
+        shard,
+    }
 }
 
 fn tiny_grid(opts: &SweepOptions) -> wcms_bench::resilient::SweepReport {

@@ -8,7 +8,7 @@
 //! that a thread scans one whole list chunk and then the other (§III:
 //! "every thread performs a scan of one list then the other list"), this
 //! determines the warp's entire shared-memory access pattern — and, run
-//! through [`crate::builder`], the actual input permutation.
+//! through `crate::builder`, the actual input permutation.
 
 use serde::{Deserialize, Serialize};
 use wcms_error::WcmsError;
@@ -25,7 +25,7 @@ pub enum ScanFirst {
 impl ScanFirst {
     /// The opposite order.
     #[must_use]
-    pub fn flipped(self) -> Self {
+    fn flipped(self) -> Self {
         match self {
             ScanFirst::A => ScanFirst::B,
             ScanFirst::B => ScanFirst::A,
@@ -47,13 +47,13 @@ pub struct ThreadAssign {
 impl ThreadAssign {
     /// Total elements merged by the thread (must equal `E`).
     #[must_use]
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.a + self.b
     }
 
     /// The thread with `A` and `B` roles exchanged.
     #[must_use]
-    pub fn swapped(&self) -> Self {
+    pub(crate) fn swapped(&self) -> Self {
         Self { a: self.b, b: self.a, first: self.first.flipped() }
     }
 }
@@ -76,20 +76,20 @@ pub struct WarpAssignment {
 impl WarpAssignment {
     /// Total elements taken from `A` across the warp.
     #[must_use]
-    pub fn share_a(&self) -> usize {
+    pub(crate) fn share_a(&self) -> usize {
         self.threads.iter().map(|t| t.a).sum()
     }
 
     /// Total elements taken from `B` across the warp.
     #[must_use]
-    pub fn share_b(&self) -> usize {
+    pub(crate) fn share_b(&self) -> usize {
         self.threads.iter().map(|t| t.b).sum()
     }
 
     /// The symmetric assignment used for warps in the paper's set `R`
     /// (`A` and `B` exchanged).
     #[must_use]
-    pub fn swapped(&self) -> Self {
+    pub(crate) fn swapped(&self) -> Self {
         Self {
             w: self.w,
             e: self.e,
@@ -105,7 +105,7 @@ impl WarpAssignment {
     ///
     /// Returns [`WcmsError::InvalidAssignment`] describing the first
     /// violated invariant.
-    pub fn validate(&self) -> Result<(), WcmsError> {
+    pub(crate) fn validate(&self) -> Result<(), WcmsError> {
         let fail = |reason: String| Err(WcmsError::InvalidAssignment { reason });
         if self.threads.len() != self.w {
             return fail(format!("expected {} threads, found {}", self.w, self.threads.len()));

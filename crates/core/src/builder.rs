@@ -41,11 +41,10 @@ use crate::construct;
 /// let mut sorted = input.clone();
 /// sorted.sort_unstable();
 /// assert!(sorted.iter().enumerate().all(|(i, &v)| v == i as u32));
-/// # Ok::<(), wcms_core::WcmsError>(())
+/// # Ok::<(), wcms_error::WcmsError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorstCaseBuilder {
-    w: usize,
     e: usize,
     b: usize,
     /// Per-rank flag over one block window: `true` → the rank goes to the
@@ -63,7 +62,7 @@ impl WorstCaseBuilder {
     /// Returns [`WcmsError::InvalidBlock`] when the geometry is
     /// inconsistent and [`WcmsError::InvalidAssignment`] when the
     /// assignment or its shares are.
-    pub fn from_assignment(b: usize, l_asg: &WarpAssignment) -> Result<Self, WcmsError> {
+    fn from_assignment(b: usize, l_asg: &WarpAssignment) -> Result<Self, WcmsError> {
         let (w, e) = (l_asg.w, l_asg.e);
         if !b.is_power_of_two() {
             return Err(WcmsError::InvalidBlock {
@@ -105,7 +104,7 @@ impl WorstCaseBuilder {
                 ),
             });
         }
-        Ok(Self { w, e, b, pattern })
+        Ok(Self { e, b, pattern })
     }
 
     /// The paper's worst-case builder for co-prime odd `3 ≤ E < w`.
@@ -119,7 +118,7 @@ impl WorstCaseBuilder {
     }
 
     /// A Karsin-style conflict-heavy baseline builder
-    /// (see [`crate::conflict_heavy`]): every thread takes `stride`
+    /// (see `crate::conflict_heavy`): every thread takes `stride`
     /// elements from one list (power-of-two strides collide
     /// `gcd(w, stride)`-ways), the rest from the other.
     ///
@@ -136,24 +135,6 @@ impl WorstCaseBuilder {
     #[must_use]
     pub fn block_elems(&self) -> usize {
         self.b * self.e
-    }
-
-    /// Warp width.
-    #[must_use]
-    pub fn warp(&self) -> usize {
-        self.w
-    }
-
-    /// Elements per thread.
-    #[must_use]
-    pub fn elems_per_thread(&self) -> usize {
-        self.e
-    }
-
-    /// Threads per block.
-    #[must_use]
-    pub fn block_threads(&self) -> usize {
-        self.b
     }
 
     /// True if `n` is a size the merge-sort structure supports:

@@ -23,24 +23,11 @@ use crate::assignment::{ScanFirst, ThreadAssign, WarpAssignment};
 ///
 /// Panics if `stride` is 0 or ≥ `E`.
 #[must_use]
-pub fn conflict_heavy_warp(w: usize, e: usize, stride: usize) -> WarpAssignment {
+pub(crate) fn conflict_heavy_warp(w: usize, e: usize, stride: usize) -> WarpAssignment {
     assert!(stride >= 1 && stride < e, "stride must be in [1, E)");
     let threads =
         (0..w).map(|_| ThreadAssign { a: stride, b: e - stride, first: ScanFirst::A }).collect();
     WarpAssignment { w, e, window_start: 0, threads }
-}
-
-/// The default stride for a conflict-heavy input: the largest power of
-/// two ≤ min(E−1, w/4) — big enough to collide, small enough to leave a
-/// valid split.
-#[must_use]
-pub fn default_stride(w: usize, e: usize) -> usize {
-    let cap = (e - 1).min(w / 4).max(1);
-    let mut s = 1usize;
-    while s * 2 <= cap {
-        s *= 2;
-    }
-    s
 }
 
 #[cfg(test)]
@@ -53,9 +40,9 @@ mod tests {
 
     #[test]
     fn heavier_than_sorted_lighter_than_construction() {
-        for e in [7usize, 15, 17] {
+        // The stride is the largest power of two ≤ min(E−1, w/4).
+        for (e, s) in [(7usize, 4usize), (15, 8), (17, 8)] {
             let w = 32;
-            let s = default_stride(w, e);
             let sorted = evaluate(&sorted_warp(w, e)).unwrap().cycles();
             let heavy = evaluate(&conflict_heavy_warp(w, e, s)).unwrap().cycles();
             let worst = evaluate(&construct(w, e).unwrap()).unwrap().cycles();
@@ -77,15 +64,6 @@ mod tests {
         }
         // The B phase is conflict-light (odd stride).
         assert!(ev.degrees[s..].iter().all(|&d| d <= 2), "{:?}", ev.degrees);
-    }
-
-    #[test]
-    fn default_stride_is_sane() {
-        assert_eq!(default_stride(32, 15), 8);
-        assert_eq!(default_stride(32, 3), 2);
-        assert_eq!(default_stride(32, 31), 8);
-        assert_eq!(default_stride(16, 5), 4);
-        assert_eq!(default_stride(8, 3), 2);
     }
 
     #[test]

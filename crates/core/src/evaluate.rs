@@ -33,13 +33,6 @@ impl WarpEval {
     pub fn cycles(&self) -> usize {
         self.totals.cycles
     }
-
-    /// The paper's "total bank conflicts" count: Σ over steps of the
-    /// number of accesses involved in a conflict.
-    #[must_use]
-    pub fn conflicting_accesses(&self) -> usize {
-        self.totals.conflicting_accesses
-    }
 }
 
 /// Per-thread access address sequences (step → shared-memory address).
@@ -70,7 +63,7 @@ pub fn address_sequences(asg: &WarpAssignment) -> Vec<Vec<usize>> {
 /// # Errors
 ///
 /// Returns [`wcms_error::WcmsError::InvalidAssignment`] if the
-/// assignment fails [`WarpAssignment::validate`].
+/// assignment fails `WarpAssignment::validate`.
 pub fn evaluate(asg: &WarpAssignment) -> Result<WarpEval, wcms_error::WcmsError> {
     asg.validate()?;
     let model = BankModel::new(asg.w);
@@ -152,7 +145,7 @@ mod tests {
         assert_eq!(ev.window_multiplicity, vec![4; 4]);
         assert_eq!(ev.aligned, 16);
         assert_eq!(ev.cycles(), 16);
-        assert_eq!(ev.conflicting_accesses(), 16);
+        assert_eq!(ev.totals.conflicting_accesses, 16);
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl WorstCaseFamily {
         }
         Ok(Self { builder, n, next_seed: seed })
     }
-
-    /// The shared builder (for inspecting geometry).
-    #[must_use]
-    pub fn builder(&self) -> &WorstCaseBuilder {
-        &self.builder
-    }
 }
 
 impl Iterator for WorstCaseFamily {

@@ -23,7 +23,7 @@ pub fn is_large_e(w: usize, e: usize) -> bool {
 }
 
 /// Build the Theorem 9 worst-case warp assignment for a warp of the `L`
-/// set. Use [`WarpAssignment::swapped`] for the `R` set.
+/// set. Use `WarpAssignment::swapped` for the `R` set.
 ///
 /// # Panics
 ///

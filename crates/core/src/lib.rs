@@ -17,43 +17,40 @@
 //!   order itself aligns every `d`-th column (Fig. 1);
 //! * [`mod@evaluate`] — exact DMM evaluation of an assignment's merging
 //!   stage;
-//! * [`scan_order`] — per-thread scan-order selection;
+//! * `scan_order` — per-thread scan-order selection;
 //! * [`lemma1`] — the pigeonhole worst-case bound and its witness;
 //! * [`lemma2`] — the front-to-back / back-to-front / outside-in
 //!   alignment strategies as explicit composable steps;
-//! * [`builder`] — the *unmerge* composition turning per-round warp
+//! * `builder` — the *unmerge* composition turning per-round warp
 //!   assignments into a full `N`-element input permutation;
-//! * [`family`] — an iterator over the worst-case permutation family
+//! * `family` — an iterator over the worst-case permutation family
 //!   (Conclusion, point 2);
-//! * [`expected`] — Monte-Carlo estimation of the expected conflict
-//!   degree on random interleavings (the open problem's empirical side);
-//! * [`conflict_heavy`] — a Karsin-style heuristic baseline adversary.
+//! * `conflict_heavy` — a Karsin-style heuristic baseline adversary.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod assignment;
-pub mod builder;
-pub mod conflict_heavy;
+pub(crate) mod builder;
+pub(crate) mod conflict_heavy;
 pub mod evaluate;
-pub mod expected;
-pub mod family;
+pub(crate) mod family;
 pub mod large_e;
 pub mod lemma1;
 pub mod lemma2;
 pub mod numtheory;
-pub mod scan_order;
+pub(crate) mod scan_order;
 pub mod sequence;
 pub mod small_e;
 pub mod sorted_case;
 
-pub use assignment::{ScanFirst, ThreadAssign, WarpAssignment};
+pub use assignment::{ScanFirst, WarpAssignment};
 pub use builder::WorstCaseBuilder;
-pub use evaluate::{access_matrix, evaluate, WarpEval};
+pub use evaluate::{access_matrix, evaluate};
 pub use family::WorstCaseFamily;
-pub use large_e::construct_large_e;
-pub use small_e::construct_small_e;
-pub use wcms_error::WcmsError;
+pub(crate) use large_e::construct_large_e;
+pub(crate) use small_e::construct_small_e;
+pub(crate) use wcms_error::WcmsError;
 
 /// Construct the worst-case warp assignment for any odd `E` co-prime with
 /// `w` (`3 ≤ E < w`, `E ≠ w/2`): dispatches to the small- or large-`E`
@@ -69,7 +66,7 @@ pub use wcms_error::WcmsError;
 /// assert_eq!(ev.aligned, 225);
 /// assert_eq!(ev.aligned, theorem_aligned_count(32, 15)?);
 /// assert!(ev.degrees.iter().all(|&d| d >= 15));
-/// # Ok::<(), wcms_core::WcmsError>(())
+/// # Ok::<(), wcms_error::WcmsError>(())
 /// ```
 ///
 /// # Errors

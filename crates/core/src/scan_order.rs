@@ -50,7 +50,7 @@ fn thread_aligned(
 
 /// Set every thread's scan order to the alignment-maximizing choice.
 /// Returns the resulting total aligned count.
-pub fn optimize_scan_order(asg: &mut WarpAssignment) -> usize {
+pub(crate) fn optimize_scan_order(asg: &mut WarpAssignment) -> usize {
     let b_base = asg.share_a().div_ceil(asg.w) * asg.w;
     let offsets = asg.thread_offsets();
     let mut total = 0usize;

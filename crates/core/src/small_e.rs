@@ -34,7 +34,7 @@ pub fn is_small_e(w: usize, e: usize) -> bool {
 
 /// Build the Theorem 3 worst-case warp assignment for a warp of the `L`
 /// set (`A` gets the `(E+1)/2·w` share). Use
-/// [`WarpAssignment::swapped`] for the `R` set.
+/// `WarpAssignment::swapped` for the `R` set.
 ///
 /// # Panics
 ///

@@ -17,9 +17,9 @@ pub enum AccessKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Access {
     /// Word address within the shared-memory tile.
-    pub addr: usize,
+    pub(crate) addr: usize,
     /// Read or write.
-    pub kind: AccessKind,
+    pub(crate) kind: AccessKind,
 }
 
 impl Access {
@@ -40,7 +40,7 @@ impl Access {
 
 /// One synchronous step of a warp: an optional request per lane.
 ///
-/// The lane index is the position in [`WarpStep::lanes`]. The number of
+/// The lane index is the position in `WarpStep::lanes`. The number of
 /// lanes need not equal the number of banks (the paper's illustrations use
 /// `w = 16` lanes on 16 banks; sub-warp merges use fewer active lanes).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -55,22 +55,10 @@ impl WarpStep {
         Self { lanes: vec![None; width] }
     }
 
-    /// Build a step from explicit per-lane requests.
-    #[must_use]
-    pub fn from_lanes(lanes: Vec<Option<Access>>) -> Self {
-        Self { lanes }
-    }
-
     /// A step in which every lane reads, lane `i` reading `addrs[i]`.
     #[must_use]
     pub fn all_read(addrs: &[usize]) -> Self {
         Self { lanes: addrs.iter().map(|&a| Some(Access::read(a))).collect() }
-    }
-
-    /// A step in which every lane writes, lane `i` writing `addrs[i]`.
-    #[must_use]
-    pub fn all_write(addrs: &[usize]) -> Self {
-        Self { lanes: addrs.iter().map(|&a| Some(Access::write(a))).collect() }
     }
 
     /// Set lane `lane`'s request (enlarging the step if needed).
@@ -89,7 +77,7 @@ impl WarpStep {
 
     /// Per-lane requests.
     #[must_use]
-    pub fn lanes(&self) -> &[Option<Access>] {
+    pub(crate) fn lanes(&self) -> &[Option<Access>] {
         &self.lanes
     }
 
@@ -97,18 +85,6 @@ impl WarpStep {
     #[must_use]
     pub fn width(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// Number of lanes issuing a request this step.
-    #[must_use]
-    pub fn active(&self) -> usize {
-        self.lanes.iter().filter(|l| l.is_some()).count()
-    }
-
-    /// True if no lane issues a request.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.lanes.iter().all(Option::is_none)
     }
 }
 
@@ -120,15 +96,15 @@ mod tests {
     fn idle_step_has_no_active_lanes() {
         let s = WarpStep::idle(32);
         assert_eq!(s.width(), 32);
-        assert_eq!(s.active(), 0);
-        assert!(s.is_idle());
+        assert_eq!(s.lanes().iter().flatten().count(), 0);
+        assert!(s.lanes().iter().all(Option::is_none));
     }
 
     #[test]
     fn all_read_marks_every_lane_active() {
         let s = WarpStep::all_read(&[0, 1, 2, 3]);
         assert_eq!(s.width(), 4);
-        assert_eq!(s.active(), 4);
+        assert_eq!(s.lanes().iter().flatten().count(), 4);
         assert_eq!(s.lanes()[2], Some(Access::read(2)));
     }
 
@@ -137,7 +113,7 @@ mod tests {
         let mut s = WarpStep::idle(2);
         s.set(5, Access::write(40));
         assert_eq!(s.width(), 6);
-        assert_eq!(s.active(), 1);
+        assert_eq!(s.lanes().iter().flatten().count(), 1);
         assert_eq!(s.lanes()[5], Some(Access::write(40)));
     }
 
@@ -146,7 +122,7 @@ mod tests {
         let mut s = WarpStep::all_read(&[7, 8]);
         s.clear();
         assert_eq!(s.width(), 2);
-        assert!(s.is_idle());
+        assert!(s.lanes().iter().all(Option::is_none));
     }
 
     #[test]

@@ -41,14 +41,8 @@ pub struct StepConflicts {
 impl StepConflicts {
     /// Replay cycles beyond the first (`max(degree, 1) − 1`).
     #[must_use]
-    pub fn extra_cycles(&self) -> usize {
+    pub(crate) fn extra_cycles(&self) -> usize {
         self.degree.saturating_sub(1)
-    }
-
-    /// True if the step was conflict-free (degree ≤ 1).
-    #[must_use]
-    pub fn is_conflict_free(&self) -> bool {
-        self.degree <= 1
     }
 }
 
@@ -75,7 +69,7 @@ pub struct ConflictTotals {
 
 impl ConflictTotals {
     /// Fold one step's metrics into the totals.
-    pub fn record(&mut self, s: StepConflicts) {
+    pub(crate) fn record(&mut self, s: StepConflicts) {
         if s.active_lanes == 0 {
             return;
         }
@@ -105,12 +99,6 @@ impl ConflictTotals {
     #[must_use]
     pub fn beta(&self) -> Option<f64> {
         (self.steps > 0).then(|| self.cycles as f64 / self.steps as f64)
-    }
-
-    /// Conflicting accesses per element touched.
-    #[must_use]
-    pub fn conflicts_per_access(&self) -> Option<f64> {
-        (self.accesses > 0).then(|| self.conflicting_accesses as f64 / self.accesses as f64)
     }
 }
 
@@ -251,7 +239,6 @@ mod tests {
         let s = c.count(&WarpStep::all_read(&(0..32).collect::<Vec<_>>()));
         assert_eq!(s.degree, 1);
         assert_eq!(s.conflicting_accesses, 0);
-        assert!(s.is_conflict_free());
         assert_eq!(s.extra_cycles(), 0);
     }
 
@@ -278,7 +265,11 @@ mod tests {
     #[test]
     fn concurrent_writes_violate_crew() {
         let mut c = counter(32);
-        let s = c.count(&WarpStep::all_write(&[5, 5, 5]));
+        let mut step = WarpStep::idle(3);
+        for lane in 0..3 {
+            step.set(lane, Access::write(5));
+        }
+        let s = c.count(&step);
         assert_eq!(s.crew_violations, 2);
         // Still one distinct address → degree 1.
         assert_eq!(s.degree, 1);
@@ -287,7 +278,9 @@ mod tests {
     #[test]
     fn read_write_race_violates_crew() {
         let mut c = counter(32);
-        let step = WarpStep::from_lanes(vec![Some(Access::read(9)), Some(Access::write(9))]);
+        let mut step = WarpStep::idle(2);
+        step.set(0, Access::read(9));
+        step.set(1, Access::write(9));
         let s = c.count(&step);
         assert_eq!(s.crew_violations, 1);
     }
@@ -331,7 +324,6 @@ mod tests {
     #[test]
     fn beta_none_when_empty() {
         assert_eq!(ConflictTotals::default().beta(), None);
-        assert_eq!(ConflictTotals::default().conflicts_per_access(), None);
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::BankModel;
 ///     acc.access(addr); // four distinct addresses in bank 0
 /// }
 /// assert_eq!(acc.end_step().degree, 4);
-/// assert_eq!(acc.totals().extra_cycles, 3);
+/// assert_eq!(acc.drain_totals().extra_cycles, 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct StepAccumulator {
@@ -86,12 +86,6 @@ impl StepAccumulator {
             bank_distinct: vec![0; model.banks()],
             active: 0,
         }
-    }
-
-    /// The bank model in use.
-    #[must_use]
-    pub fn model(&self) -> BankModel {
-        self.model
     }
 
     /// Open a fresh step. Any accesses recorded before the next
@@ -150,7 +144,7 @@ impl StepAccumulator {
 
     /// Close the current step, fold it into the totals and return its
     /// metrics. An idle step (no accesses) records nothing, matching
-    /// [`ConflictTotals::record`]. One pass over the `w` bank counters
+    /// `ConflictTotals::record`. One pass over the `w` bank counters
     /// reduces them and leaves them zeroed.
     #[inline]
     pub fn end_step(&mut self) -> StepConflicts {
@@ -195,21 +189,6 @@ impl StepAccumulator {
         self.totals.accesses += times * s.active_lanes;
     }
 
-    /// Record one whole step from an address iterator (convenience).
-    pub fn step<I: IntoIterator<Item = usize>>(&mut self, addrs: I) -> StepConflicts {
-        self.begin_step();
-        for a in addrs {
-            self.access(a);
-        }
-        self.end_step()
-    }
-
-    /// Running totals.
-    #[must_use]
-    pub fn totals(&self) -> ConflictTotals {
-        self.totals
-    }
-
     /// Return the running totals and reset them (mirrors
     /// `SharedMemory::drain_totals`, so phase attribution works the same
     /// way on both backends).
@@ -227,6 +206,15 @@ mod tests {
     use crate::conflict::ConflictCounter;
     use proptest::prelude::*;
 
+    /// Record one whole step from an address iterator.
+    fn step(acc: &mut StepAccumulator, addrs: impl IntoIterator<Item = usize>) -> StepConflicts {
+        acc.begin_step();
+        for a in addrs {
+            acc.access(a);
+        }
+        acc.end_step()
+    }
+
     #[test]
     fn matches_counter_on_canonical_steps() {
         let cases: &[&[usize]] = &[
@@ -239,7 +227,7 @@ mod tests {
             for addrs in cases {
                 let mut fast = StepAccumulator::new(BankModel::new(w), 128);
                 let mut slow = ConflictCounter::new(BankModel::new(w));
-                let f = fast.step(addrs.iter().copied());
+                let f = step(&mut fast, addrs.iter().copied());
                 let s = slow.count(&WarpStep::all_read(addrs));
                 assert_eq!(f, s, "w={w} addrs={addrs:?}");
             }
@@ -252,17 +240,17 @@ mod tests {
         acc.begin_step();
         let s = acc.end_step();
         assert_eq!(s.degree, 0);
-        assert_eq!(acc.totals(), ConflictTotals::default());
+        assert_eq!(acc.totals, ConflictTotals::default());
     }
 
     #[test]
     fn totals_drain_like_shared_memory() {
         let mut acc = StepAccumulator::new(BankModel::new(4), 32);
-        acc.step([0usize, 4]);
+        step(&mut acc, [0usize, 4]);
         let t = acc.drain_totals();
         assert_eq!(t.steps, 1);
         assert_eq!(t.cycles, 2);
-        assert_eq!(acc.totals(), ConflictTotals::default());
+        assert_eq!(acc.totals, ConflictTotals::default());
     }
 
     #[test]
@@ -270,12 +258,12 @@ mod tests {
         let addrs = [0usize, 8, 16, 3]; // two 2-way conflicts under w=8… degree 3 in bank 0
         let mut looped = StepAccumulator::new(BankModel::new(8), 32);
         for _ in 0..5 {
-            looped.step(addrs.iter().copied());
+            step(&mut looped, addrs.iter().copied());
         }
         let mut folded = StepAccumulator::new(BankModel::new(8), 32);
-        let s = folded.step(addrs.iter().copied());
+        let s = step(&mut folded, addrs.iter().copied());
         folded.repeat_step(s, 4);
-        assert_eq!(folded.totals(), looped.totals());
+        assert_eq!(folded.totals, looped.totals);
         // Idle steps fold to nothing, like `record`.
         folded.repeat_step(
             StepConflicts {
@@ -286,13 +274,13 @@ mod tests {
             },
             3,
         );
-        assert_eq!(folded.totals(), looped.totals());
+        assert_eq!(folded.totals, looped.totals);
     }
 
     #[test]
     fn grows_past_nominal_words() {
         let mut acc = StepAccumulator::new(BankModel::new(8), 4);
-        let s = acc.step([100usize, 108]); // both bank 4, beyond nominal len
+        let s = step(&mut acc, [100usize, 108]); // both bank 4, beyond nominal len
         assert_eq!(s.degree, 2);
     }
 
@@ -302,9 +290,9 @@ mod tests {
         acc.begin_step();
         acc.access(0);
         acc.access_distinct(8);
-        let s = acc.step([16usize, 1]);
+        let s = step(&mut acc, [16usize, 1]);
         assert_eq!((s.degree, s.conflicting_accesses, s.active_lanes), (1, 0, 2));
-        assert_eq!(acc.totals().steps, 1);
+        assert_eq!(acc.totals.steps, 1);
     }
 
     #[test]
@@ -326,14 +314,14 @@ mod tests {
             &[7, 7, 7, 7],
         ];
         let s = slow.count(&WarpStep::all_read(first));
-        assert_eq!(fast.step(first.iter().copied()), s);
+        assert_eq!(step(&mut fast, first.iter().copied()), s);
         fast.stamp = u32::MAX - 2;
         for addrs in across_wrap {
             let s = slow.count(&WarpStep::all_read(addrs));
-            assert_eq!(fast.step(addrs.iter().copied()), s, "addrs={addrs:?}");
+            assert_eq!(step(&mut fast, addrs.iter().copied()), s, "addrs={addrs:?}");
         }
         assert_eq!(fast.stamp, 4, "the wrap was crossed");
-        assert_eq!(fast.totals(), slow.totals());
+        assert_eq!(fast.totals, slow.totals());
     }
 
     /// One step of a generated schedule, driven through one entry point.
@@ -399,12 +387,12 @@ mod tests {
                     }
                     fast.end_step()
                 } else {
-                    fast.step(addrs.iter().copied())
+                    step(&mut fast, addrs.iter().copied())
                 };
                 prop_assert_eq!(f, slow.count(&WarpStep::all_read(addrs)));
                 last = Some((f, addrs));
             }
-            prop_assert_eq!(fast.totals(), slow.totals());
+            prop_assert_eq!(fast.totals, slow.totals());
         }
     }
 }

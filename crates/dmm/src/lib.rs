@@ -18,36 +18,33 @@
 //!
 //! This crate provides:
 //!
-//! * [`BankModel`] — the bank mapping and matrix view ([`matrix`]);
-//! * [`access`] — per-step warp access descriptions;
-//! * [`conflict`] — the conflict accounting engine and its three metrics
+//! * [`BankModel`] — the bank mapping and matrix view (`matrix`);
+//! * `access` — per-step warp access descriptions;
+//! * `conflict` — the conflict accounting engine and its three metrics
 //!   (per-step *degree*, the paper's *conflicting accesses* count, and
 //!   hardware-style *extra cycles*);
-//! * [`fastcount`] — the count-then-reduce accumulator computing the
+//! * `fastcount` — the count-then-reduce accumulator computing the
 //!   same metrics in `O(active lanes + w)` per step for trusted
 //!   (race-free) schedules — the engine behind the analytic sort backend;
-//! * [`layout`] — the Dotsenko-style padding that defeats bank conflicts
+//! * `layout` — the Dotsenko-style padding that defeats bank conflicts
 //!   at the price of `1/w` extra shared memory;
-//! * [`trace`] — optional step-by-step access traces for rendering figures;
 //! * [`stats`] — small summary-statistics helpers shared by the harnesses.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod access;
-pub mod conflict;
-pub mod fastcount;
-pub mod layout;
-pub mod matrix;
+pub(crate) mod access;
+pub(crate) mod conflict;
+pub(crate) mod fastcount;
+pub(crate) mod layout;
+pub(crate) mod matrix;
 pub mod stats;
-pub mod trace;
 
-pub use access::{Access, AccessKind, WarpStep};
+pub use access::{Access, WarpStep};
 pub use conflict::{ConflictCounter, ConflictTotals, StepConflicts};
 pub use fastcount::StepAccumulator;
 pub use layout::{pad_address, padded_len};
 pub use matrix::{BankMatrix, CellClass, MatrixCell};
-pub use trace::{StepRecord, Trace};
 
 /// The bank mapping of a DMM / GPU shared memory: `w` banks, address `x`
 /// residing in bank `x mod w`.
@@ -105,20 +102,6 @@ impl BankModel {
     pub fn column_of(&self, addr: usize) -> usize {
         addr / self.banks
     }
-
-    /// The address at `(bank, column)` in the matrix view.
-    #[must_use]
-    #[inline]
-    pub fn address_at(&self, bank: usize, column: usize) -> usize {
-        column * self.banks + bank
-    }
-
-    /// True if `w` is a power of two (always the case on real hardware;
-    /// some constructions in the paper rely on it).
-    #[must_use]
-    pub fn is_power_of_two(&self) -> bool {
-        self.banks.is_power_of_two()
-    }
 }
 
 impl Default for BankModel {
@@ -144,14 +127,13 @@ mod tests {
     fn column_major_roundtrip() {
         let m = BankModel::new(32);
         for addr in 0..4096 {
-            assert_eq!(m.address_at(m.bank_of(addr), m.column_of(addr)), addr);
+            assert_eq!(m.column_of(addr) * m.banks() + m.bank_of(addr), addr);
         }
     }
 
     #[test]
     fn gpu32_is_32_banks() {
         assert_eq!(BankModel::gpu32().banks(), 32);
-        assert!(BankModel::gpu32().is_power_of_two());
     }
 
     #[test]

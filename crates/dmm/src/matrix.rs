@@ -46,18 +46,6 @@ impl BankMatrix {
         Self { model, columns, cells: vec![MatrixCell::Empty; model.banks() * columns] }
     }
 
-    /// Number of columns.
-    #[must_use]
-    pub fn columns(&self) -> usize {
-        self.columns
-    }
-
-    /// The bank model.
-    #[must_use]
-    pub fn model(&self) -> BankModel {
-        self.model
-    }
-
     /// Annotate the cell holding `addr`.
     ///
     /// # Panics
@@ -72,14 +60,8 @@ impl BankMatrix {
 
     /// Cell at `(bank, column)`.
     #[must_use]
-    pub fn get(&self, bank: usize, column: usize) -> MatrixCell {
+    fn get(&self, bank: usize, column: usize) -> MatrixCell {
         self.cells[bank * self.columns + column]
-    }
-
-    /// Cell holding `addr`.
-    #[must_use]
-    pub fn get_addr(&self, addr: usize) -> MatrixCell {
-        self.get(self.model.bank_of(addr), self.model.column_of(addr))
     }
 
     /// Count cells in a class.
@@ -148,7 +130,6 @@ mod tests {
         m.set_addr(17, MatrixCell::Owned { thread: 3, class: CellClass::Aligned });
         // addr 17 → bank 1, column 1.
         assert!(matches!(m.get(1, 1), MatrixCell::Owned { thread: 3, .. }));
-        assert!(matches!(m.get_addr(17), MatrixCell::Owned { thread: 3, .. }));
         assert_eq!(m.get(0, 0), MatrixCell::Empty);
     }
 

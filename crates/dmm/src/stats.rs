@@ -40,12 +40,6 @@ impl Summary {
         };
         Some(Self { n, mean, min, max, stddev })
     }
-
-    /// Coefficient of variation (stddev / mean); `None` if the mean is 0.
-    #[must_use]
-    pub fn cv(&self) -> Option<f64> {
-        (self.mean != 0.0).then(|| self.stddev / self.mean)
-    }
 }
 
 /// Relative slowdown of the worst-case input vs. the random input, in
@@ -87,12 +81,6 @@ mod tests {
         assert_eq!(s.max, 9.0);
         // Sample stddev of this classic sample is ~2.138.
         assert!((s.stddev - 2.138089935).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cv_none_on_zero_mean() {
-        let s = Summary::of(&[-1.0, 1.0]).unwrap();
-        assert!(s.cv().is_none());
     }
 
     #[test]

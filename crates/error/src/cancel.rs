@@ -45,12 +45,6 @@ impl CancelToken {
         Self::default()
     }
 
-    /// The label this token was created with.
-    #[must_use]
-    pub fn label(&self) -> &str {
-        &self.inner.label
-    }
-
     /// Request cancellation. Idempotent; visible to all clones.
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::Release);
@@ -91,7 +85,6 @@ mod tests {
         let t = CancelToken::new("cell-a");
         assert!(!t.is_cancelled());
         assert!(t.check().is_ok());
-        assert_eq!(t.label(), "cell-a");
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub fn disarm() -> Vec<TokenOp> {
 
 /// True while a trace is armed on this thread.
 #[must_use]
-pub fn is_armed() -> bool {
+fn is_armed() -> bool {
     ARMED.with(Cell::get)
 }
 

@@ -63,27 +63,13 @@ impl Default for CostModel {
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TimeBreakdown {
     /// Seconds spent draining serialized shared-memory cycles.
-    pub shared_s: f64,
+    shared_s: f64,
     /// Seconds spent draining global-memory sectors.
-    pub global_s: f64,
+    global_s: f64,
     /// Fixed overhead seconds.
-    pub overhead_s: f64,
+    overhead_s: f64,
     /// Modelled total.
     pub total_s: f64,
-}
-
-impl TimeBreakdown {
-    /// Throughput in elements/second for an `n`-element workload.
-    #[must_use]
-    pub fn throughput(&self, n: usize) -> f64 {
-        n as f64 / self.total_s
-    }
-
-    /// Milliseconds per element (the left y-axis of Fig. 6).
-    #[must_use]
-    pub fn ms_per_element(&self, n: usize) -> f64 {
-        self.total_s * 1e3 / n as f64
-    }
 }
 
 impl CostModel {
@@ -144,7 +130,7 @@ mod tests {
     }
 
     fn occ_full(device: &DeviceSpec) -> Result<Occupancy, WcmsError> {
-        Occupancy::compute(device, 512, Occupancy::mergesort_shared_bytes(512, 15))
+        Occupancy::compute(device, 512, 512 * 15 * 4)
     }
 
     #[test]
@@ -195,14 +181,6 @@ mod tests {
         let t_r = m.estimate(&rtx, &o_r, &c, 1000).total_s;
         assert!(t_r < t_m, "2080 Ti should beat M4000 on equal work");
         Ok(())
-    }
-
-    #[test]
-    fn throughput_and_ms_per_element_are_consistent() {
-        let t = TimeBreakdown { shared_s: 0.0, global_s: 0.0, overhead_s: 0.0, total_s: 0.5 };
-        let n = 1_000_000;
-        assert!((t.throughput(n) - 2e6).abs() < 1e-6);
-        assert!((t.ms_per_element(n) - 0.0005).abs() < 1e-12);
     }
 
     #[test]

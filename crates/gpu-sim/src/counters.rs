@@ -14,12 +14,6 @@ pub struct KernelCounters {
 }
 
 impl KernelCounters {
-    /// Merge counters from an independent kernel (parallel-reducible).
-    pub fn merge(&mut self, other: &KernelCounters) {
-        self.shared.merge(&other.shared);
-        self.global.merge(&other.global);
-    }
-
     /// Add this bundle to `metrics` under `{prefix}_…` counter names —
     /// the bridge from per-kernel counts to the session-wide metrics
     /// registry (`{prefix}_conflict_extra_cycles_total` is the number
@@ -32,42 +26,6 @@ impl KernelCounters {
             .add(self.shared.extra_cycles as u64);
         metrics.counter(format!("{prefix}_gmem_requests_total")).add(self.global.requests as u64);
         metrics.counter(format!("{prefix}_gmem_sectors_total")).add(self.global.sectors as u64);
-    }
-}
-
-/// Counters of a full sort: the base-case kernel plus each global merge
-/// round.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct SortCounters {
-    /// The base-case (block sort) kernel.
-    pub base: KernelCounters,
-    /// One entry per global merge round, in execution order.
-    pub rounds: Vec<KernelCounters>,
-}
-
-impl SortCounters {
-    /// Sum of the base case and all rounds.
-    #[must_use]
-    pub fn aggregate(&self) -> KernelCounters {
-        let mut total = self.base;
-        for r in &self.rounds {
-            total.merge(r);
-        }
-        total
-    }
-
-    /// Number of global merge rounds performed.
-    #[must_use]
-    pub fn num_rounds(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Total bank-conflict *cycles* per element for an `n`-element sort
-    /// (the y-axis of the paper's Fig. 6, up to the profiler's unit).
-    #[must_use]
-    pub fn conflict_cycles_per_element(&self, n: usize) -> f64 {
-        assert!(n > 0);
-        self.aggregate().shared.extra_cycles as f64 / n as f64
     }
 }
 
@@ -123,30 +81,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_merge_adds_fields() {
-        let mut a = KernelCounters {
-            shared: shared(10, 5),
-            global: GlobalTotals { requests: 1, sectors: 4, accesses: 32 },
-        };
-        let b = KernelCounters {
-            shared: shared(4, 4),
-            global: GlobalTotals { requests: 2, sectors: 8, accesses: 64 },
-        };
-        a.merge(&b);
-        assert_eq!(a.shared.cycles, 14);
-        assert_eq!(a.shared.steps, 9);
-        assert_eq!(a.global.sectors, 12);
-    }
-
-    #[test]
-    fn sort_aggregate_includes_base_and_rounds() {
-        let k = |c| KernelCounters { shared: shared(c, 1), ..Default::default() };
-        let s = SortCounters { base: k(3), rounds: vec![k(5), k(7)] };
-        assert_eq!(s.aggregate().shared.cycles, 15);
-        assert_eq!(s.num_rounds(), 2);
-    }
-
-    #[test]
     fn observe_exports_every_counter_under_the_prefix() {
         let k = KernelCounters {
             shared: shared(14, 9),
@@ -160,14 +94,5 @@ mod tests {
         assert_eq!(metrics.counter("sort_conflict_extra_cycles_total").get(), 10);
         assert_eq!(metrics.counter("sort_gmem_requests_total").get(), 4);
         assert_eq!(metrics.counter("sort_gmem_sectors_total").get(), 24);
-    }
-
-    #[test]
-    fn conflicts_per_element() {
-        let s = SortCounters {
-            base: KernelCounters { shared: shared(300, 100), ..Default::default() },
-            rounds: vec![],
-        };
-        assert!((s.conflict_cycles_per_element(100) - 2.0).abs() < 1e-12);
     }
 }

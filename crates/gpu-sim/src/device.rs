@@ -37,12 +37,6 @@ pub struct DeviceSpec {
 }
 
 impl DeviceSpec {
-    /// Total physical cores `P`.
-    #[must_use]
-    pub fn total_cores(&self) -> usize {
-        self.sm_count * self.cores_per_sm
-    }
-
     /// Quadro M4000 (Maxwell, cc 5.2): 13 SMs × 128 cores = 1664 cores,
     /// 96 KiB shared memory per SM — the paper's first test GPU.
     #[must_use]
@@ -142,7 +136,7 @@ mod tests {
         let d = DeviceSpec::quadro_m4000();
         // "1664 physical processors across 13 SM's … 96 KiB of shared
         // memory per SM" (§IV-A).
-        assert_eq!(d.total_cores(), 1664);
+        assert_eq!(d.sm_count * d.cores_per_sm, 1664);
         assert_eq!(d.sm_count, 13);
         assert_eq!(d.shared_mem_per_sm, 98304);
         assert_eq!(d.compute_capability, (5, 2));
@@ -153,7 +147,7 @@ mod tests {
         let d = DeviceSpec::rtx_2080_ti();
         // "4352 physical processors across 68 SM's" (§IV-A); 64 KiB shared
         // config; 1024 resident threads per SM.
-        assert_eq!(d.total_cores(), 4352);
+        assert_eq!(d.sm_count * d.cores_per_sm, 4352);
         assert_eq!(d.sm_count, 68);
         assert_eq!(d.shared_mem_per_sm, 65536);
         assert_eq!(d.max_threads_per_sm, 1024);

@@ -36,7 +36,7 @@ pub fn splitmix64(x: u64) -> u64 {
 
 /// The three places a simulated fault can strike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultSite {
+enum FaultSite {
     /// Bit-flips in the keys a block loads into its shared-memory tile.
     SharedTile,
     /// Corruption of a block's Merge Path co-rank pair (a faulty

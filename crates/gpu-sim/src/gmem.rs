@@ -34,15 +34,8 @@ impl GlobalTotals {
 
     /// Bytes transferred (sectors × 32).
     #[must_use]
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.sectors * 32
-    }
-
-    /// Average sectors per request (4 = perfectly coalesced 4-byte words,
-    /// 32 = fully scattered). `None` before any request.
-    #[must_use]
-    pub fn sectors_per_request(&self) -> Option<f64> {
-        (self.requests > 0).then(|| self.sectors as f64 / self.requests as f64)
     }
 }
 
@@ -112,30 +105,6 @@ impl<T: Copy> GlobalMemory<T> {
         }
     }
 
-    /// Number of words.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Uncounted view (verification / host side).
-    #[must_use]
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Consume, returning the underlying buffer.
-    #[must_use]
-    pub fn into_inner(self) -> Vec<T> {
-        self.data
-    }
-
     fn charge(&mut self, addrs: impl Iterator<Item = usize>) {
         self.scratch.clear();
         let words_per_sector = self.sector_bytes / self.word_bytes;
@@ -177,17 +146,6 @@ impl<T: Copy> GlobalMemory<T> {
         Ok(())
     }
 
-    /// One warp write: lane `i` writes `writes[i] = (addr, value)`.
-    pub fn write_warp(&mut self, writes: &[Option<(usize, T)>]) {
-        let mut n = 0usize;
-        for w in writes.iter().flatten() {
-            self.data[w.0] = w.1;
-            n += 1;
-        }
-        self.totals.accesses += n;
-        self.charge(writes.iter().flatten().map(|w| w.0));
-    }
-
     /// Coalesced tile load: a block of `threads` lanes reads
     /// `src[offset .. offset + count]` with the canonical round-robin
     /// pattern (lane `i` of pass `k` reads word `offset + k·threads + i`),
@@ -211,37 +169,10 @@ impl<T: Copy> GlobalMemory<T> {
         out
     }
 
-    /// Coalesced tile store: inverse of [`GlobalMemory::read_tile`].
-    pub fn write_tile(&mut self, offset: usize, values: &[T], threads: usize, warp: usize) {
-        self.data[offset..offset + values.len()].copy_from_slice(values);
-        self.totals.accesses += values.len();
-        let count = values.len();
-        let mut pos = 0usize;
-        while pos < count {
-            let lanes = (count - pos).min(warp.min(threads));
-            self.charge(offset + pos..offset + pos + lanes);
-            pos += lanes;
-        }
-    }
-
-    /// A single-thread scalar read (binary-search probes during the
-    /// block-partitioning stage): one request, one sector.
-    #[must_use]
-    pub fn read_scalar(&mut self, addr: usize) -> T {
-        self.totals.accesses += 1;
-        self.charge(std::iter::once(addr));
-        self.data[addr]
-    }
-
     /// Traffic totals.
     #[must_use]
     pub fn totals(&self) -> GlobalTotals {
         self.totals
-    }
-
-    /// Reset counters, keeping the data.
-    pub fn reset_counters(&mut self) {
-        self.totals = GlobalTotals::default();
     }
 }
 
@@ -269,7 +200,6 @@ mod tests {
         let mut out = vec![None; 32];
         g.read_warp(&addrs, &mut out)?;
         assert_eq!(g.totals().sectors, 32);
-        assert_eq!(g.totals().sectors_per_request(), Some(32.0));
         Ok(())
     }
 
@@ -293,14 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn write_warp_updates_data() {
-        let mut g = GlobalMemory::new(vec![0u32; 64]);
-        g.write_warp(&[Some((0, 1u32)), Some((1, 2)), None]);
-        assert_eq!(g.as_slice()[..2], [1, 2]);
-        assert_eq!(g.totals().accesses, 2);
-    }
-
-    #[test]
     fn tile_roundtrip_counts_warp_requests() {
         let mut g = GlobalMemory::new((0u32..256).collect());
         let tile = g.read_tile(64, 128, 128, 32);
@@ -309,25 +231,12 @@ mod tests {
         // 128 words in 32-lane passes = 4 requests, each 4 sectors.
         assert_eq!(g.totals().requests, 4);
         assert_eq!(g.totals().sectors, 16);
-
-        g.write_tile(0, &tile, 128, 32);
-        assert_eq!(g.as_slice()[0], 64);
-        assert_eq!(g.totals().requests, 8);
-    }
-
-    #[test]
-    fn scalar_read_is_one_sector() {
-        let mut g = GlobalMemory::new((0u32..64).collect());
-        assert_eq!(g.read_scalar(10), 10);
-        assert_eq!(g.totals().requests, 1);
-        assert_eq!(g.totals().sectors, 1);
     }
 
     #[test]
     fn tile_traffic_matches_global_memory() {
-        let mut g = GlobalMemory::new((0u32..4096).collect());
         for (offset, count) in [(0usize, 128usize), (64, 128), (5, 100), (7, 31), (0, 1)] {
-            g.reset_counters();
+            let mut g = GlobalMemory::new((0u32..4096).collect());
             let _ = g.read_tile(offset, count, 256, 32);
             assert_eq!(
                 g.totals(),
@@ -348,14 +257,5 @@ mod tests {
         a.merge(&GlobalTotals { requests: 2, sectors: 8, accesses: 64 });
         assert_eq!(a, GlobalTotals { requests: 3, sectors: 12, accesses: 96 });
         assert_eq!(a.bytes(), 12 * 32);
-    }
-
-    #[test]
-    fn reset_keeps_data() {
-        let mut g = GlobalMemory::new(vec![3u32; 8]);
-        let _ = g.read_scalar(0);
-        g.reset_counters();
-        assert_eq!(g.totals(), GlobalTotals::default());
-        assert_eq!(g.as_slice()[0], 3);
     }
 }

@@ -14,31 +14,31 @@
 //! * [`gmem::GlobalMemory`] — device memory with a 32-byte-sector
 //!   coalescing model; counts sectors/transactions per warp access, the
 //!   quantity behind the `A_g` term of Karsin et al.'s analysis.
-//! * [`device`] — parameter presets for the paper's GPUs (plus the
+//! * `device` — parameter presets for the paper's GPUs (plus the
 //!   GTX 770 of the prior work) and a generic device.
-//! * [`occupancy`] — the resident-block/occupancy calculation the paper
+//! * `occupancy` — the resident-block/occupancy calculation the paper
 //!   performs in §IV-A (75% vs. 100% occupancy of the two Thrust tunings).
-//! * [`cost`] — a documented cycle cost model translating measured
+//! * `cost` — a documented cycle cost model translating measured
 //!   counters into estimated runtime; used only for figure *shapes*,
 //!   never for the conflict counts themselves.
-//! * [`counters`] — per-kernel and per-sort counter bundles.
+//! * `counters` — per-kernel and per-sort counter bundles.
 //! * [`fault`] — deterministic (seeded) fault injection: tile bit-flips,
 //!   co-rank corruption and dataset truncation for resilience testing.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cost;
-pub mod counters;
-pub mod device;
+pub(crate) mod cost;
+pub(crate) mod counters;
+pub(crate) mod device;
 pub mod fault;
-pub mod gmem;
-pub mod key;
-pub mod occupancy;
-pub mod smem;
+pub(crate) mod gmem;
+pub(crate) mod key;
+pub(crate) mod occupancy;
+pub(crate) mod smem;
 
-pub use cost::{CostModel, TimeBreakdown};
-pub use counters::{FaultCounters, KernelCounters, SortCounters};
+pub use cost::CostModel;
+pub use counters::{FaultCounters, KernelCounters};
 pub use device::DeviceSpec;
 pub use fault::{FaultConfig, FaultInjector};
 pub use gmem::{scalar_traffic, tile_traffic, tile_traffic_words, GlobalMemory, GlobalTotals};

@@ -92,16 +92,9 @@ impl Occupancy {
         })
     }
 
-    /// Shared memory, in bytes, used by one merge-sort block sorting
-    /// `block_threads · elems_per_thread` 4-byte keys in its tile.
-    #[must_use]
-    pub fn mergesort_shared_bytes(block_threads: usize, elems_per_thread: usize) -> usize {
-        block_threads * elems_per_thread * 4
-    }
-
     /// Resident warps per SM.
     #[must_use]
-    pub fn warps_per_sm(&self, warp_size: usize) -> usize {
+    pub(crate) fn warps_per_sm(&self, warp_size: usize) -> usize {
         self.threads_per_sm / warp_size
     }
 }
@@ -116,7 +109,7 @@ mod tests {
     #[test]
     fn occupancy_rtx_e17_b256_is_75_percent() -> Result<(), WcmsError> {
         let d = DeviceSpec::rtx_2080_ti();
-        let smem = Occupancy::mergesort_shared_bytes(256, 17);
+        let smem = 256 * 17 * 4;
         assert_eq!(smem, 17408); // 17 KiB
         let o = Occupancy::compute(&d, 256, smem)?;
         assert_eq!(o.blocks_per_sm, 3);
@@ -131,7 +124,7 @@ mod tests {
     #[test]
     fn occupancy_rtx_e15_b512_is_100_percent() -> Result<(), WcmsError> {
         let d = DeviceSpec::rtx_2080_ti();
-        let smem = Occupancy::mergesort_shared_bytes(512, 15);
+        let smem = 512 * 15 * 4;
         assert_eq!(smem, 30720); // 30 KiB
         let o = Occupancy::compute(&d, 512, smem)?;
         assert_eq!(o.blocks_per_sm, 2);
@@ -143,7 +136,7 @@ mod tests {
     #[test]
     fn occupancy_m4000_thrust_params() -> Result<(), WcmsError> {
         let d = DeviceSpec::quadro_m4000();
-        let o = Occupancy::compute(&d, 512, Occupancy::mergesort_shared_bytes(512, 15))?;
+        let o = Occupancy::compute(&d, 512, 512 * 15 * 4)?;
         // 96 KiB / 30 KiB = 3 blocks = 1536 of 2048 threads = 75%.
         assert_eq!(o.blocks_per_sm, 3);
         assert!((o.fraction - 0.75).abs() < 1e-12);
@@ -182,7 +175,7 @@ mod tests {
     #[test]
     fn warps_per_sm() -> Result<(), WcmsError> {
         let d = DeviceSpec::rtx_2080_ti();
-        let o = Occupancy::compute(&d, 512, Occupancy::mergesort_shared_bytes(512, 15))?;
+        let o = Occupancy::compute(&d, 512, 512 * 15 * 4)?;
         assert_eq!(o.warps_per_sm(32), 32);
         Ok(())
     }

@@ -3,15 +3,14 @@
 //! A [`SharedMemory`] models one thread block's shared-memory tile: a flat
 //! array of words whose bank layout follows the DMM mapping (`addr mod w`).
 //! Kernels drive it one warp step at a time; each step is analysed by a
-//! [`wcms_dmm::ConflictCounter`] and optionally recorded
-//! into a [`wcms_dmm::Trace`].
+//! [`wcms_dmm::ConflictCounter`].
 //!
 //! Warps of one block are independent in the merge sort (each works on its
 //! own `wE`-element slice), so the block simulation issues their steps
 //! sequentially into the same tile; totals are additive.
 
 use wcms_dmm::{
-    pad_address, Access, BankModel, ConflictCounter, ConflictTotals, StepConflicts, Trace, WarpStep,
+    pad_address, Access, BankModel, ConflictCounter, ConflictTotals, StepConflicts, WarpStep,
 };
 use wcms_error::WcmsError;
 
@@ -26,7 +25,6 @@ use wcms_error::WcmsError;
 pub struct SharedMemory<T> {
     data: Vec<T>,
     counter: ConflictCounter,
-    trace: Trace,
     step: WarpStep,
     padded: bool,
 }
@@ -38,7 +36,6 @@ impl<T: Copy + Default> SharedMemory<T> {
         Self {
             data: vec![T::default(); words],
             counter: ConflictCounter::new(model),
-            trace: Trace::disabled(),
             step: WarpStep::idle(model.banks()),
             padded: false,
         }
@@ -51,12 +48,6 @@ impl<T: Copy + Default> SharedMemory<T> {
         Self { padded: true, ..Self::new(model, words) }
     }
 
-    /// True if the tile uses the padded layout.
-    #[must_use]
-    pub fn is_padded(&self) -> bool {
-        self.padded
-    }
-
     #[inline]
     fn physical(&self, addr: usize) -> usize {
         if self.padded {
@@ -64,35 +55,6 @@ impl<T: Copy + Default> SharedMemory<T> {
         } else {
             addr
         }
-    }
-
-    /// Enable step tracing (for figure rendering / fine-grained tests).
-    pub fn enable_trace(&mut self) {
-        self.trace = Trace::enabled();
-    }
-
-    /// The recorded trace.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Size of the tile in words.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if the tile has zero words.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// The bank model.
-    #[must_use]
-    pub fn model(&self) -> BankModel {
-        self.counter.model()
     }
 
     /// Uncounted bulk initialisation (simulator setup, not kernel work).
@@ -140,9 +102,7 @@ impl<T: Copy + Default> SharedMemory<T> {
                 out[lane] = Some(v);
             }
         }
-        let s = self.counter.count(&self.step);
-        self.trace.record(&self.step, s);
-        Ok(s)
+        Ok(self.counter.count(&self.step))
     }
 
     /// One warp write step: lane `i` writes `writes[i] = (addr, value)`.
@@ -183,29 +143,15 @@ impl<T: Copy + Default> SharedMemory<T> {
                 self.data[a] = v;
             }
         }
-        let s = self.counter.count(&self.step);
-        self.trace.record(&self.step, s);
-        Ok(s)
+        Ok(self.counter.count(&self.step))
     }
 
-    /// Running conflict totals of this tile.
-    #[must_use]
-    pub fn totals(&self) -> ConflictTotals {
-        self.counter.totals()
-    }
-
-    /// Return the running totals and reset them (the trace is kept).
+    /// Return the running totals and reset them.
     /// Lets a kernel attribute each phase's accesses to its own bucket.
     pub fn drain_totals(&mut self) -> ConflictTotals {
         let t = self.counter.totals();
         self.counter.reset();
         t
-    }
-
-    /// Reset counters and trace, keeping the data.
-    pub fn reset_counters(&mut self) {
-        self.counter.reset();
-        self.trace.clear();
     }
 }
 
@@ -228,7 +174,7 @@ mod tests {
         // 0 and 32 share bank 0 → 2-way conflict.
         assert_eq!(s.degree, 2);
         assert_eq!(s.active_lanes, 3);
-        assert_eq!(m.totals().steps, 1);
+        assert_eq!(m.drain_totals().steps, 1);
         Ok(())
     }
 
@@ -261,30 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_when_enabled() -> Result<(), WcmsError> {
-        let mut m = smem(64);
-        m.enable_trace();
-        let mut out = vec![None; 2];
-        m.read_step(&[Some(0), Some(1)], &mut out)?;
-        m.read_step(&[Some(2), None], &mut out)?;
-        assert_eq!(m.trace().len(), 2);
-        assert_eq!(m.trace().degrees(), vec![1, 1]);
-        Ok(())
-    }
-
-    #[test]
-    fn reset_counters_keeps_data() -> Result<(), WcmsError> {
-        let mut m = smem(8);
-        m.fill_from(&[9u32; 8]);
-        let mut out = vec![None; 1];
-        m.read_step(&[Some(0)], &mut out)?;
-        m.reset_counters();
-        assert_eq!(m.totals(), ConflictTotals::default());
-        assert_eq!(m.as_slice()[0], 9);
-        Ok(())
-    }
-
-    #[test]
     fn padded_tile_defeats_columnar_conflicts() -> Result<(), WcmsError> {
         // Four lanes reading one logical bank column: flat layout → 4-way
         // conflict; padded layout → conflict-free.
@@ -295,7 +217,6 @@ mod tests {
         assert_eq!(flat.read_step(&addrs, &mut out)?.degree, 4);
 
         let mut padded = SharedMemory::<u32>::new_padded(BankModel::gpu32(), 256);
-        assert!(padded.is_padded());
         assert_eq!(padded.read_step(&addrs, &mut out)?.degree, 1);
         Ok(())
     }

@@ -18,7 +18,7 @@ fn racing_writes_are_refused_not_ignored() {
     // The step was rejected wholesale: no partial write happened.
     assert_eq!(smem.as_slice()[10], 0);
     assert_eq!(smem.as_slice()[11], 0);
-    assert_eq!(smem.totals().steps, 0);
+    assert_eq!(smem.drain_totals().steps, 0);
 }
 
 /// Reading then writing one address across *different* steps is fine;

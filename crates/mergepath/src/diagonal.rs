@@ -13,7 +13,7 @@
 /// The stable convention takes equal keys from `A` first.
 ///
 /// ```
-/// use wcms_mergepath::merge_path;
+/// use wcms_mergepath::diagonal::merge_path;
 ///
 /// let a = [1u32, 3, 5];
 /// let b = [2u32, 4, 6];

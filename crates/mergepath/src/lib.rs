@@ -29,7 +29,4 @@ pub mod multiway;
 pub mod partition;
 pub mod serial;
 
-pub use diagonal::{merge_path, merge_path_counted, merge_path_visit};
-pub use multiway::{multiway_emit, multiway_select, multiway_sequence};
-pub use partition::{partition_even, require_valid_corank, validate_corank, Corank};
-pub use serial::{merge_emit, MergeSource};
+pub use partition::Corank;

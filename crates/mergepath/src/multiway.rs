@@ -142,24 +142,23 @@ pub fn multiway_emit<K: Ord>(
     }
 }
 
-/// Convenience: collect the `(run, index)` sequence of a k-way merge
-/// window over slices.
-#[must_use]
-pub fn multiway_sequence<K: Ord + Copy>(
-    runs: &[&[K]],
-    from: &[usize],
-    count: usize,
-) -> Vec<(usize, usize)> {
-    let lens: Vec<usize> = runs.iter().map(|r| r.len()).collect();
-    let mut out = Vec::with_capacity(count);
-    multiway_emit(&lens, from, count, |i, j| runs[i][j], |_, run, idx| out.push((run, idx)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::diagonal::merge_path;
+
+    /// Collect the `(run, index)` sequence of a k-way merge
+    /// window over slices.
+    fn multiway_sequence<K: Ord + Copy>(
+        runs: &[&[K]],
+        from: &[usize],
+        count: usize,
+    ) -> Vec<(usize, usize)> {
+        let lens: Vec<usize> = runs.iter().map(|r| r.len()).collect();
+        let mut out = Vec::with_capacity(count);
+        multiway_emit(&lens, from, count, |i, j| runs[i][j], |_, run, idx| out.push((run, idx)));
+        out
+    }
 
     fn select_slices<K: Ord + Copy>(runs: &[&[K]], d: usize) -> Vec<usize> {
         let lens: Vec<usize> = runs.iter().map(|r| r.len()).collect();

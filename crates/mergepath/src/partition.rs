@@ -54,28 +54,6 @@ where
     out
 }
 
-/// [`validate_corank`] as a typed error, attributing the failure to a
-/// `(round, block)` of the global merge — the form the fault-tolerant
-/// driver consumes to decide whether a partition pass was corrupted.
-///
-/// # Errors
-///
-/// Returns [`wcms_error::WcmsError::PartitionValidation`] naming the
-/// round, block and offending co-rank.
-pub fn require_valid_corank<K: Ord>(
-    a: &[K],
-    b: &[K],
-    c: Corank,
-    round: usize,
-    block: usize,
-) -> Result<(), wcms_error::WcmsError> {
-    if validate_corank(a, b, c) {
-        Ok(())
-    } else {
-        Err(wcms_error::WcmsError::PartitionValidation { round, block, corank: (c.a, c.b) })
-    }
-}
-
 /// Check that `c` is a valid co-rank of the stable merge of `a` and `b`:
 /// every element in the prefix is ≤ every element after it, with ties
 /// resolved toward `A`.

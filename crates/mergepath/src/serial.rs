@@ -63,34 +63,33 @@ pub fn merge_emit<K, FA, FB, E>(
     }
 }
 
-/// Convenience: collect the `(source, index)` sequence of a merge window.
-#[must_use]
-pub fn merge_sequence<K: Ord + Copy>(
-    a: &[K],
-    b: &[K],
-    a0: usize,
-    b0: usize,
-    count: usize,
-) -> Vec<(MergeSource, usize)> {
-    let mut out = Vec::with_capacity(count);
-    merge_emit(
-        a0,
-        b0,
-        a.len(),
-        b.len(),
-        count,
-        |i| a[i],
-        |j| b[j],
-        |_, s, idx| {
-            out.push((s, idx));
-        },
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Collect the `(source, index)` sequence of a merge window.
+    fn merge_sequence<K: Ord + Copy>(
+        a: &[K],
+        b: &[K],
+        a0: usize,
+        b0: usize,
+        count: usize,
+    ) -> Vec<(MergeSource, usize)> {
+        let mut out = Vec::with_capacity(count);
+        merge_emit(
+            a0,
+            b0,
+            a.len(),
+            b.len(),
+            count,
+            |i| a[i],
+            |j| b[j],
+            |_, s, idx| {
+                out.push((s, idx));
+            },
+        );
+        out
+    }
 
     #[test]
     fn full_merge_sequence_interleaves() {

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use wcms_mergepath::cpu::{merge_partitioned, merge_ref, mergesort_ref};
 use wcms_mergepath::diagonal::{merge_path, merge_path_counted};
 use wcms_mergepath::partition::{partition_even, validate_corank};
-use wcms_mergepath::serial::{merge_sequence, MergeSource};
+use wcms_mergepath::serial::{merge_emit, MergeSource};
 
 fn sorted_vec(max_len: usize) -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..1000, 0..max_len).prop_map(|mut v| {
@@ -66,7 +66,8 @@ proptest! {
     #[test]
     fn merge_sequence_consumes_in_order(a in sorted_vec(64), b in sorted_vec(64)) {
         let n = a.len() + b.len();
-        let seq = merge_sequence(&a, &b, 0, 0, n);
+        let mut seq = Vec::with_capacity(n);
+        merge_emit(0, 0, a.len(), b.len(), n, |i| a[i], |j| b[j], |_, s, idx| seq.push((s, idx)));
         let values: Vec<u32> = seq
             .iter()
             .map(|&(src, idx)| match src {

@@ -56,12 +56,12 @@ impl SortAlgorithm for PairwiseMerge {
 #[derive(Debug, Clone, Copy)]
 pub struct MultiwayMerge {
     /// Maximum fan-in of a global round (≥ 2).
-    pub k: usize,
+    pub(crate) k: usize,
 }
 
 impl MultiwayMerge {
     /// The default fan-in used by the `multiway` CLI value.
-    pub const DEFAULT_K: usize = 4;
+    const DEFAULT_K: usize = 4;
 }
 
 impl Default for MultiwayMerge {
@@ -90,7 +90,7 @@ pub enum AlgorithmKind {
     /// The paper's pairwise merge sort ([`PairwiseMerge`]).
     #[default]
     Pairwise,
-    /// k-way multiway mergesort ([`MultiwayMerge`], `k = 4`).
+    /// k-way multiway mergesort (`MultiwayMerge`, `k = 4`).
     Multiway,
 }
 
@@ -108,7 +108,7 @@ impl AlgorithmKind {
     }
 
     /// The canonical algorithm value behind this kind (multiway runs
-    /// with [`MultiwayMerge::DEFAULT_K`]).
+    /// with `MultiwayMerge::DEFAULT_K`).
     #[must_use]
     pub fn instance(self) -> &'static dyn SortAlgorithm {
         const MULTIWAY: MultiwayMerge = MultiwayMerge { k: MultiwayMerge::DEFAULT_K };

@@ -72,7 +72,7 @@ pub trait ExecBackend: Sync {
     ) -> Result<(Vec<K>, RoundCounters), WcmsError>;
 
     /// Merge one block's `bE`-element output window of the sorted pair
-    /// `(a, b)`. Mirrors [`crate::globalmerge::merge_block`]'s contract:
+    /// `(a, b)`. Mirrors `crate::globalmerge::merge_block`'s contract:
     /// `precomputed` carries the co-ranks of a separate partition kernel
     /// (Modern GPU), `None` makes the block search its own (Thrust).
     ///
@@ -109,7 +109,7 @@ pub trait ExecBackend: Sync {
     /// Merge one block's `bE`-element output window of a *multiway*
     /// group of sorted runs — the k-way analogue of
     /// [`ExecBackend::merge_unit`], mirroring
-    /// [`crate::globalmerge::merge_block_multi`]'s contract.
+    /// `crate::globalmerge::merge_block_multi`'s contract.
     ///
     /// # Errors
     ///

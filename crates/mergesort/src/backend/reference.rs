@@ -27,7 +27,7 @@ impl ReferenceBackend {
     /// Merge a whole group of sorted runs on the CPU (the degrade unit
     /// of the resilient global rounds).
     #[must_use]
-    pub fn merge_group<K: GpuKey>(&self, runs: &[&[K]]) -> Vec<K> {
+    pub(crate) fn merge_group<K: GpuKey>(&self, runs: &[&[K]]) -> Vec<K> {
         let lens: Vec<usize> = runs.iter().map(|r| r.len()).collect();
         let total: usize = lens.iter().sum();
         let mut out = Vec::with_capacity(total);

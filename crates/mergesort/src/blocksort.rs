@@ -31,7 +31,7 @@ use crate::warp_exec::{coalesced_fill, lockstep_probe, lockstep_reads, lockstep_
 /// Returns [`WcmsError::InvalidLength`] if `input.len()` is not exactly
 /// `bE`, and propagates the tile's typed errors (CREW violations,
 /// out-of-bounds addresses) from the simulated kernel.
-pub fn block_sort<K: GpuKey>(
+pub(crate) fn block_sort<K: GpuKey>(
     input: &[K],
     global_offset: usize,
     params: &SortParams,

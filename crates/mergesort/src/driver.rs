@@ -414,20 +414,20 @@ impl FaultReport {
 /// case, a merged group of runs in a global round:
 ///
 /// 1. a typed kernel error (CREW violation, out-of-bounds tile, invalid
-///    co-rank) or a failed [`check_round_output`] marks the attempt bad;
+///    co-rank) or a failed `check_round_output` marks the attempt bad;
 /// 2. the unit retries from its checkpointed input up to
 ///    [`RecoveryPolicy::max_retries`] times — transient faults (keyed by
 ///    attempt) clear, hard faults do not;
 /// 3. on exhaustion the unit degrades to the trusted CPU reference path
-///    (`sort_unstable` / [`ReferenceBackend::merge_group`]) and is
-///    recorded in the [`FaultReport`], or fails with
+///    (`sort_unstable` / `ReferenceBackend::merge_group`) and is
+///    recorded in the `FaultReport`, or fails with
 ///    [`WcmsError::FaultUnrecoverable`] if `cpu_fallback` is off.
 ///
 /// The [`SortReport`] counts only the *accepted* GPU work (a degraded
 /// unit contributes no GPU counters); wasted attempts show up in the
-/// [`FaultReport`] instead. With [`FaultInjector::disabled`] the output
+/// `FaultReport` instead. With [`FaultInjector::disabled`] the output
 /// and report are bit-identical to [`sort_with_report`] and the fault
-/// report is [`FaultReport::clean`].
+/// report is `FaultReport::clean`.
 ///
 /// ```
 /// use wcms_gpu_sim::fault::{FaultConfig, FaultInjector};
@@ -452,7 +452,7 @@ impl FaultReport {
 /// [`WcmsError::InvalidLength`] for a non-`bE·2^m` input, and
 /// [`WcmsError::FaultUnrecoverable`] when a unit exhausts its retries
 /// with CPU fallback disabled. With `cpu_fallback` on, injected faults
-/// never surface as errors — only as entries in the [`FaultReport`].
+/// never surface as errors — only as entries in the `FaultReport`.
 pub fn sort_resilient<K: wcms_gpu_sim::GpuKey>(
     input: &[K],
     params: &SortParams,

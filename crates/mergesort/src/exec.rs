@@ -77,7 +77,7 @@ pub(crate) fn idle_threads() -> usize {
 ///
 /// A panic in `f` reaches the caller with its original payload, once
 /// every helper has finished.
-pub fn try_map<I, R, E, F>(threads: usize, items: I, f: F) -> Result<Vec<R>, E>
+pub(crate) fn try_map<I, R, E, F>(threads: usize, items: I, f: F) -> Result<Vec<R>, E>
 where
     I: IntoIterator,
     I::IntoIter: Send,
@@ -125,7 +125,7 @@ where
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// [`try_map`] for an infallible `f`: every item runs.
+/// `try_map` for an infallible `f`: every item runs.
 pub fn map<I, R, F>(threads: usize, items: I, f: F) -> Vec<R>
 where
     I: IntoIterator,

@@ -46,7 +46,7 @@ use crate::warp_exec::{coalesced_fill, lockstep_probe, lockstep_writes};
 /// faulty partition kernel) surfaces as [`WcmsError::SmemOutOfBounds`]
 /// or [`WcmsError::CrewViolation`] rather than silently corrupting the
 /// output window.
-pub fn merge_block<K: GpuKey>(
+pub(crate) fn merge_block<K: GpuKey>(
     a: &[K],
     b: &[K],
     a_offset: usize,
@@ -117,7 +117,7 @@ pub fn merge_block<K: GpuKey>(
 ///
 /// Same contract as [`merge_block`]: a corrupted co-rank vector surfaces
 /// as a typed error, never as silent corruption.
-pub fn merge_block_multi<K: GpuKey>(
+pub(crate) fn merge_block_multi<K: GpuKey>(
     runs: &[&[K]],
     run_offsets: &[usize],
     out_offset: usize,
@@ -176,7 +176,7 @@ pub fn merge_block_multi<K: GpuKey>(
 /// scalar probe read per selection probe plus `g` array writes per
 /// diagonal, and the launch cost of `⌈(blocks+1)/b⌉` partition thread
 /// blocks).
-pub fn partition_pass_multi<K: GpuKey>(
+pub(crate) fn partition_pass_multi<K: GpuKey>(
     runs: &[&[K]],
     num_blocks: usize,
     params: &SortParams,
@@ -211,7 +211,7 @@ pub fn partition_pass_multi<K: GpuKey>(
 /// Returns each block's `(ca_start, ca_end)` and the kernel's counters
 /// (probe reads + one array write per diagonal, plus the launch cost of
 /// `⌈blocks/b⌉` partition thread blocks).
-pub fn partition_pass<K: GpuKey>(
+pub(crate) fn partition_pass<K: GpuKey>(
     a: &[K],
     b: &[K],
     num_blocks: usize,

@@ -15,7 +15,7 @@ use crate::params::SortParams;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTotals {
     /// Tile loads / stores and staging writes.
-    pub transfer: ConflictTotals,
+    pub(crate) transfer: ConflictTotals,
     /// Merge Path mutual binary searches (β₁'s phase).
     pub partition: ConflictTotals,
     /// Sequential merging scans (β₂'s phase).
@@ -33,7 +33,7 @@ impl PhaseTotals {
     }
 
     /// Fold in another block/round (parallel-reducible).
-    pub fn absorb(&mut self, other: &PhaseTotals) {
+    pub(crate) fn absorb(&mut self, other: &PhaseTotals) {
         self.transfer.merge(&other.transfer);
         self.partition.merge(&other.partition);
         self.merge.merge(&other.merge);
@@ -41,13 +41,13 @@ impl PhaseTotals {
 
     /// Average partition-phase degree (Karsin's `β₁`).
     #[must_use]
-    pub fn beta1(&self) -> Option<f64> {
+    pub(crate) fn beta1(&self) -> Option<f64> {
         self.partition.beta()
     }
 
     /// Average merge-phase degree (Karsin's `β₂`).
     #[must_use]
-    pub fn beta2(&self) -> Option<f64> {
+    pub(crate) fn beta2(&self) -> Option<f64> {
         self.merge.beta()
     }
 }
@@ -67,7 +67,7 @@ pub struct RoundCounters {
 
 impl RoundCounters {
     /// Fold in another block's counters.
-    pub fn absorb(&mut self, other: &RoundCounters) {
+    pub(crate) fn absorb(&mut self, other: &RoundCounters) {
         self.shared.absorb(&other.shared);
         self.global.merge(&other.global);
         self.blocks += other.blocks;
@@ -76,7 +76,7 @@ impl RoundCounters {
 
     /// Collapse to the cost model's generic bundle.
     #[must_use]
-    pub fn to_kernel(&self) -> KernelCounters {
+    pub(crate) fn to_kernel(self) -> KernelCounters {
         KernelCounters { shared: self.shared.combined(), global: self.global }
     }
 }
@@ -85,7 +85,7 @@ impl RoundCounters {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SortReport {
     /// Tuning parameters used.
-    pub params: SortParams,
+    pub(crate) params: SortParams,
     /// Input size.
     pub n: usize,
     /// Base-case kernel counters.

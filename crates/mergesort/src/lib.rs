@@ -7,10 +7,10 @@
 //!
 //! Structure (all parameters per [`params::SortParams`]):
 //!
-//! 1. **Base case** ([`blocksort`]) — each thread block sorts `bE`
+//! 1. **Base case** (`blocksort`) — each thread block sorts `bE`
 //!    elements in shared memory: per-thread odd–even register sort
-//!    ([`network`]), then `log₂ b` in-block Merge Path rounds.
-//! 2. **Global rounds** ([`globalmerge`]) — `⌈log₂ N/(bE)⌉` pairwise
+//!    (`network`), then `log₂ b` in-block Merge Path rounds.
+//! 2. **Global rounds** (`globalmerge`) — `⌈log₂ N/(bE)⌉` pairwise
 //!    rounds; in round `i`, `2ⁱ` blocks cooperate per pair, each finding
 //!    its `bE` quantile by mutual binary search in global memory and
 //!    merging it in shared memory.
@@ -25,46 +25,46 @@
 //!
 //! [`driver::sort_resilient`] runs the same pipeline under a seeded
 //! [`wcms_gpu_sim::fault::FaultInjector`] with per-round corruption
-//! checks ([`verify::check_round_output`]), bounded retry from each
+//! checks (`verify::check_round_output`), bounded retry from each
 //! unit's immutable input, and CPU-reference degradation — transient
 //! faults are detected and recovered, never silently propagated.
 //!
 //! Both drivers are generic over a pluggable [`backend::ExecBackend`]
 //! that executes one work unit at a time: the cycle-accurate
-//! [`backend::SimBackend`] (the default), the order-of-magnitude-faster
-//! [`backend::AnalyticBackend`] with integer-identical counters, and the
-//! counter-free CPU [`backend::ReferenceBackend`] that also serves as
-//! the resilient degrade ladder's bottom rung. All three share the
-//! per-thread address schedules of [`schedule`].
+//! [`backend::SimBackend`] (the default), the
+//! [`backend::AnalyticBackend`] with integer-identical counters (the
+//! simulator takes 7.4–7.6× its time on `crossval --quick`'s cells),
+//! and the counter-free CPU [`backend::ReferenceBackend`] that also
+//! serves as the resilient degrade ladder's bottom rung. All three
+//! share the per-thread address schedules of [`schedule`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod algorithm;
-pub mod analysis;
-pub mod assess;
-pub mod backend;
+pub(crate) mod algorithm;
+pub(crate) mod assess;
+pub(crate) mod backend;
 pub mod bitonic;
-pub mod blocksort;
-pub mod driver;
+pub(crate) mod blocksort;
+pub(crate) mod driver;
 pub mod exec;
-pub mod globalmerge;
+pub(crate) mod globalmerge;
 pub mod instrument;
-pub mod network;
+pub(crate) mod network;
 pub mod params;
 pub mod schedule;
-pub mod verify;
-pub mod warp_exec;
+pub(crate) mod verify;
+pub(crate) mod warp_exec;
 
-pub use algorithm::{AlgorithmKind, MultiwayMerge, PairwiseMerge, SortAlgorithm};
-pub use assess::{assess_input, ConflictSeverity, InputAssessment};
+pub use algorithm::{AlgorithmKind, PairwiseMerge, SortAlgorithm};
+pub use assess::assess_input;
 pub use backend::{
     AnalyticBackend, BackendKind, Cancellable, ExecBackend, ReferenceBackend, SimBackend,
 };
 pub use bitonic::bitonic_sort_with_report;
 pub use driver::{
-    sort_algo_with_report_traced_on, sort_padded, sort_resilient, sort_resilient_algo_traced_on,
-    sort_with_report, sort_with_report_on, FaultReport, RecoveryPolicy,
+    sort_algo_with_report_traced_on, sort_padded, sort_resilient, sort_with_report,
+    sort_with_report_on, RecoveryPolicy,
 };
-pub use instrument::{PhaseTotals, RoundCounters, SortReport};
+pub use instrument::{RoundCounters, SortReport};
 pub use params::SortParams;

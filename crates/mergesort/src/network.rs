@@ -7,7 +7,7 @@
 /// rounds of alternating odd/even compare-exchanges — data-oblivious,
 /// like the register code on the GPU). Returns the number of comparators
 /// evaluated.
-pub fn odd_even_sort<T: Ord>(xs: &mut [T]) -> usize {
+pub(crate) fn odd_even_sort<T: Ord>(xs: &mut [T]) -> usize {
     let n = xs.len();
     let mut comparators = 0usize;
     for round in 0..n {
@@ -24,21 +24,20 @@ pub fn odd_even_sort<T: Ord>(xs: &mut [T]) -> usize {
     comparators
 }
 
-/// Comparators the network evaluates for `n` elements (closed form,
-/// without running it): `n` rounds of `⌊n/2⌋` / `⌊(n−1)/2⌋` comparators.
-#[must_use]
-pub fn odd_even_comparator_count(n: usize) -> usize {
-    if n < 2 {
-        return 0;
-    }
-    let even_rounds = n.div_ceil(2);
-    let odd_rounds = n / 2;
-    even_rounds * (n / 2) + odd_rounds * ((n - 1) / 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Comparators the network evaluates for `n` elements (closed form,
+    /// without running it): `n` rounds of `⌊n/2⌋` / `⌊(n−1)/2⌋` comparators.
+    fn odd_even_comparator_count(n: usize) -> usize {
+        if n < 2 {
+            return 0;
+        }
+        let even_rounds = n.div_ceil(2);
+        let odd_rounds = n / 2;
+        even_rounds * (n / 2) + odd_rounds * ((n - 1) / 2)
+    }
 
     #[test]
     fn sorts_small_arrays() {

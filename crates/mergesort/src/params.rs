@@ -178,7 +178,7 @@ impl SortParams {
 
     /// In-block merge rounds of the base case (`log₂ b`).
     #[must_use]
-    pub fn block_rounds(&self) -> usize {
+    pub(crate) fn block_rounds(&self) -> usize {
         self.b.trailing_zeros() as usize
     }
 

@@ -96,7 +96,7 @@ fn thread_schedule<K: Copy + Ord>(
 /// Stream the schedule of in-block merge round `round` (see
 /// [`MergeSchedule::in_block_round`]) thread by thread, in thread order,
 /// into `sink` — no per-thread allocation.
-pub fn walk_in_block_round<K: Copy + Ord>(
+pub(crate) fn walk_in_block_round<K: Copy + Ord>(
     tile: &[K],
     round: usize,
     params: &SortParams,
@@ -116,7 +116,7 @@ pub fn walk_in_block_round<K: Copy + Ord>(
 }
 
 /// Stream the schedule of one global-merge block's tile stage (see
-/// [`MergeSchedule::block_merge`]) thread by thread into `sink`.
+/// `MergeSchedule::block_merge`) thread by thread into `sink`.
 pub fn walk_block_merge<K: Copy + Ord>(
     a_part: &[K],
     b_part: &[K],
@@ -166,7 +166,7 @@ fn thread_schedule_multi<K: Copy + Ord>(
 /// where the previous segments end). The k-way analogue of
 /// [`walk_block_merge`], and the single construction both counting
 /// backends share for the multiway algorithm.
-pub fn walk_multiway_merge<K: Copy + Ord>(
+pub(crate) fn walk_multiway_merge<K: Copy + Ord>(
     parts: &[&[K]],
     params: &SortParams,
     sink: &mut impl ScheduleSink<K>,
@@ -193,13 +193,13 @@ pub fn walk_multiway_merge<K: Copy + Ord>(
 #[derive(Debug, Clone)]
 pub struct MergeSchedule<K> {
     /// β₁: interleaved A/B probe addresses of the mutual binary search.
-    pub probe_seqs: Vec<Vec<usize>>,
+    pub(crate) probe_seqs: Vec<Vec<usize>>,
     /// β₂: the sequential merge's read addresses, in increasing key order.
     pub merge_seqs: Vec<Vec<usize>>,
     /// Staging write addresses (`diag .. diag + E` per thread).
-    pub write_addrs: Vec<Vec<usize>>,
+    pub(crate) write_addrs: Vec<Vec<usize>>,
     /// Values staged by each thread (its merged `E`-element window).
-    pub merged_vals: Vec<Vec<K>>,
+    pub(crate) merged_vals: Vec<Vec<K>>,
 }
 
 /// Materialising sink: collects the stream into a [`MergeSchedule`]'s
@@ -253,7 +253,7 @@ impl<K: Copy + Ord> MergeSchedule<K> {
     /// runs, all addresses relative to the block tile `tile`. Materialised
     /// from [`walk_in_block_round`] — the walker is the construction.
     #[must_use]
-    pub fn in_block_round(tile: &[K], round: usize, params: &SortParams) -> Self {
+    pub(crate) fn in_block_round(tile: &[K], round: usize, params: &SortParams) -> Self {
         let mut m = Materializer { sched: Self::with_capacity(params.b), write_start: 0 };
         walk_in_block_round(tile, round, params, &mut m);
         m.sched
@@ -264,7 +264,7 @@ impl<K: Copy + Ord> MergeSchedule<K> {
     /// tile offset 0, `b_part` at `a_part.len()`). Materialised from
     /// [`walk_block_merge`].
     #[must_use]
-    pub fn block_merge(a_part: &[K], b_part: &[K], params: &SortParams) -> Self {
+    pub(crate) fn block_merge(a_part: &[K], b_part: &[K], params: &SortParams) -> Self {
         let mut m = Materializer { sched: Self::with_capacity(params.b), write_start: 0 };
         walk_block_merge(a_part, b_part, params, &mut m);
         m.sched
@@ -272,7 +272,7 @@ impl<K: Copy + Ord> MergeSchedule<K> {
 
     /// The schedule of one *multiway* global-merge block's tile stage:
     /// `b` threads merge the block's quantile from its `g` loaded
-    /// segments. Materialised from [`walk_multiway_merge`].
+    /// segments. Materialised from `walk_multiway_merge`.
     #[must_use]
     pub fn multiway_merge(parts: &[&[K]], params: &SortParams) -> Self {
         let mut m = Materializer { sched: Self::with_capacity(params.b), write_start: 0 };
@@ -325,7 +325,7 @@ pub fn find_block_coranks<K: Copy + Ord>(
 /// probes, unlike the pairwise mutual search's A/B pair — the end
 /// co-ranks arrive from the neighbouring block's search and are not
 /// charged twice).
-pub fn find_block_coranks_multi<K: Copy + Ord>(
+pub(crate) fn find_block_coranks_multi<K: Copy + Ord>(
     runs: &[&[K]],
     diag_start: usize,
     diag_end: usize,
@@ -361,7 +361,7 @@ pub fn find_block_coranks_multi<K: Copy + Ord>(
 ///
 /// Returns [`wcms_error::WcmsError::PartitionValidation`] naming the
 /// block and the offending pair.
-pub fn validate_coranks_multi(
+pub(crate) fn validate_coranks_multi(
     pairs: &[(usize, usize)],
     diag_start: usize,
     diag_end: usize,
@@ -396,7 +396,7 @@ pub fn validate_coranks_multi(
 ///
 /// Returns [`wcms_error::WcmsError::PartitionValidation`] naming the
 /// block and the offending pair.
-pub fn validate_coranks(
+pub(crate) fn validate_coranks(
     (ca_start, ca_end): (usize, usize),
     diag_start: usize,
     diag_end: usize,

@@ -7,42 +7,18 @@ use wcms_gpu_sim::GpuKey;
 
 /// True if `xs` is non-decreasing.
 #[must_use]
-pub fn is_sorted<K: Ord>(xs: &[K]) -> bool {
+fn is_sorted<K: Ord>(xs: &[K]) -> bool {
     xs.windows(2).all(|w| w[0] <= w[1])
-}
-
-/// True if `out` is a permutation of `input` (multiset equality).
-#[must_use]
-pub fn is_permutation_of<K: Ord + Copy>(input: &[K], out: &[K]) -> bool {
-    if input.len() != out.len() {
-        return false;
-    }
-    let mut a = input.to_vec();
-    let mut b = out.to_vec();
-    a.sort_unstable();
-    b.sort_unstable();
-    a == b
-}
-
-/// Assert `out` is the sorted permutation of `input`, with a useful
-/// message on failure.
-///
-/// # Panics
-///
-/// Panics if the check fails.
-pub fn assert_sorted_output<K: Ord + Copy>(input: &[K], out: &[K]) {
-    assert!(is_sorted(out), "output is not sorted");
-    assert!(is_permutation_of(input, out), "output is not a permutation of the input");
 }
 
 /// Order-independent multiset fingerprint of a key slice: the wrapping
 /// sum of a mixed hash of every key. Commutative by construction, so a
 /// kernel's output hash equals its input hash iff (up to 64-bit hash
-/// collisions) the kernel only *permuted* its data — the cheap, O(n),
-/// allocation-free half of [`is_permutation_of`] that the resilient
-/// driver runs after every round.
+/// collisions) the kernel only *permuted* its data — a cheap, O(n),
+/// allocation-free permutation check that the resilient driver runs
+/// after every round.
 #[must_use]
-pub fn multiset_hash<K: GpuKey>(xs: &[K]) -> u64 {
+pub(crate) fn multiset_hash<K: GpuKey>(xs: &[K]) -> u64 {
     xs.iter().fold(0u64, |acc, &k| acc.wrapping_add(splitmix64(k.to_bits())))
 }
 
@@ -56,7 +32,7 @@ pub fn multiset_hash<K: GpuKey>(xs: &[K]) -> u64 {
 ///
 /// [`WcmsError::CorruptOutput`] if the output length changed, the output
 /// is not sorted, or the fingerprints disagree.
-pub fn check_round_output<K: GpuKey>(
+pub(crate) fn check_round_output<K: GpuKey>(
     out: &[K],
     expected_len: usize,
     expected_hash: u64,
@@ -85,19 +61,6 @@ mod tests {
         assert!(is_sorted(&[1]));
         assert!(is_sorted(&[1, 1, 2]));
         assert!(!is_sorted(&[2, 1]));
-    }
-
-    #[test]
-    fn permutation_cases() {
-        assert!(is_permutation_of(&[3, 1, 2], &[1, 2, 3]));
-        assert!(!is_permutation_of(&[1, 2], &[1, 1]));
-        assert!(!is_permutation_of(&[1], &[1, 1]));
-    }
-
-    #[test]
-    #[should_panic(expected = "not sorted")]
-    fn assert_catches_unsorted() {
-        assert_sorted_output(&[1, 2], &[2, 1]);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use wcms_gpu_sim::SharedMemory;
 /// # Errors
 ///
 /// Propagates the tile's typed errors (out-of-bounds addresses).
-pub fn lockstep_reads<K: Copy + Default>(
+pub(crate) fn lockstep_reads<K: Copy + Default>(
     smem: &mut SharedMemory<K>,
     seqs: &[Vec<usize>],
     warp: usize,
@@ -55,7 +55,7 @@ pub fn lockstep_reads<K: Copy + Default>(
 /// # Errors
 ///
 /// Propagates the tile's typed errors (out-of-bounds addresses).
-pub fn lockstep_probe<K: Copy + Default>(
+pub(crate) fn lockstep_probe<K: Copy + Default>(
     smem: &mut SharedMemory<K>,
     seqs: &[Vec<usize>],
     warp: usize,
@@ -82,7 +82,7 @@ pub fn lockstep_probe<K: Copy + Default>(
 ///
 /// Propagates the tile's typed errors (CREW violations, out-of-bounds
 /// addresses).
-pub fn lockstep_writes<K: Copy + Default>(
+pub(crate) fn lockstep_writes<K: Copy + Default>(
     smem: &mut SharedMemory<K>,
     addrs: &[Vec<usize>],
     vals: &[Vec<K>],
@@ -111,7 +111,7 @@ pub fn lockstep_writes<K: Copy + Default>(
 /// # Errors
 ///
 /// Propagates the tile's typed errors (out-of-bounds addresses).
-pub fn coalesced_fill<K: Copy + Default>(
+pub(crate) fn coalesced_fill<K: Copy + Default>(
     smem: &mut SharedMemory<K>,
     dst: usize,
     values: &[K],
@@ -155,7 +155,7 @@ mod tests {
         assert_eq!(out[4], vec![20, 30]);
         assert_eq!(out[5], vec![60]);
         // Steps: warp 0 issues 2 steps, warp 1 issues 2 steps.
-        assert_eq!(m.totals().steps, 4);
+        assert_eq!(m.drain_totals().steps, 4);
     }
 
     #[test]
@@ -164,8 +164,9 @@ mod tests {
         // Two lanes in bank 0 (addresses 0 and 4 on 4 banks) every step.
         let seqs = vec![vec![0], vec![4], vec![1], vec![2]];
         let _ = lockstep_reads(&mut m, &seqs, 4).unwrap();
-        assert_eq!(m.totals().cycles, 2);
-        assert_eq!(m.totals().max_degree, 2);
+        let t = m.drain_totals();
+        assert_eq!(t.cycles, 2);
+        assert_eq!(t.max_degree, 2);
     }
 
     #[test]
@@ -175,7 +176,7 @@ mod tests {
         let _ = lockstep_reads(&mut read_m, &seqs, 4).unwrap();
         let mut probe_m = smem(16);
         lockstep_probe(&mut probe_m, &seqs, 4).unwrap();
-        assert_eq!(read_m.totals(), probe_m.totals());
+        assert_eq!(read_m.drain_totals(), probe_m.drain_totals());
     }
 
     #[test]
@@ -193,7 +194,8 @@ mod tests {
         let vals: Vec<u32> = (0..16).collect();
         coalesced_fill(&mut m, 0, &vals, 8, 4).unwrap();
         assert_eq!(m.as_slice(), vals.as_slice());
-        assert_eq!(m.totals().extra_cycles, 0, "contiguous fill must not conflict");
-        assert_eq!(m.totals().steps, 4);
+        let t = m.drain_totals();
+        assert_eq!(t.extra_cycles, 0, "contiguous fill must not conflict");
+        assert_eq!(t.steps, 4);
     }
 }

@@ -1,5 +1,5 @@
-//! `wcms-trace`: inspect, validate, convert, and benchmark trace
-//! journals written by `--trace`.
+//! `wcms-trace`: inspect, validate and convert trace journals written
+//! by `--trace`.
 //!
 //! ```text
 //! wcms-trace validate <journal>...          structural check (exit 1 on failure)
@@ -7,22 +7,17 @@
 //! wcms-trace chrome   <journal> [-o FILE]   convert to Chrome trace-event JSON
 //! wcms-trace join     [--validate] <journal>... [-o FILE]  merge N per-process journals
 //! wcms-trace diff     <a> <b>               compare span/event counts (exit 1 if they differ)
-//! wcms-trace bench    [label=]<journal>...  [-o FILE]   derive BENCH_obs.json statistics
 //! wcms-trace root     <seed> <stream>       print the deterministic root trace context
 //! ```
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use wcms_obs::journal::{
-    bench_stats, chrome_from_journal, diff, join_journals, parse_journal, summarize, validate,
-    Journal,
+    chrome_from_journal, diff, join_journals, parse_journal, summarize, validate, Journal,
 };
-use wcms_obs::json::escape_into;
-use wcms_obs::metrics::fmt_f64;
 use wcms_obs::TraceContext;
 
-const USAGE: &str = "usage: wcms-trace <validate|summary|chrome|join|diff|bench|root> [args]
+const USAGE: &str = "usage: wcms-trace <validate|summary|chrome|join|diff|root> [args]
   validate <journal>...            exit 1 unless every journal is structurally valid
   summary  <journal>               print a per-name span/event/time table
   chrome   <journal> [-o FILE]     convert to Chrome trace-event JSON (stdout by default)
@@ -31,7 +26,6 @@ const USAGE: &str = "usage: wcms-trace <validate|summary|chrome|join|diff|bench|
                                    Chrome trace (clock offsets from journal epoch records);
                                    --validate exits 1 on orphan/cycle/non-monotonic spans
   diff     <a> <b>                 compare span/event counts; exit 1 if they differ
-  bench    [label=]<journal>... [-o FILE]  emit perf-baseline JSON (BENCH_obs.json shape)
   root     <seed> <stream>         print the deterministic root context for (seed, stream)";
 
 fn load(path: &str) -> Result<Journal, String> {
@@ -48,7 +42,6 @@ fn run() -> Result<(), String> {
         "chrome" => cmd_chrome(rest),
         "join" => cmd_join(rest),
         "diff" => cmd_diff(rest),
-        "bench" => cmd_bench(rest),
         "root" => cmd_root(rest),
         "-h" | "--help" | "help" => {
             println!("{USAGE}");
@@ -195,44 +188,6 @@ fn cmd_diff(paths: &[String]) -> Result<(), String> {
         }
         Err(format!("{} names differ between {a} and {b}", lines.len()))
     }
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let (inputs, out) = split_output(args)?;
-    if inputs.is_empty() {
-        return Err(format!("bench: no journals given\n{USAGE}"));
-    }
-    let mut doc = String::from("{\n  \"entries\": [");
-    for (i, input) in inputs.iter().enumerate() {
-        // `label=path` attaches a name (e.g. backend + jobs count);
-        // otherwise the path is the label.
-        let (label, path) = match input.split_once('=') {
-            Some((l, p)) if !l.is_empty() && !l.contains('/') => (l, p),
-            _ => (input.as_str(), input.as_str()),
-        };
-        let stats = bench_stats(&load(path)?);
-        if i > 0 {
-            doc.push(',');
-        }
-        doc.push_str("\n    {\"label\":");
-        escape_into(&mut doc, label);
-        let _ = write!(
-            doc,
-            ",\"cells\":{},\"cell_latency_median_s\":{},\"cell_latency_p95_s\":{},\
-             \"total_merge_steps\":{},\"total_conflict_extra_cycles\":{},\"rounds\":{},\
-             \"conflicts_per_round\":{},\"wall_s\":{}}}",
-            stats.cells,
-            fmt_f64(stats.cell_latency_median_s),
-            fmt_f64(stats.cell_latency_p95_s),
-            stats.total_merge_steps,
-            stats.total_conflict_extra_cycles,
-            stats.rounds,
-            fmt_f64(stats.conflicts_per_round()),
-            fmt_f64(stats.wall_s),
-        );
-    }
-    doc.push_str("\n  ]\n}\n");
-    emit(&doc, out.as_deref())
 }
 
 fn main() -> ExitCode {

@@ -76,12 +76,6 @@ impl Clock {
         }
     }
 
-    /// True for a virtual clock (useful in diagnostics).
-    #[must_use]
-    pub fn is_virtual(&self) -> bool {
-        matches!(*self.inner, ClockInner::Virtual { .. })
-    }
-
     /// Current time in microseconds since the clock's epoch. On a
     /// virtual clock this read *advances* time by the step, so two
     /// consecutive reads never collide.
@@ -136,7 +130,6 @@ mod tests {
         let a = c.now_us();
         let b = c.now_us();
         assert!(b >= a);
-        assert!(!c.is_virtual());
     }
 
     #[test]
@@ -145,7 +138,6 @@ mod tests {
         assert_eq!(c.now_us(), 0);
         assert_eq!(c.now_us(), 7);
         assert_eq!(c.now_us(), 14);
-        assert!(c.is_virtual());
         // A second clock with the same step replays identically.
         let d = Clock::virtual_us(7);
         assert_eq!(d.now_us(), 0);
@@ -173,7 +165,6 @@ mod tests {
         assert!(tb.abs_diff(ta) < 60_000_000, "unix clocks must share an epoch: {ta} vs {tb}");
         // Sanity: the reading is after 2020-01-01 (no default-zero epoch).
         assert!(ta > 1_577_836_800_000_000, "{ta}");
-        assert!(!a.is_virtual());
     }
 
     #[test]

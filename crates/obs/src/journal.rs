@@ -1,6 +1,6 @@
-//! Reading journals back: parse, validate, summarize, diff, and derive
-//! perf-baseline statistics. This is the library behind the
-//! `wcms-trace` binary, kept here so tests can drive it in-process.
+//! Reading journals back: parse, validate, summarize, diff and join.
+//! This is the library behind the `wcms-trace` binary, kept here so
+//! tests can drive it in-process.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -12,15 +12,15 @@ use crate::recorder::Phase;
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalRecord {
     /// Timestamp in microseconds.
-    pub ts_us: u64,
+    pub(crate) ts_us: u64,
     /// Emitting-thread label (opaque).
-    pub tid: u32,
+    pub(crate) tid: u32,
     /// Record phase.
     pub phase: Phase,
     /// Record name.
     pub name: String,
     /// Fields as parsed JSON values, in journal order.
-    pub fields: Vec<(String, Value)>,
+    pub(crate) fields: Vec<(String, Value)>,
 }
 
 impl JournalRecord {
@@ -38,7 +38,7 @@ pub struct Journal {
     /// All records, in file order (meta lines included).
     pub records: Vec<JournalRecord>,
     /// Records the collector admitted to dropping.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
 }
 
 /// Parse a JSONL journal. Blank lines are skipped; any malformed line
@@ -174,7 +174,7 @@ pub fn validate(journal: &Journal) -> ValidationReport {
 /// Durations (µs) of every completed span named `name`, matched
 /// per-thread in nesting order.
 #[must_use]
-pub fn span_durations_us(journal: &Journal, name: &str) -> Vec<u64> {
+fn span_durations_us(journal: &Journal, name: &str) -> Vec<u64> {
     let mut out = Vec::new();
     let mut stacks: BTreeMap<u32, Vec<(String, u64)>> = BTreeMap::new();
     for rec in &journal.records {
@@ -195,7 +195,7 @@ pub fn span_durations_us(journal: &Journal, name: &str) -> Vec<u64> {
 
 /// Per-name counts: (spans completed, instant events).
 #[must_use]
-pub fn name_counts(journal: &Journal) -> BTreeMap<String, (usize, usize)> {
+fn name_counts(journal: &Journal) -> BTreeMap<String, (usize, usize)> {
     let mut out: BTreeMap<String, (usize, usize)> = BTreeMap::new();
     for rec in &journal.records {
         let entry = out.entry(rec.name.clone()).or_default();
@@ -336,21 +336,21 @@ fn write_value(out: &mut String, value: &Value) {
 /// `unix_us - ts_us` is the offset that maps every record of that
 /// journal onto the shared unix timeline.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JournalEpoch {
+struct JournalEpoch {
     /// Self-declared process label (e.g. `wcms-serve`, `fig4/w2`).
-    pub process: String,
+    pub(crate) process: String,
     /// OS process id at emission.
-    pub pid: u64,
+    pub(crate) pid: u64,
     /// Epoch-anchored wall time (µs) at the emission instant.
-    pub unix_us: u64,
+    pub(crate) unix_us: u64,
     /// The same instant on the journal's own clock (µs).
-    pub ts_us: u64,
+    pub(crate) ts_us: u64,
 }
 
 /// Find a journal's epoch record (the first `Meta` record named
 /// `epoch`), or `None` for journals written before epochs existed.
 #[must_use]
-pub fn journal_epoch(journal: &Journal) -> Option<JournalEpoch> {
+fn journal_epoch(journal: &Journal) -> Option<JournalEpoch> {
     journal.records.iter().find(|r| r.phase == Phase::Meta && r.name == "epoch").map(|r| {
         JournalEpoch {
             process: r.field("process").and_then(Value::as_str).unwrap_or("?").to_string(),
@@ -592,70 +592,6 @@ pub fn join_journals(inputs: &[(String, Journal)]) -> Result<(String, JoinReport
     Ok((out, report))
 }
 
-/// Perf-baseline statistics derived from one journal.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BenchStats {
-    /// Completed `cell` spans.
-    pub cells: usize,
-    /// Median cell latency in seconds.
-    pub cell_latency_median_s: f64,
-    /// 95th-percentile cell latency in seconds.
-    pub cell_latency_p95_s: f64,
-    /// Sum of `merge_steps` over all `round-counters` events.
-    pub total_merge_steps: u64,
-    /// Sum of `extra_cycles` over all `round-counters` events.
-    pub total_conflict_extra_cycles: u64,
-    /// Number of `round-counters` events (rounds observed).
-    pub rounds: u64,
-    /// Duration of the outermost `sweep` span in seconds (0 if absent).
-    pub wall_s: f64,
-}
-
-impl BenchStats {
-    /// Mean conflict extra-cycles per observed round.
-    #[must_use]
-    pub fn conflicts_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.total_conflict_extra_cycles as f64 / self.rounds as f64
-        }
-    }
-}
-
-fn percentile_us(sorted: &[u64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)] as f64 / 1e6
-}
-
-/// Derive [`BenchStats`] from a journal produced by a traced sweep.
-#[must_use]
-pub fn bench_stats(journal: &Journal) -> BenchStats {
-    let mut cell_durs = span_durations_us(journal, "cell");
-    cell_durs.sort_unstable();
-    let mut stats = BenchStats {
-        cells: cell_durs.len(),
-        cell_latency_median_s: percentile_us(&cell_durs, 0.5),
-        cell_latency_p95_s: percentile_us(&cell_durs, 0.95),
-        ..BenchStats::default()
-    };
-    for rec in &journal.records {
-        if rec.phase == Phase::Event && rec.name == "round-counters" {
-            stats.rounds += 1;
-            stats.total_merge_steps +=
-                rec.field("merge_steps").and_then(Value::as_u64).unwrap_or(0);
-            stats.total_conflict_extra_cycles +=
-                rec.field("extra_cycles").and_then(Value::as_u64).unwrap_or(0);
-        }
-    }
-    stats.wall_s =
-        span_durations_us(journal, "sweep").iter().copied().max().unwrap_or(0) as f64 / 1e6;
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,19 +660,6 @@ mod tests {
         .unwrap();
         assert_eq!(j.dropped, 3);
         assert!(validate(&j).errors[0].contains("dropped 3"));
-    }
-
-    #[test]
-    fn bench_stats_aggregate_cells_and_rounds() {
-        let stats = bench_stats(&good_journal());
-        assert_eq!(stats.cells, 2);
-        assert_eq!(stats.total_merge_steps, 30);
-        assert_eq!(stats.total_conflict_extra_cycles, 8);
-        assert_eq!(stats.rounds, 2);
-        assert!((stats.wall_s - 10e-6).abs() < 1e-12);
-        // Durations 4 and 3 µs -> sorted [3, 4]; median rank rounds up.
-        assert!((stats.cell_latency_median_s - 4e-6).abs() < 1e-12 * 10.0, "{stats:?}");
-        assert!((stats.conflicts_per_round() - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! A minimal hand-rolled JSON reader (and string escaper) for the
-//! journal tooling.
+//! The workspace's one JSON reader (and string escaper).
 //!
-//! The workspace is offline — no serde_json — and already hand-rolls
-//! its checkpoint codec; this is the same move for `wcms-trace`, which
-//! must *parse* journals back. The value model is deliberately small:
-//! numbers are `f64` (journal timestamps are microseconds, far inside
-//! the 2^53 exact-integer range) and objects preserve insertion order.
+//! The workspace is offline — no serde_json. Journals, wire frames,
+//! checkpoint cells, manifests and lease files are all read back through
+//! [`parse`]. The value model is deliberately small: numbers are `f64`
+//! (journal timestamps are microseconds, far inside the 2^53
+//! exact-integer range) and objects preserve insertion order. Parsing
+//! is linear in the document: each run of unescaped string bytes is
+//! copied as one slice.
 
 use std::fmt::Write as _;
 
@@ -83,11 +84,10 @@ impl Value {
 ///
 /// A `String` naming the byte offset and what was expected there.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("byte {pos}: trailing characters after the document"));
     }
     Ok(value)
@@ -99,12 +99,13 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(text, pos),
+        Some(b'[') => parse_array(text, pos),
+        Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
@@ -136,7 +137,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         .map_err(|_| format!("byte {start}: '{text}' is not a number"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
     *pos += 1;
     let mut out = String::new();
@@ -175,18 +177,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (possibly multi-byte).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("byte {pos}: invalid UTF-8"))?;
-                let c = rest.chars().next().ok_or_else(|| format!("byte {pos}: empty"))?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // One run of unescaped bytes, copied as a slice. It ends
+                // at an ASCII '"' or '\\', never inside a multi-byte
+                // character, so the slice stays on char boundaries.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(&text[start..*pos]);
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(text: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -195,7 +200,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -208,7 +213,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(text: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     *pos += 1; // '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -221,13 +227,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         if bytes.get(*pos) != Some(&b'"') {
             return Err(format!("byte {pos}: expected a string key"));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(format!("byte {pos}: expected ':'"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -307,6 +313,22 @@ mod tests {
         let mut doc = String::new();
         escape_into(&mut doc, hostile);
         assert_eq!(parse(&doc).unwrap(), Value::Str(hostile.into()));
+    }
+
+    /// Each unescaped character once re-validated the rest of the
+    /// document, so a 1 MiB string took about 20 s to parse.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let ascii = "a".repeat(1 << 20);
+        let multi_byte = "é€😀".repeat((64 << 10) / 9);
+        for s in [ascii, multi_byte] {
+            let doc = format!("{{\"s\":\"{s}\\n\"}}");
+            let started = std::time::Instant::now();
+            let v = parse(&doc).unwrap();
+            let elapsed = started.elapsed();
+            assert_eq!(v.get("s"), Some(&Value::Str(format!("{s}\n"))));
+            assert!(elapsed < std::time::Duration::from_secs(2), "took {elapsed:?}");
+        }
     }
 
     #[test]

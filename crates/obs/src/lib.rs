@@ -23,26 +23,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
+pub(crate) mod clock;
 pub mod context;
-pub mod export;
+pub(crate) mod export;
 pub mod journal;
 pub mod json;
-pub mod metrics;
-pub mod recorder;
-pub mod ring;
+pub(crate) mod metrics;
+pub(crate) mod recorder;
+pub(crate) mod ring;
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 pub use clock::Clock;
-pub use context::{SpanId, TraceContext, TraceId, TRACE_SEED, TRACE_WIRE_LEN};
+pub use context::{SpanId, TraceContext, TraceId, TRACE_SEED};
 pub use export::{chrome_trace, journal_jsonl};
-pub use metrics::{
-    parse_prometheus_text, Counter, Gauge, Histogram, MetricsRegistry, LATENCY_BUCKETS_S,
-};
+pub use metrics::{parse_prometheus_text, Counter, Histogram, MetricsRegistry, LATENCY_BUCKETS_S};
 pub use recorder::{current_tid, Field, FieldValue, NullRecorder, Phase, Record, Recorder};
-pub use ring::{RingCollector, DEFAULT_RING_CAPACITY};
+pub use ring::RingCollector;
 
 /// The observability bundle: an optional trace recorder, a metrics
 /// registry, and a clock. Cloning is cheap and shares all three.
@@ -144,7 +142,7 @@ impl Obs {
     /// Record one raw observation (timestamped from this bundle's
     /// clock, attributed to the calling thread). No-op when not
     /// tracing.
-    pub fn emit(&self, phase: Phase, name: &'static str, fields: Vec<Field>) {
+    pub(crate) fn emit(&self, phase: Phase, name: &'static str, fields: Vec<Field>) {
         if let Some(recorder) = &self.recorder {
             recorder.record(Record {
                 ts_us: self.clock.now_us(),
@@ -402,8 +400,14 @@ mod tests {
         let report = journal::validate(&parsed);
         assert!(report.is_ok(), "{:?}", report.errors);
         assert_eq!(report.matched_spans, 2);
-        let stats = journal::bench_stats(&parsed);
-        assert_eq!(stats.total_merge_steps, 12);
-        assert_eq!(stats.cells, 1);
+        let merge_steps: u64 = parsed
+            .records
+            .iter()
+            .filter(|r| r.phase == Phase::Event && r.name == "round-counters")
+            .filter_map(|r| r.field("merge_steps")?.as_u64())
+            .sum();
+        assert_eq!(merge_steps, 12);
+        let cells = parsed.records.iter().filter(|r| r.phase == Phase::Begin && r.name == "cell");
+        assert_eq!(cells.count(), 1);
     }
 }

@@ -236,7 +236,7 @@ impl MetricsRegistry {
 /// Format an `f64` for text export: finite shortest-round-trip `{}`,
 /// with non-finite values spelled the Prometheus way.
 #[must_use]
-pub fn fmt_f64(v: f64) -> String {
+fn fmt_f64(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_string()
     } else if v.is_infinite() {

@@ -31,7 +31,7 @@ pub enum Phase {
 impl Phase {
     /// The single-character journal/Chrome encoding.
     #[must_use]
-    pub fn code(self) -> char {
+    pub(crate) fn code(self) -> char {
         match self {
             Phase::Begin => 'B',
             Phase::End => 'E',
@@ -42,7 +42,7 @@ impl Phase {
 
     /// Parse the single-character encoding back.
     #[must_use]
-    pub fn from_code(c: char) -> Option<Self> {
+    pub(crate) fn from_code(c: char) -> Option<Self> {
         match c {
             'B' => Some(Phase::Begin),
             'E' => Some(Phase::End),

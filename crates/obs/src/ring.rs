@@ -37,7 +37,7 @@ impl RingCollector {
         RingCollector { capacity: capacity.max(1), inner: Mutex::new(RingInner::default()) }
     }
 
-    /// A ring with [`DEFAULT_RING_CAPACITY`].
+    /// A ring with `DEFAULT_RING_CAPACITY` (2^20) records.
     #[must_use]
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_RING_CAPACITY)
@@ -50,24 +50,6 @@ impl RingCollector {
         let records = std::mem::take(&mut inner.records).into();
         let dropped = std::mem::take(&mut inner.dropped);
         (records, dropped)
-    }
-
-    /// Copy of the current contents without clearing.
-    pub fn snapshot(&self) -> (Vec<Record>, u64) {
-        let inner = self.inner.lock().expect("ring lock poisoned");
-        (inner.records.iter().cloned().collect(), inner.dropped)
-    }
-
-    /// Number of records currently buffered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("ring lock poisoned").records.len()
-    }
-
-    /// True when nothing is buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -106,7 +88,7 @@ mod tests {
         let (records, dropped) = ring.drain();
         assert_eq!(dropped, 0);
         assert_eq!(records.iter().map(|r| r.ts_us).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
-        assert!(ring.is_empty(), "drain clears");
+        assert!(ring.drain().0.is_empty(), "drain clears");
     }
 
     #[test]
@@ -115,7 +97,7 @@ mod tests {
         for ts in 0..7 {
             ring.record(rec(ts));
         }
-        let (records, dropped) = ring.snapshot();
+        let (records, dropped) = ring.drain();
         assert_eq!(dropped, 4);
         assert_eq!(records.iter().map(|r| r.ts_us).collect::<Vec<_>>(), vec![4, 5, 6]);
     }

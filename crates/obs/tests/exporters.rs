@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use wcms_obs::journal::{bench_stats, parse_journal, validate};
+use wcms_obs::journal::{parse_journal, validate};
 use wcms_obs::{
     chrome_trace, event, fields, journal_jsonl, json, span, Clock, Field, Obs, Phase, Record,
     RingCollector,
@@ -110,7 +110,7 @@ fn live_chrome_trace_is_well_formed() {
     assert!(stack.is_empty(), "all spans closed, {stack:?} left open");
 }
 
-/// Journal → parse → validate → bench-stats, end to end on live data.
+/// Journal → parse → validate → per-name sums, end to end on live data.
 #[test]
 fn live_journal_validates_and_yields_bench_stats() {
     let ring = Arc::new(RingCollector::new());
@@ -128,13 +128,19 @@ fn live_journal_validates_and_yields_bench_stats() {
     assert!(report.is_ok(), "{:?}", report.errors);
     assert_eq!(report.matched_spans, 4);
 
-    let stats = bench_stats(&journal);
-    assert_eq!(stats.cells, 3);
-    assert_eq!(stats.total_merge_steps, 30);
-    assert_eq!(stats.total_conflict_extra_cycles, 6);
-    assert_eq!(stats.rounds, 3);
-    assert!(stats.wall_s > 0.0);
-    assert!(stats.cell_latency_median_s > 0.0);
+    let begins = |name: &str| {
+        journal.records.iter().filter(|r| r.phase == Phase::Begin && r.name == name).count()
+    };
+    assert_eq!(begins("cell"), 3);
+    let rounds: Vec<_> = journal
+        .records
+        .iter()
+        .filter(|r| r.phase == Phase::Event && r.name == "round-counters")
+        .collect();
+    assert_eq!(rounds.len(), 3);
+    let sum = |key: &str| rounds.iter().filter_map(|r| r.field(key)?.as_u64()).sum::<u64>();
+    assert_eq!(sum("merge_steps"), 30);
+    assert_eq!(sum("extra_cycles"), 6);
 }
 
 /// A deliberately overflowed ring exports a journal that fails

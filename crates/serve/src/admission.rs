@@ -26,7 +26,7 @@ const MAX_RETRY_AFTER_MS: u64 = 5_000;
 /// estimated per-job cost — by the time it retries, roughly half the
 /// backlog should have drained), clamped to a sane band.
 #[must_use]
-pub fn retry_after_ms(queue_depth: usize, est_job_ms: u64) -> u64 {
+pub(crate) fn retry_after_ms(queue_depth: usize, est_job_ms: u64) -> u64 {
     let depth = queue_depth as u64;
     (depth / 2).saturating_mul(est_job_ms).clamp(MIN_RETRY_AFTER_MS, MAX_RETRY_AFTER_MS)
 }
@@ -38,7 +38,7 @@ struct Inner<T> {
 
 /// A bounded multi-producer multi-consumer job queue with non-blocking
 /// admission and blocking consumption.
-pub struct AdmissionQueue<T> {
+pub(crate) struct AdmissionQueue<T> {
     inner: Mutex<Inner<T>>,
     ready: Condvar,
     cap: usize,
@@ -47,7 +47,7 @@ pub struct AdmissionQueue<T> {
 impl<T> AdmissionQueue<T> {
     /// A queue admitting at most `cap` jobs (minimum one).
     #[must_use]
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         AdmissionQueue {
             inner: Mutex::new(Inner { queue: VecDeque::new(), closed: false }),
             ready: Condvar::new(),
@@ -72,7 +72,7 @@ impl<T> AdmissionQueue<T> {
     /// retry-after hint derived from `est_job_ms`;
     /// [`WcmsError::Cancelled`] when the queue has been closed for
     /// shutdown.
-    pub fn try_submit(&self, job: T, est_job_ms: u64) -> Result<usize, WcmsError> {
+    pub(crate) fn try_submit(&self, job: T, est_job_ms: u64) -> Result<usize, WcmsError> {
         let mut inner = self.lock();
         if inner.closed {
             return Err(WcmsError::Cancelled { cell: "admission queue closed".into() });
@@ -94,7 +94,7 @@ impl<T> AdmissionQueue<T> {
 
     /// Block until a job is available or the queue closes. `None` means
     /// the queue closed *and* drained — the consumer should exit.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut inner = self.lock();
         loop {
             if let Some(job) = inner.queue.pop_front() {
@@ -109,19 +109,19 @@ impl<T> AdmissionQueue<T> {
 
     /// Jobs currently queued.
     #[must_use]
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.lock().queue.len()
     }
 
     /// Queue capacity.
     #[must_use]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.cap
     }
 
     /// Close the queue: future submissions fail, consumers drain the
     /// backlog then see `None`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.lock().closed = true;
         self.ready.notify_all();
     }

@@ -28,7 +28,7 @@ use wcms_obs::context::fnv1a64;
 /// [`crate::wire::Request::canonical_key`]). Bump on any change to the
 /// response payload encoding — an old entry must never alias a new
 /// schema.
-pub const CACHE_SCHEMA: u64 = 1;
+pub(crate) const CACHE_SCHEMA: u64 = 1;
 
 /// The fingerprint a canonical key files under (also the file stem).
 #[must_use]
@@ -130,12 +130,6 @@ impl ResultCache {
             },
         }
     }
-
-    /// The cache directory (for tooling and chaos scripts).
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
 }
 
 #[cfg(test)]
@@ -164,13 +158,13 @@ mod tests {
         let key = "wcms/v1/s1 generate w=32 e=7 b=64 n=3584 family=worst-case data=0";
         cache.store(key, "{\"ok\":true}").unwrap();
         // Flip one byte in the stored entry.
-        let path = cache.dir().join(format!("{:016x}.json", fingerprint(key)));
+        let path = cache.dir.join(format!("{:016x}.json", fingerprint(key)));
         let mut bytes = fs::read(&path).unwrap();
         bytes[3] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(cache.lookup(key), CacheOutcome::Quarantined { .. }));
         // The evidence moved to quarantine/ and the slot reads as a miss.
-        assert!(cache.dir().join("quarantine").join(path.file_name().unwrap()).exists());
+        assert!(cache.dir.join("quarantine").join(path.file_name().unwrap()).exists());
         assert_eq!(cache.lookup(key), CacheOutcome::Miss);
         // Recompute-and-store heals the slot.
         cache.store(key, "{\"ok\":true}").unwrap();
@@ -184,7 +178,7 @@ mod tests {
         cache.store(key, "{\"a\":1}").unwrap();
         // Overwrite the entry file with one recorded under a different
         // canonical key (simulating a fingerprint collision).
-        let path = cache.dir().join(format!("{:016x}.json", fingerprint(key)));
+        let path = cache.dir.join(format!("{:016x}.json", fingerprint(key)));
         fs::write(&path, encode_file("some other key\n{\"b\":2}")).unwrap();
         assert_eq!(cache.lookup(key), CacheOutcome::Miss);
     }

@@ -13,14 +13,14 @@ use wcms_error::WcmsError;
 
 /// Default per-connection read deadline: a client that sends nothing
 /// for this long loses its worker.
-pub const DEFAULT_READ_DEADLINE: Duration = Duration::from_secs(30);
+pub(crate) const DEFAULT_READ_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Default per-connection write deadline: a client that stops draining
 /// its receive buffer for this long loses its worker.
-pub const DEFAULT_WRITE_DEADLINE: Duration = Duration::from_secs(30);
+pub(crate) const DEFAULT_WRITE_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Default compute budget applied when a request carries none.
-pub const DEFAULT_BUDGET: Duration = Duration::from_secs(60);
+pub(crate) const DEFAULT_BUDGET: Duration = Duration::from_secs(60);
 
 /// Arm both socket deadlines. `None` is refused — the whole point of
 /// the helper is that no wcms socket ever blocks unboundedly.
@@ -30,7 +30,7 @@ pub const DEFAULT_BUDGET: Duration = Duration::from_secs(60);
 /// [`WcmsError::Io`] if the socket rejects the options, or
 /// [`WcmsError::WireMalformed`] for a zero duration (which std treats
 /// as an error anyway).
-pub fn apply_deadlines(
+pub(crate) fn apply_deadlines(
     stream: &TcpStream,
     read: Duration,
     write: Duration,
@@ -52,7 +52,7 @@ pub fn apply_deadlines(
 /// ceiling. Degenerate budgets (0) get one millisecond — enough to
 /// observe the deadline machinery rather than divide by zero in it.
 #[must_use]
-pub fn clamp_budget(requested_ms: Option<u64>, ceiling: Duration) -> Duration {
+pub(crate) fn clamp_budget(requested_ms: Option<u64>, ceiling: Duration) -> Duration {
     match requested_ms {
         None => ceiling,
         Some(0) => Duration::from_millis(1),

@@ -30,7 +30,7 @@ use wcms_obs::json::{self, escape_into, Value};
 
 /// Lifecycle state a journal record can be in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobState {
+enum JobState {
     /// Admitted, waiting in the queue.
     Queued,
     /// Claimed by a compute worker.
@@ -48,22 +48,22 @@ impl JobState {
 
 /// A queued job found (and re-runnable) after a crash.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredJob {
+pub(crate) struct RecoveredJob {
     /// Journal id.
-    pub id: u64,
+    pub(crate) id: u64,
     /// The original request document, byte-exact as admitted.
-    pub request: String,
+    pub(crate) request: String,
 }
 
 /// What startup recovery found on disk.
 #[derive(Debug, Default, PartialEq, Eq)]
-pub struct Recovery {
+pub(crate) struct Recovery {
     /// Queued jobs to re-execute before serving.
-    pub recovered: Vec<RecoveredJob>,
+    pub(crate) recovered: Vec<RecoveredJob>,
     /// Mid-run records moved to `tombstones/`.
-    pub tombstoned: u64,
+    pub(crate) tombstoned: u64,
     /// Corrupt records moved to `quarantine/`.
-    pub quarantined: u64,
+    pub(crate) quarantined: u64,
 }
 
 /// A directory of one-file-per-job lifecycle records.
@@ -156,7 +156,7 @@ impl JobJournal {
     /// [`WcmsError::Io`] if the journal directory itself is unreadable;
     /// individual bad records never fail recovery — they are moved
     /// aside and counted.
-    pub fn recover(&self) -> Result<Recovery, WcmsError> {
+    pub(crate) fn recover(&self) -> Result<Recovery, WcmsError> {
         let mut out = Recovery::default();
         let mut paths: Vec<PathBuf> = fs::read_dir(&self.dir)?
             .flatten()
@@ -204,12 +204,6 @@ impl JobJournal {
         // the next restart classifies it again — never a crash loop.
         let _ = fs::create_dir_all(&dest_dir).and_then(|()| fs::rename(path, dest));
     }
-
-    /// The journal directory (for tooling and chaos scripts).
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
 }
 
 #[cfg(test)]
@@ -226,10 +220,10 @@ mod tests {
     fn lifecycle_leaves_no_record_behind() {
         let j = JobJournal::open(scratch("lifecycle")).unwrap();
         let id = j.record_queued("{\"op\":\"measure\"}").unwrap();
-        assert!(job_path(j.dir(), id).exists());
+        assert!(job_path(&j.dir, id).exists());
         j.mark_running(id, "{\"op\":\"measure\"}").unwrap();
         j.complete(id).unwrap();
-        assert!(!job_path(j.dir(), id).exists());
+        assert!(!job_path(&j.dir, id).exists());
         assert_eq!(j.recover().unwrap(), Recovery::default());
     }
 
@@ -243,7 +237,7 @@ mod tests {
             j.mark_running(r, "{\"op\":\"grid\"}").unwrap();
             let c = j.record_queued("{\"op\":\"measure\"}").unwrap();
             // Simulated bit rot on the third record.
-            let path = job_path(j.dir(), c);
+            let path = job_path(&j.dir, c);
             let mut bytes = fs::read(&path).unwrap();
             let k = bytes.len() / 2;
             bytes[k] ^= 0x20;
@@ -259,8 +253,8 @@ mod tests {
         );
         assert_eq!(rec.tombstoned, 1);
         assert_eq!(rec.quarantined, 1);
-        assert_eq!(fs::read_dir(j.dir().join("tombstones")).unwrap().count(), 1);
-        assert_eq!(fs::read_dir(j.dir().join("quarantine")).unwrap().count(), 1);
+        assert_eq!(fs::read_dir(j.dir.join("tombstones")).unwrap().count(), 1);
+        assert_eq!(fs::read_dir(j.dir.join("quarantine")).unwrap().count(), 1);
         // Recovery consumed the queued record too: a second recovery
         // (double restart) finds a clean journal.
         let _ = j.complete(1);

@@ -8,10 +8,10 @@
 //! * [`wire`] — the framed JSON protocol: `generate`, `measure`,
 //!   `grid`, `status`, `health`; oversized frames rejected before
 //!   allocation.
-//! * [`deadline`] — socket read/write deadlines (every wcms socket has
+//! * `deadline` — socket read/write deadlines (every wcms socket has
 //!   them; the `socket-without-deadline` lint enforces it) and client
 //!   budget clamping.
-//! * [`admission`] — the bounded job queue that sheds load with typed
+//! * `admission` — the bounded job queue that sheds load with typed
 //!   [`wcms_error::WcmsError::Overloaded`] rejections instead of
 //!   buffering unbounded backlog.
 //! * [`journal`] — crash-only durable job state: queued jobs recovered
@@ -29,9 +29,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod admission;
+pub(crate) mod admission;
 pub mod cache;
-pub mod deadline;
+pub(crate) mod deadline;
 pub mod journal;
 pub mod load;
 pub mod server;

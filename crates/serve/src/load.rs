@@ -113,15 +113,15 @@ impl Default for LoadOptions {
 #[derive(Debug, Clone, Default)]
 pub struct LatencySummary {
     /// Mean.
-    pub mean_ms: f64,
+    mean_ms: f64,
     /// Median.
     pub p50_ms: f64,
     /// 90th percentile.
-    pub p90_ms: f64,
+    p90_ms: f64,
     /// 99th percentile.
     pub p99_ms: f64,
     /// Worst observed.
-    pub max_ms: f64,
+    max_ms: f64,
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -153,7 +153,7 @@ impl LatencySummary {
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Arrival rate the timetable offered.
-    pub offered_rps: f64,
+    offered_rps: f64,
     /// Completed-call rate actually sustained.
     pub achieved_rps: f64,
     /// Calls sent.
@@ -161,7 +161,7 @@ pub struct LoadReport {
     /// Calls answered with a result.
     pub ok: u64,
     /// Calls shed with a typed `overloaded`.
-    pub overloaded: u64,
+    pub(crate) overloaded: u64,
     /// Calls that failed any other way (socket, deadline, error).
     pub errors: u64,
     /// Latency over completed calls.
@@ -242,7 +242,7 @@ pub fn scrape_metrics(addr: SocketAddr, deadline: Duration) -> Result<String, Wc
 /// Propagates client I/O errors; an `overloaded` or error response is
 /// [`WcmsError::WireMalformed`] here because the probe needs a real
 /// answer on both sides of the comparison.
-pub fn probe_cache_speedup(
+fn probe_cache_speedup(
     addr: SocketAddr,
     opts: &LoadOptions,
     clock: &Clock,

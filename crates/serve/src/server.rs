@@ -55,17 +55,17 @@ use crate::wire::{
 /// Largest size-grid exponent a `grid` request may ask for (`n = bE·2^m`
 /// overflows usize far above this; the cap keeps one request from
 /// asking for a year of work).
-pub const MAX_DOUBLINGS: u32 = 24;
+const MAX_DOUBLINGS: u32 = 24;
 
 /// Absolute ceiling on the input length any single request may name,
 /// regardless of tuning (2^27 keys = 512 MiB of u32s). `generate`
 /// allocates `n` keys up front and oblivious families never fail, so
 /// without a ceiling one hostile frame is an OOM abort.
-pub const MAX_REQUEST_N: usize = 1 << 27;
+const MAX_REQUEST_N: usize = 1 << 27;
 
 /// Ceiling on `runs` for `measure`/`grid` — averaging buys nothing
 /// past this, and an unbounded count pins a compute worker.
-pub const MAX_RUNS: u64 = 256;
+const MAX_RUNS: u64 = 256;
 
 /// Histogram bounds for queue-depth observations (jobs waiting). The
 /// default queue capacity is 64, so the top bucket is "at capacity".
@@ -127,9 +127,9 @@ pub struct ServerConfig {
     /// Admission queue capacity (jobs, not connections).
     pub queue_cap: usize,
     /// Result cache directory.
-    pub cache_dir: PathBuf,
+    pub(crate) cache_dir: PathBuf,
     /// Job journal directory.
-    pub journal_dir: PathBuf,
+    pub(crate) journal_dir: PathBuf,
     /// Per-connection socket read deadline.
     pub read_deadline: Duration,
     /// Per-connection socket write deadline.
@@ -166,7 +166,7 @@ impl ServerConfig {
 
 /// Resolve a wire device name to a preset.
 #[must_use]
-pub fn resolve_device(name: &str) -> Option<DeviceSpec> {
+fn resolve_device(name: &str) -> Option<DeviceSpec> {
     match name {
         "test" | "test-device" => Some(DeviceSpec::test_device()),
         "quadro_m4000" => Some(DeviceSpec::quadro_m4000()),

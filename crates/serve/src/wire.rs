@@ -29,7 +29,7 @@ use wcms_workloads::WorkloadSpec;
 /// Protocol version, carried in `health` responses and folded into
 /// every cache fingerprint (a protocol bump must never alias an old
 /// cache entry).
-pub const PROTOCOL_VERSION: u64 = 1;
+pub(crate) const PROTOCOL_VERSION: u64 = 1;
 
 /// Hard ceiling for request frames read by the daemon. Requests are
 /// tiny; anything larger is hostile or corrupt.
@@ -41,7 +41,7 @@ pub const MAX_RESPONSE_FRAME: usize = 8 * 1024 * 1024;
 
 /// Largest `n` for which `generate` will inline the keys into the
 /// response (larger datasets still return their fingerprint).
-pub const MAX_INLINE_KEYS: usize = 1 << 16;
+pub(crate) const MAX_INLINE_KEYS: usize = 1 << 16;
 
 fn malformed(reason: impl Into<String>) -> WcmsError {
     WcmsError::WireMalformed { reason: reason.into() }
@@ -173,7 +173,7 @@ fn get_bool(v: &Value, key: &str, default: bool) -> Result<bool, WcmsError> {
 /// Render a [`WorkloadSpec`] as its wire object, e.g.
 /// `{"kind":"worst-family","seed":"7"}` (seeds travel as strings — see [`decode_family`]).
 #[must_use]
-pub fn encode_family(spec: &WorkloadSpec) -> String {
+fn encode_family(spec: &WorkloadSpec) -> String {
     match *spec {
         WorkloadSpec::Random { seed } => format!("{{\"kind\":\"random\",\"seed\":\"{seed}\"}}"),
         WorkloadSpec::RandomPermutation { seed } => {
@@ -204,7 +204,7 @@ pub fn encode_family(spec: &WorkloadSpec) -> String {
 ///
 /// [`WcmsError::WireMalformed`] naming the missing field or unknown
 /// kind.
-pub fn decode_family(v: &Value) -> Result<WorkloadSpec, WcmsError> {
+fn decode_family(v: &Value) -> Result<WorkloadSpec, WcmsError> {
     Ok(match get_str(v, "kind")? {
         "random" => WorkloadSpec::Random { seed: get_u64(v, "seed")? },
         "random-perm" => WorkloadSpec::RandomPermutation { seed: get_u64(v, "seed")? },
@@ -230,7 +230,7 @@ pub fn decode_family(v: &Value) -> Result<WorkloadSpec, WcmsError> {
 /// [`WorkloadSpec::label`] this includes every seed/parameter, so two
 /// distinct workloads can never share a cache key.
 #[must_use]
-pub fn canonical_family(spec: &WorkloadSpec) -> String {
+fn canonical_family(spec: &WorkloadSpec) -> String {
     match *spec {
         WorkloadSpec::Random { seed } => format!("random:seed={seed}"),
         WorkloadSpec::RandomPermutation { seed } => format!("random-perm:seed={seed}"),
@@ -272,7 +272,7 @@ pub enum Request {
         /// The input family to construct.
         family: WorkloadSpec,
         /// Inline the keys into the response (capped at
-        /// [`MAX_INLINE_KEYS`]); the fingerprint is always returned.
+        /// `MAX_INLINE_KEYS`); the fingerprint is always returned.
         include_data: bool,
         /// Root trace identity for the work this request causes; absent
         /// means the daemon starts a fresh root. Never part of the
@@ -404,20 +404,13 @@ impl Request {
 
     /// The trace identity this request propagates, if any.
     #[must_use]
-    pub fn trace(&self) -> Option<TraceContext> {
+    pub(crate) fn trace(&self) -> Option<TraceContext> {
         match self {
             Request::Generate { trace, .. }
             | Request::Measure { trace, .. }
             | Request::Grid { trace, .. } => *trace,
             Request::Status | Request::Health | Request::Metrics => None,
         }
-    }
-
-    /// True for operations that consume compute (and therefore go
-    /// through admission control and the job journal).
-    #[must_use]
-    pub fn is_compute(&self) -> bool {
-        matches!(self, Request::Generate { .. } | Request::Measure { .. } | Request::Grid { .. })
     }
 
     /// Render as the wire JSON document.
@@ -631,33 +624,33 @@ pub struct StatusBody {
     /// Jobs waiting in the admission queue right now.
     pub queue_depth: u64,
     /// Admission queue capacity.
-    pub queue_cap: u64,
+    pub(crate) queue_cap: u64,
     /// Jobs currently executing.
     pub inflight: u64,
     /// Requests handled (all ops).
-    pub requests_total: u64,
+    pub(crate) requests_total: u64,
     /// Requests answered with a result.
-    pub ok_total: u64,
+    pub(crate) ok_total: u64,
     /// Requests answered with a typed error.
-    pub error_total: u64,
+    pub(crate) error_total: u64,
     /// Requests shed with `overloaded`.
-    pub overloaded_total: u64,
+    pub(crate) overloaded_total: u64,
     /// Compute jobs that ran out of deadline budget.
-    pub deadline_total: u64,
+    pub(crate) deadline_total: u64,
     /// Result-cache hits.
-    pub cache_hits: u64,
+    pub(crate) cache_hits: u64,
     /// Result-cache misses (computed fresh).
-    pub cache_misses: u64,
+    pub(crate) cache_misses: u64,
     /// Corrupt cache entries quarantined.
-    pub cache_quarantined: u64,
+    pub(crate) cache_quarantined: u64,
     /// Journaled jobs re-executed after a crash.
-    pub jobs_recovered: u64,
+    pub(crate) jobs_recovered: u64,
     /// Journaled jobs tombstoned after a crash (were mid-run).
-    pub jobs_tombstoned: u64,
+    pub(crate) jobs_tombstoned: u64,
     /// Corrupt journal records quarantined.
-    pub journal_quarantined: u64,
+    pub(crate) journal_quarantined: u64,
     /// Seconds since the daemon started.
-    pub uptime_s: f64,
+    pub(crate) uptime_s: f64,
 }
 
 /// One server response.
@@ -670,7 +663,7 @@ pub enum Response {
         n: usize,
         /// FNV-1a 64 over the keys' little-endian bytes.
         fingerprint: u64,
-        /// The keys, when requested and under [`MAX_INLINE_KEYS`].
+        /// The keys, when requested and under `MAX_INLINE_KEYS`.
         keys: Option<Vec<u32>>,
     },
     /// One measured cell (done, demoted, or skipped with reason).

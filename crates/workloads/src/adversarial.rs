@@ -9,15 +9,6 @@
 use wcms_core::WorstCaseBuilder;
 use wcms_error::WcmsError;
 
-/// Map a rank permutation (what the builders emit) into any
-/// [`GpuKey`](wcms_gpu_sim::GpuKey) space, order-preserving — the
-/// worst-case conflict structure depends only on relative order, so the
-/// mapped input attacks the sort identically for every key type.
-#[must_use]
-pub fn as_keys<K: wcms_gpu_sim::GpuKey>(ranks: &[u32]) -> Vec<K> {
-    ranks.iter().map(|&r| K::from_rank(r)).collect()
-}
-
 /// The paper's worst-case permutation for sort parameters `(w, E, b)`;
 /// `n` must be a valid length (`bE·2^m`).
 ///
@@ -26,25 +17,8 @@ pub fn as_keys<K: wcms_gpu_sim::GpuKey>(ranks: &[u32]) -> Vec<K> {
 /// Returns [`WcmsError::NonCoprime`] / [`WcmsError::InvalidBlock`] for
 /// parameters with no construction, [`WcmsError::InvalidLength`] when
 /// `n` is not `bE·2^m`.
-pub fn worst_case(w: usize, e: usize, b: usize, n: usize) -> Result<Vec<u32>, WcmsError> {
+pub(crate) fn worst_case(w: usize, e: usize, b: usize, n: usize) -> Result<Vec<u32>, WcmsError> {
     WorstCaseBuilder::new(w, e, b)?.build(n)
-}
-
-/// Worst-case permutation for any `n`: builds at the next valid length
-/// and truncates the *values* back to `0 … n−1` (keeping relative order
-/// of survivors — the resulting prefix permutation preserves each round's
-/// interleaving for the surviving elements).
-/// # Errors
-///
-/// Returns [`WcmsError::NonCoprime`] / [`WcmsError::InvalidBlock`] for
-/// parameters with no construction (any `n` works — that is the point).
-pub fn worst_case_padded(w: usize, e: usize, b: usize, n: usize) -> Result<Vec<u32>, WcmsError> {
-    let builder = WorstCaseBuilder::new(w, e, b)?;
-    if builder.valid_len(n) {
-        return builder.build(n);
-    }
-    let full = builder.build(builder.next_valid_len(n))?;
-    Ok(full.into_iter().filter(|&v| (v as usize) < n).collect())
 }
 
 /// A member of the worst-case *family* (Conclusion point 2).
@@ -52,7 +26,7 @@ pub fn worst_case_padded(w: usize, e: usize, b: usize, n: usize) -> Result<Vec<u
 /// # Errors
 ///
 /// Same conditions as [`worst_case`].
-pub fn worst_case_family(
+pub(crate) fn worst_case_family(
     w: usize,
     e: usize,
     b: usize,
@@ -67,7 +41,7 @@ pub fn worst_case_family(
 /// # Errors
 ///
 /// Same conditions as [`worst_case`].
-pub fn conflict_heavy(
+pub(crate) fn conflict_heavy(
     w: usize,
     e: usize,
     b: usize,
@@ -92,43 +66,12 @@ mod tests {
     }
 
     #[test]
-    fn padded_handles_arbitrary_sizes() {
-        let (w, e, b) = (16, 3, 32);
-        let n = 1000; // not bE·2^m (bE = 96)
-        let xs = worst_case_padded(w, e, b, n).unwrap();
-        assert_eq!(xs.len(), n);
-        let mut s = xs.clone();
-        s.sort_unstable();
-        assert!(s.iter().enumerate().all(|(i, &v)| v == i as u32));
-    }
-
-    #[test]
-    fn padded_passthrough_on_valid_sizes() {
-        let (w, e, b) = (16, 3, 32);
-        let n = 96 * 4;
-        assert_eq!(worst_case_padded(w, e, b, n).unwrap(), worst_case(w, e, b, n).unwrap());
-    }
-
-    #[test]
     fn family_members_are_distinct() {
         let n = 96 * 4;
         assert_ne!(
             worst_case_family(16, 3, 32, n, 1).unwrap(),
             worst_case_family(16, 3, 32, n, 2).unwrap()
         );
-    }
-
-    #[test]
-    fn as_keys_preserves_order() {
-        let ranks = vec![5u32, 0, 3, 1];
-        let wide: Vec<u64> = as_keys(&ranks);
-        let narrow: Vec<i32> = as_keys(&ranks);
-        for i in 0..ranks.len() {
-            for j in 0..ranks.len() {
-                assert_eq!(ranks[i] < ranks[j], wide[i] < wide[j]);
-                assert_eq!(ranks[i] < ranks[j], narrow[i] < narrow[j]);
-            }
-        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ use wcms_error::WcmsError;
 const MAGIC: &[u8; 8] = b"WCMSKEYS";
 const VERSION: u32 = 2;
 /// Version tag of the chunked streaming layout.
-pub const VERSION_V3: u32 = 3;
+const VERSION_V3: u32 = 3;
 const KEY_WIDTH: u32 = 4;
 
 /// Default chunk size (in keys) for version-3 files: 4 MiB of payload
@@ -60,10 +60,10 @@ const KEY_WIDTH: u32 = 4;
 pub const DEFAULT_CHUNK_KEYS: usize = 1 << 20;
 /// Largest chunk size (in keys) the codec accepts; bounds the reader's
 /// single-chunk buffer at 16 MiB no matter what a hostile header says.
-pub const MAX_CHUNK_KEYS: usize = 1 << 22;
+const MAX_CHUNK_KEYS: usize = 1 << 22;
 /// Largest chunk count the codec accepts; bounds the in-memory chunk
 /// index at 32 MiB no matter what a hostile header says.
-pub const MAX_CHUNKS: u64 = 1 << 22;
+const MAX_CHUNKS: u64 = 1 << 22;
 
 /// FNV-1a 64-bit — tiny, dependency-free, and plenty to catch the
 /// bit-flips and truncations the fault injector produces.
@@ -136,19 +136,6 @@ pub fn read_keys<R: Read>(r: R) -> Result<Vec<u32>, WcmsError> {
         keys.extend_from_slice(&chunk);
     }
     Ok(keys)
-}
-
-/// Serialize `keys` into `w` in the version-3 chunked layout.
-/// Convenience wrapper over [`DatasetWriter`] for in-memory datasets.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_keys_v3<W: Write + Seek>(w: W, keys: &[u32]) -> Result<(), WcmsError> {
-    let mut writer = DatasetWriter::new(w, keys.len() as u64, DEFAULT_CHUNK_KEYS)?;
-    writer.write_keys(keys)?;
-    writer.finish()?;
-    Ok(())
 }
 
 /// Streaming writer for the version-3 chunked layout.

@@ -25,12 +25,6 @@ pub fn sawtooth(n: usize, teeth: usize) -> Vec<u32> {
     (0..n).map(|i| ((i % run) * teeth + i / run) as u32).collect()
 }
 
-/// All keys equal — degenerate duplicate case.
-#[must_use]
-pub fn constant(n: usize, value: u32) -> Vec<u32> {
-    vec![value; n]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,11 +53,6 @@ mod tests {
     fn sawtooth_one_tooth_is_sorted() {
         let xs = sawtooth(50, 1);
         assert!(xs.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn constant_is_constant() {
-        assert_eq!(constant(5, 9), vec![9; 5]);
     }
 
     #[test]

@@ -54,17 +54,6 @@ fn merge_count(xs: &mut [u32], buf: &mut [u32]) -> u64 {
     inv
 }
 
-/// Normalized disorder in `[0, 1]`: inversions divided by the maximum
-/// `n(n−1)/2`.
-#[must_use]
-pub fn disorder(xs: &[u32]) -> f64 {
-    let n = xs.len() as u64;
-    if n < 2 {
-        return 0.0;
-    }
-    count_inversions(xs) as f64 / (n * (n - 1) / 2) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,14 +86,5 @@ mod tests {
         assert_eq!(count_inversions(&xs), brute(&xs));
         let ys: Vec<u32> = (0..255).map(|i| (i * 31) % 64).collect();
         assert_eq!(count_inversions(&ys), brute(&ys));
-    }
-
-    #[test]
-    fn disorder_endpoints() {
-        let sorted: Vec<u32> = (0..100).collect();
-        let reversed: Vec<u32> = (0..100).rev().collect();
-        assert_eq!(disorder(&sorted), 0.0);
-        assert!((disorder(&reversed) - 1.0).abs() < 1e-12);
-        assert_eq!(disorder(&[7]), 0.0);
     }
 }

@@ -22,24 +22,6 @@ pub fn k_swaps(n: usize, swaps: usize, seed: u64) -> Vec<u32> {
     xs
 }
 
-/// Sorted order where each element is displaced at most `window`
-/// positions: shuffle within consecutive windows.
-#[must_use]
-pub fn local_shuffle(n: usize, window: usize, seed: u64) -> Vec<u32> {
-    let mut xs: Vec<u32> = (0..n as u32).collect();
-    if window < 2 {
-        return xs;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    for chunk in xs.chunks_mut(window) {
-        for i in (1..chunk.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            chunk.swap(i, j);
-        }
-    }
-    xs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,20 +46,5 @@ mod tests {
         let mut s = xs.clone();
         s.sort_unstable();
         assert!(s.iter().enumerate().all(|(i, &v)| v == i as u32));
-    }
-
-    #[test]
-    fn local_shuffle_bounds_displacement() {
-        let window = 16;
-        let xs = local_shuffle(1024, window, 5);
-        for (i, &v) in xs.iter().enumerate() {
-            let home = v as usize;
-            assert!(home.abs_diff(i) < window, "element {v} moved {} > {window}", home.abs_diff(i));
-        }
-    }
-
-    #[test]
-    fn local_shuffle_window_one_is_identity() {
-        assert_eq!(local_shuffle(100, 1, 7), (0..100).collect::<Vec<u32>>());
     }
 }

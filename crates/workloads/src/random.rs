@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 /// `n` uniform `u32` keys (duplicates possible, like the paper's random
 /// 4-byte integers).
 #[must_use]
-pub fn uniform_u32(n: usize, seed: u64) -> Vec<u32> {
+pub(crate) fn uniform_u32(n: usize, seed: u64) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| rng.gen()).collect()
 }

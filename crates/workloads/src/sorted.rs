@@ -1,4 +1,4 @@
-//! Fully-ordered inputs: sorted, reverse-sorted and rotated ramps.
+//! Fully-ordered inputs: sorted and reverse-sorted ramps.
 //! Sorted order matters doubly here — for power-of-two `E` it *is* the
 //! paper's worst case (§III), and for co-prime `E` it is conflict-free.
 
@@ -15,13 +15,6 @@ pub fn reverse_sorted(n: usize) -> Vec<u32> {
     (0..n as u32).rev().collect()
 }
 
-/// Sorted order rotated left by `k`: `k, k+1, …, n−1, 0, …, k−1`.
-#[must_use]
-pub fn rotated(n: usize, k: usize) -> Vec<u32> {
-    let k = if n == 0 { 0 } else { k % n };
-    (0..n).map(|i| ((i + k) % n) as u32).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,13 +29,5 @@ mod tests {
     fn reverse_has_max_inversions() {
         let n = 100u64;
         assert_eq!(count_inversions(&reverse_sorted(n as usize)), n * (n - 1) / 2);
-    }
-
-    #[test]
-    fn rotation_wraps() {
-        assert_eq!(rotated(5, 2), vec![2, 3, 4, 0, 1]);
-        assert_eq!(rotated(5, 7), rotated(5, 2));
-        assert_eq!(rotated(5, 0), sorted(5));
-        assert!(rotated(0, 3).is_empty());
     }
 }

@@ -82,7 +82,7 @@ impl WorkloadSpec {
     ///
     /// The adversarial classes reject parameters with no construction
     /// and lengths that are not `bE·2^m` (see
-    /// [`adversarial::worst_case`]); the oblivious classes never fail.
+    /// `adversarial::worst_case`); the oblivious classes never fail.
     pub fn generate(
         &self,
         n: usize,
