@@ -174,19 +174,20 @@ pub(crate) fn alignment_of_assignment(asg: &WarpAssignment) -> StaticAlignment {
 }
 
 /// The same symbolic pass over schedule IR: per-thread address streams
-/// (e.g. [`wcms_mergesort::schedule::MergeSchedule::merge_seqs`] for one
-/// warp, or [`wcms_core::evaluate::address_sequences`]) are decomposed
-/// into maximal stride-1 runs, and each run's alignment is decided by
-/// its single congruence `a₀ − j₀ ≡ s (mod w)` — still no DMM.
+/// (e.g. one warp's threads of
+/// [`wcms_mergesort::schedule::MergeSchedule::merge_seqs`], or
+/// [`wcms_core::evaluate::address_sequences`]) are decomposed into
+/// maximal stride-1 runs, and each run's alignment is decided by its
+/// single congruence `a₀ − j₀ ≡ s (mod w)` — still no DMM.
 ///
 /// `steps` is the merge-stage length `E`; streams shorter than `steps`
 /// simply contribute fewer runs.
 #[must_use]
-fn alignment_of_seqs(
+fn alignment_of_seqs<'a>(
     w: usize,
     steps: usize,
     window_start: usize,
-    seqs: &[Vec<usize>],
+    seqs: impl IntoIterator<Item = &'a [usize]>,
 ) -> StaticAlignment {
     let s = window_start % w;
     let mut mult = vec![0usize; steps];
@@ -259,8 +260,8 @@ pub fn verify_bound(w: usize, e: usize) -> Result<BoundVerdict, WcmsError> {
     let case = classify(w, e);
     let asg = reference_assignment(w, e)?;
     let from_shares = alignment_of_assignment(&asg);
-    let from_ir =
-        alignment_of_seqs(w, e, asg.window_start, &wcms_core::evaluate::address_sequences(&asg));
+    let seqs = wcms_core::evaluate::address_sequences(&asg);
+    let from_ir = alignment_of_seqs(w, e, asg.window_start, seqs.iter().map(Vec::as_slice));
     let closed_form = closed_form_aligned(w, e)?;
 
     let mut failures = Vec::new();
@@ -427,8 +428,8 @@ pub fn verify_multiway_rounds(
         let mut per_warp_aligned = Vec::with_capacity(warps);
         let mut stride_regular = true;
         for g in 0..warps {
-            let seqs = &sched.merge_seqs[g * w..(g + 1) * w];
-            let sa = alignment_of_seqs(w, e, 0, seqs);
+            let seqs = sched.merge_seqs();
+            let sa = alignment_of_seqs(w, e, 0, (g * w..(g + 1) * w).map(|t| seqs.thread(t)));
             // One maximal stride-1 run per thread ⇔ chunk count equals
             // the warp's thread count.
             stride_regular &= sa.chunks == w;
@@ -511,7 +512,7 @@ mod tests {
         // Stream with two separated runs: [5,6] then [9,10] on w=4, s=1.
         // Run 1 starts at addr 5 step 0: 5 − 0 ≡ 1 (mod 4) → aligned (2).
         // Run 2 starts at addr 9 step 2: 9 − 2 ≡ 3 (mod 4) → not aligned.
-        let sa = alignment_of_seqs(4, 4, 1, &[vec![5, 6, 9, 10]]);
+        let sa = alignment_of_seqs(4, 4, 1, [&[5, 6, 9, 10][..]]);
         assert_eq!(sa.aligned, 2);
         assert_eq!(sa.multiplicity, vec![1, 1, 0, 0]);
         assert_eq!(sa.chunks, 2);

@@ -14,10 +14,16 @@ pub enum AccessKind {
 }
 
 /// One lane's memory request in a step.
+///
+/// Addresses are `u32` words: the conflict counter packs a request into
+/// one 64-bit sort key that is exact on this domain (see
+/// [`crate::ConflictCounter`]), so a wider address cannot be expressed
+/// rather than silently aliased. 2³² words is 16 GiB of 32-bit keys,
+/// far past any shared-memory tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Access {
     /// Word address within the shared-memory tile.
-    pub(crate) addr: usize,
+    pub(crate) addr: u32,
     /// Read or write.
     pub(crate) kind: AccessKind,
 }
@@ -26,14 +32,14 @@ impl Access {
     /// A read of `addr`.
     #[must_use]
     #[inline]
-    pub fn read(addr: usize) -> Self {
+    pub fn read(addr: u32) -> Self {
         Self { addr, kind: AccessKind::Read }
     }
 
     /// A write of `addr`.
     #[must_use]
     #[inline]
-    pub fn write(addr: usize) -> Self {
+    pub fn write(addr: u32) -> Self {
         Self { addr, kind: AccessKind::Write }
     }
 }
@@ -56,9 +62,16 @@ impl WarpStep {
     }
 
     /// A step in which every lane reads, lane `i` reading `addrs[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an address does not fit in [`Access`]'s `u32` domain.
     #[must_use]
     pub fn all_read(addrs: &[usize]) -> Self {
-        Self { lanes: addrs.iter().map(|&a| Some(Access::read(a))).collect() }
+        let read = |&a: &usize| {
+            Some(Access::read(u32::try_from(a).expect("a DMM word address fits in u32")))
+        };
+        Self { lanes: addrs.iter().map(read).collect() }
     }
 
     /// Set lane `lane`'s request (enlarging the step if needed).

@@ -20,7 +20,7 @@
 //! them, and a nonzero count in a test means the kernel under simulation
 //! is broken.
 
-use crate::access::{AccessKind, WarpStep};
+use crate::access::{Access, AccessKind, WarpStep};
 use crate::BankModel;
 
 /// Conflict metrics of a single step.
@@ -102,9 +102,26 @@ impl ConflictTotals {
     }
 }
 
-/// The accounting engine. Holds reusable scratch so that counting a step is
-/// allocation-free in steady state (per the perf-book guidance on workhorse
-/// collections).
+/// The accounting engine: sort-and-scan over one machine word per lane.
+///
+/// Each lane's request is packed into a `u64` key ordered by
+/// `(bank, addr, kind)` — bank in the high bits, then the address's
+/// column within its bank (`addr / w`, which orders a bank's addresses
+/// as `addr` does), then one kind bit, reads before writes. Sorting the
+/// keys makes each bank's requests contiguous and each address's
+/// adjacent, so one pass counts the distinct addresses per bank and the
+/// CREW races. The key is exact for every [`Access`] address — the
+/// whole `u32` domain, on any bank count: a bank (below `w`) and a
+/// column (below `2³²/w`) need at most 33 bits together, 34 with the
+/// kind bit. Scratch is reused, so counting a step is
+/// allocation-free in steady state (per the perf-book guidance on
+/// workhorse collections).
+///
+/// Drive it with a [`WarpStep`] through [`ConflictCounter::count`], or
+/// stage lanes straight from the caller: [`ConflictCounter::begin_step`],
+/// one [`ConflictCounter::stage`] per active lane, then
+/// [`ConflictCounter::scan`] and [`ConflictCounter::record`]. `count` is
+/// that same sequence.
 ///
 /// ```
 /// use wcms_dmm::{BankModel, ConflictCounter, WarpStep};
@@ -118,15 +135,20 @@ impl ConflictTotals {
 pub struct ConflictCounter {
     model: BankModel,
     totals: ConflictTotals,
-    // Scratch: (bank, addr, kind-bit) triples of the current step.
-    scratch: Vec<(usize, usize, u8)>,
+    /// Bit position of the bank in a key: the kind bit plus the width of
+    /// the largest column a `u32` address reaches.
+    bank_shift: u32,
+    /// Scratch: the staged keys of the current step.
+    keys: Vec<u64>,
 }
 
 impl ConflictCounter {
     /// New counter over the given bank model.
     #[must_use]
     pub fn new(model: BankModel) -> Self {
-        Self { model, totals: ConflictTotals::default(), scratch: Vec::with_capacity(64) }
+        let max_column = model.column_of(u32::MAX as usize);
+        let bank_shift = 1 + (usize::BITS - max_column.leading_zeros());
+        Self { model, totals: ConflictTotals::default(), bank_shift, keys: Vec::with_capacity(64) }
     }
 
     /// The bank model in use.
@@ -139,77 +161,86 @@ impl ConflictCounter {
     /// metrics.
     pub fn count(&mut self, step: &WarpStep) -> StepConflicts {
         let s = self.analyze(step);
-        self.totals.record(s);
+        self.record(s);
         s
     }
 
     /// Analyse a step without recording it.
     #[must_use]
     pub fn analyze(&mut self, step: &WarpStep) -> StepConflicts {
-        self.scratch.clear();
-        for access in step.lanes().iter().flatten() {
-            let kind = match access.kind {
-                AccessKind::Read => 0u8,
-                AccessKind::Write => 1u8,
-            };
-            self.scratch.push((self.model.bank_of(access.addr), access.addr, kind));
+        self.begin_step();
+        for &access in step.lanes().iter().flatten() {
+            self.stage(access);
         }
-        let active_lanes = self.scratch.len();
-        if active_lanes == 0 {
+        self.scan()
+    }
+
+    /// Start staging a new step, dropping any lanes staged before.
+    #[inline]
+    pub fn begin_step(&mut self) {
+        self.keys.clear();
+    }
+
+    /// Stage one active lane's request into the current step.
+    #[inline]
+    pub fn stage(&mut self, access: Access) {
+        let addr = access.addr as usize;
+        let bank = self.model.bank_of(addr) as u64;
+        let column = self.model.column_of(addr) as u64;
+        let write = u64::from(access.kind == AccessKind::Write);
+        self.keys.push((bank << self.bank_shift) | (column << 1) | write);
+    }
+
+    /// Sort and scan the staged lanes into the step's metrics, without
+    /// recording them (see [`ConflictCounter::record`]).
+    #[must_use]
+    pub fn scan(&mut self) -> StepConflicts {
+        self.keys.sort_unstable();
+        let Some((&first, rest)) = self.keys.split_first() else {
             return StepConflicts {
                 degree: 0,
                 conflicting_accesses: 0,
                 crew_violations: 0,
                 active_lanes: 0,
             };
-        }
-        // Sort by (bank, addr) so that same-bank requests are contiguous
-        // and same-address requests adjacent within a bank.
-        self.scratch.sort_unstable();
-
-        let mut degree = 0usize;
-        let mut conflicting = 0usize;
-        let mut crew = 0usize;
-
-        let mut i = 0;
-        while i < self.scratch.len() {
-            let bank = self.scratch[i].0;
-            // Walk one bank's requests.
-            let mut distinct = 0usize;
-            while i < self.scratch.len() && self.scratch[i].0 == bank {
-                let addr = self.scratch[i].1;
-                distinct += 1;
-                let mut writes = 0usize;
-                let mut reads = 0usize;
-                while i < self.scratch.len()
-                    && self.scratch[i].0 == bank
-                    && self.scratch[i].1 == addr
-                {
-                    match self.scratch[i].2 {
-                        0 => reads += 1,
-                        _ => writes += 1,
-                    }
-                    i += 1;
-                }
-                // CREW: at most one writer, and a writer excludes readers.
-                if writes > 1 {
-                    crew += writes - 1;
-                }
-                if writes >= 1 && reads >= 1 {
-                    crew += 1;
-                }
-            }
+        };
+        let (mut degree, mut conflicting, mut crew) = (0usize, 0usize, 0usize);
+        let mut close_bank = |distinct: usize| {
             degree = degree.max(distinct);
             if distinct >= 2 {
                 conflicting += distinct;
             }
+        };
+        // Distinct addresses seen so far in the current bank.
+        let mut distinct = 1usize;
+        let mut prev = first;
+        for &key in rest {
+            let same_addr = (key ^ prev) >> 1 == 0;
+            // CREW: at most one writer per address, and a writer excludes
+            // readers. Reads sort before writes, so a write with a
+            // same-address predecessor is exactly one violation.
+            crew += usize::from(same_addr && key & 1 == 1);
+            if (key ^ prev) >> self.bank_shift == 0 {
+                distinct += usize::from(!same_addr);
+            } else {
+                close_bank(distinct);
+                distinct = 1;
+            }
+            prev = key;
         }
+        close_bank(distinct);
         StepConflicts {
             degree,
             conflicting_accesses: conflicting,
             crew_violations: crew,
-            active_lanes,
+            active_lanes: self.keys.len(),
         }
+    }
+
+    /// Fold one step's metrics into the running totals.
+    #[inline]
+    pub fn record(&mut self, s: StepConflicts) {
+        self.totals.record(s);
     }
 
     /// Running totals.
@@ -227,7 +258,6 @@ impl ConflictCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::Access;
 
     fn counter(w: usize) -> ConflictCounter {
         ConflictCounter::new(BankModel::new(w))

@@ -1,16 +1,17 @@
 //! Allocation-free conflict accounting for precomputed access schedules.
 //!
 //! [`crate::ConflictCounter`] analyses an arbitrary [`crate::WarpStep`]:
-//! it stages every lane's access, sorts `(bank, addr, kind)` triples and
-//! scans for CREW races — exact, but `O(w log w)` per step plus the
-//! staging around it. When a kernel's address schedule is already known
-//! to be race-free (the analytic sort backend replays schedules whose
-//! structure the lockstep simulator validates), the same metrics follow
-//! from one histogram per step: count, then reduce. Each access adds one
-//! to its bank's counter of distinct addresses `m_b` — a broadcast adds
-//! zero, found through a generation-stamped per-address table that a
-//! step never has to clear — and closing the step reads the `w`
-//! counters once, taking `degree = max_b m_b` and
+//! it packs each lane's access into one `(bank, addr, kind)` sort key,
+//! sorts the keys and scans them, CREW races included — exact, but
+//! `O(w log w)` per step plus the staging around it. When a kernel's
+//! address schedule is already known to be race-free (the analytic sort
+//! backend replays schedules whose structure the lockstep simulator
+//! validates), the same metrics follow from one histogram per step:
+//! count, then reduce. Each access adds one to its bank's counter of
+//! distinct addresses `m_b` — a broadcast adds zero, found through a
+//! generation-stamped per-address table that a step never has to
+//! clear — and closing the step reads the `w` counters once, taking
+//! `degree = max_b m_b` and
 //! `conflicting_accesses = Σ_b m_b·[m_b ≥ 2]` and zeroing each counter
 //! as it goes. That is `O(active lanes + w)` per step with no branch on
 //! the data: the paper's worst-case inputs make every merge step a

@@ -100,7 +100,12 @@ impl BankModel {
     #[must_use]
     #[inline]
     pub fn column_of(&self, addr: usize) -> usize {
-        addr / self.banks
+        // A shift on power-of-two bank counts, as in `bank_of`.
+        if self.banks.is_power_of_two() {
+            addr >> self.banks.trailing_zeros()
+        } else {
+            addr / self.banks
+        }
     }
 }
 

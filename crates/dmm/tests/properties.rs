@@ -1,12 +1,95 @@
 //! Property-based tests of the DMM conflict accounting.
 
 use proptest::prelude::*;
-use wcms_dmm::{BankModel, ConflictCounter, ConflictTotals, WarpStep};
+use wcms_dmm::{Access, BankModel, ConflictCounter, ConflictTotals, StepConflicts, WarpStep};
 
 fn arb_addrs() -> impl Strategy<Value = (usize, Vec<usize>)> {
     // (bank count, addresses)
     (prop_oneof![Just(8usize), Just(16), Just(32)], proptest::collection::vec(0usize..4096, 1..64))
         .prop_map(|(w, addrs)| (w, addrs))
+}
+
+/// One generated case on a `w`-bank model: a pool of addresses and one
+/// to three steps of lanes that each idle (a pool index past the end) or
+/// read or write a pool address, so broadcasts and several writers per
+/// address are common.
+type OracleCase = (usize, Vec<u32>, Vec<Vec<(usize, bool)>>);
+
+fn arb_oracle_case() -> impl Strategy<Value = OracleCase> {
+    // The pool is a base address — low, at the top of the `u32` key
+    // domain, or anywhere in it — and copies of it one bit apart, so a
+    // key that dropped or truncated any address bit would alias two of
+    // them.
+    let base = prop_oneof![0u32..256, (u32::MAX - 255)..=u32::MAX, 0u32..=u32::MAX];
+    let pool = (base, proptest::collection::vec(0u32..32, 0..8)).prop_map(|(base, flips)| {
+        std::iter::once(base).chain(flips.into_iter().map(|bit| base ^ (1 << bit))).collect()
+    });
+    let lanes = proptest::collection::vec((0usize..10, proptest::bool::ANY), 0..80);
+    (
+        prop_oneof![Just(1usize), Just(3), Just(12), Just(32), Just(64)],
+        pool,
+        proptest::collection::vec(lanes, 1..4),
+    )
+}
+
+/// The O(lanes²) reference: a lane's address is distinct in its bank if
+/// no earlier lane requested it; a write violates CREW if another lane
+/// reads its address or an earlier lane writes it.
+fn oracle(model: BankModel, lanes: &[(u32, bool)]) -> StepConflicts {
+    let mut distinct = std::collections::BTreeMap::<usize, usize>::new();
+    let mut crew = 0usize;
+    for (i, &(addr, write)) in lanes.iter().enumerate() {
+        if lanes[..i].iter().all(|&(a, _)| a != addr) {
+            *distinct.entry(model.bank_of(addr as usize)).or_default() += 1;
+        }
+        let raced =
+            lanes.iter().enumerate().any(|(j, &(a, w))| j != i && a == addr && (!w || j < i));
+        crew += usize::from(write && raced);
+    }
+    StepConflicts {
+        degree: distinct.values().copied().max().unwrap_or(0),
+        conflicting_accesses: distinct.values().filter(|&&d| d >= 2).sum(),
+        crew_violations: crew,
+        active_lanes: lanes.len(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every metric of the sort-and-scan counter equals the brute-force
+    /// oracle on mixed read/write/idle steps — broadcasts, several
+    /// writers per address, addresses up to `u32::MAX` — on power-of-two
+    /// and other bank counts, one counter reused across steps.
+    #[test]
+    fn counter_matches_brute_force_oracle((w, pool, steps) in arb_oracle_case()) {
+        let model = BankModel::new(w);
+        let mut c = ConflictCounter::new(model);
+        let mut totals = ConflictTotals::default();
+        for lanes in &steps {
+            let mut step = WarpStep::idle(lanes.len());
+            let mut active = Vec::new();
+            for (lane, &(pick, write)) in lanes.iter().enumerate() {
+                let Some(&addr) = pool.get(pick) else { continue };
+                step.set(lane, if write { Access::write(addr) } else { Access::read(addr) });
+                active.push((addr, write));
+            }
+            let want = oracle(model, &active);
+            prop_assert_eq!(c.count(&step), want, "w={} lanes={:?}", w, active);
+            if want.active_lanes > 0 {
+                totals.merge(&ConflictTotals {
+                    steps: 1,
+                    cycles: want.degree,
+                    conflicting_accesses: want.conflicting_accesses,
+                    extra_cycles: want.degree - 1,
+                    max_degree: want.degree,
+                    crew_violations: want.crew_violations,
+                    accesses: want.active_lanes,
+                });
+            }
+        }
+        prop_assert_eq!(c.totals(), totals);
+    }
 }
 
 proptest! {

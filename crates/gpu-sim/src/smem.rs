@@ -10,7 +10,7 @@
 //! sequentially into the same tile; totals are additive.
 
 use wcms_dmm::{
-    pad_address, Access, BankModel, ConflictCounter, ConflictTotals, StepConflicts, WarpStep,
+    pad_address, padded_len, Access, BankModel, ConflictCounter, ConflictTotals, StepConflicts,
 };
 use wcms_error::WcmsError;
 
@@ -21,40 +21,56 @@ use wcms_error::WcmsError;
 /// physical addresses of the Dotsenko padding layout — the standard
 /// mitigation that trades `1/w` extra shared memory for conflict
 /// freedom on columnar access patterns.
+///
+/// Each step's lanes are staged straight into the counter, which packs
+/// them into `u32` physical addresses ([`wcms_dmm::Access`]); a tile's
+/// physical words must therefore fit in that domain (2³² words), so
+/// every address it accepts is exact in the count.
 #[derive(Debug, Clone)]
 pub struct SharedMemory<T> {
     data: Vec<T>,
     counter: ConflictCounter,
-    step: WarpStep,
     padded: bool,
 }
 
 impl<T: Copy + Default> SharedMemory<T> {
     /// A zeroed tile of `words` words on the given bank model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile's physical words exceed the counter's 2³²-word
+    /// address domain.
     #[must_use]
     pub fn new(model: BankModel, words: usize) -> Self {
-        Self {
-            data: vec![T::default(); words],
-            counter: ConflictCounter::new(model),
-            step: WarpStep::idle(model.banks()),
-            padded: false,
-        }
+        Self::with_layout(model, words, false)
     }
 
     /// A tile whose *physical* layout pads one word per `w` logical
     /// words. Callers keep using logical addresses.
+    ///
+    /// # Panics
+    ///
+    /// As [`SharedMemory::new`], counting the padding words.
     #[must_use]
     pub fn new_padded(model: BankModel, words: usize) -> Self {
-        Self { padded: true, ..Self::new(model, words) }
+        Self::with_layout(model, words, true)
     }
 
+    fn with_layout(model: BankModel, words: usize, padded: bool) -> Self {
+        let physical = if padded { padded_len(words, model.banks()) } else { words };
+        assert!(
+            physical as u64 <= 1 << 32,
+            "a {physical}-word tile exceeds the conflict counter's u32 address domain"
+        );
+        Self { data: vec![T::default(); words], counter: ConflictCounter::new(model), padded }
+    }
+
+    /// Physical address of the in-bounds logical address `addr`. Exact
+    /// in `u32`: the constructor bounds the tile's physical words.
     #[inline]
-    fn physical(&self, addr: usize) -> usize {
-        if self.padded {
-            pad_address(addr, self.counter.model().banks())
-        } else {
-            addr
-        }
+    fn physical(&self, addr: usize) -> u32 {
+        let p = if self.padded { pad_address(addr, self.counter.model().banks()) } else { addr };
+        p as u32
     }
 
     /// Uncounted bulk initialisation (simulator setup, not kernel work).
@@ -76,6 +92,7 @@ impl<T: Copy + Default> SharedMemory<T> {
     /// Returns [`WcmsError::SmemOutOfBounds`] if any lane addresses past
     /// the tile (a corrupted co-rank or offset), or
     /// [`WcmsError::BufferMismatch`] if `out` is shorter than `addrs`.
+    /// Either way the step is not counted.
     pub fn read_step(
         &mut self,
         addrs: &[Option<usize>],
@@ -88,21 +105,20 @@ impl<T: Copy + Default> SharedMemory<T> {
                 got: out.len(),
             });
         }
-        self.step.clear();
-        if self.step.width() < addrs.len() {
-            self.step = WarpStep::idle(addrs.len());
-        }
+        self.counter.begin_step();
         for (lane, addr) in addrs.iter().enumerate() {
             out[lane] = None;
             if let Some(a) = *addr {
                 let Some(&v) = self.data.get(a) else {
                     return Err(WcmsError::SmemOutOfBounds { address: a, words: self.data.len() });
                 };
-                self.step.set(lane, Access::read(self.physical(a)));
+                self.counter.stage(Access::read(self.physical(a)));
                 out[lane] = Some(v);
             }
         }
-        Ok(self.counter.count(&self.step))
+        let s = self.counter.scan();
+        self.counter.record(s);
+        Ok(s)
     }
 
     /// One warp write step: lane `i` writes `writes[i] = (addr, value)`.
@@ -112,38 +128,59 @@ impl<T: Copy + Default> SharedMemory<T> {
     /// concurrent-read, *exclusive*-write, and the merge kernels never
     /// legitimately double-write an address within one step, so a
     /// collision is always corruption (e.g. an injected co-rank fault).
+    /// The counter's own scan finds a collision before anything is
+    /// stored.
     ///
     /// # Errors
     ///
-    /// Returns [`WcmsError::CrewViolation`] if two lanes write the same
-    /// address in this step (nothing is stored), or
-    /// [`WcmsError::SmemOutOfBounds`] if a lane addresses past the tile.
+    /// Returns [`WcmsError::CrewViolation`] if a lane writes an address
+    /// an earlier lane of this step wrote, or
+    /// [`WcmsError::SmemOutOfBounds`] if a lane addresses past the tile —
+    /// whichever lane comes first. Either way nothing is stored and the
+    /// step is not counted.
     pub fn write_step(
         &mut self,
         writes: &[Option<(usize, T)>],
     ) -> Result<StepConflicts, WcmsError> {
-        let step_index = self.counter.totals().steps;
+        self.counter.begin_step();
+        let mut in_bounds = true;
+        for &(a, _) in writes.iter().flatten() {
+            if a >= self.data.len() {
+                in_bounds = false;
+                break;
+            }
+            self.counter.stage(Access::write(self.physical(a)));
+        }
+        let s = self.counter.scan();
+        if !in_bounds || s.crew_violations > 0 {
+            // Padding is injective, so the scan's physical collision is a
+            // logical one: the lane-order rule names every refusal.
+            self.check_lane_order(writes)?;
+        }
+        for &(a, v) in writes.iter().flatten() {
+            self.data[a] = v;
+        }
+        self.counter.record(s);
+        Ok(s)
+    }
+
+    /// The lane-order rule of a write step: the first lane that addresses
+    /// past the tile or repeats an earlier lane's address is refused,
+    /// with `step` the number of steps counted since the last drain.
+    #[cold]
+    fn check_lane_order(&self, writes: &[Option<(usize, T)>]) -> Result<(), WcmsError> {
         for (i, w) in writes.iter().enumerate() {
             if let Some((a, _)) = *w {
                 if a >= self.data.len() {
                     return Err(WcmsError::SmemOutOfBounds { address: a, words: self.data.len() });
                 }
                 if writes[..i].iter().flatten().any(|&(prev, _)| prev == a) {
-                    return Err(WcmsError::CrewViolation { step: step_index, address: a });
+                    let step = self.counter.totals().steps;
+                    return Err(WcmsError::CrewViolation { step, address: a });
                 }
             }
         }
-        self.step.clear();
-        if self.step.width() < writes.len() {
-            self.step = WarpStep::idle(writes.len());
-        }
-        for (lane, w) in writes.iter().enumerate() {
-            if let Some((a, v)) = *w {
-                self.step.set(lane, Access::write(self.physical(a)));
-                self.data[a] = v;
-            }
-        }
-        Ok(self.counter.count(&self.step))
+        Ok(())
     }
 
     /// Return the running totals and reset them.

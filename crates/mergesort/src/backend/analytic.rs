@@ -1,11 +1,11 @@
 //! The analytic backend: exact conflict totals without a simulated tile.
 //!
 //! The lockstep simulator spends most of its time on machinery the
-//! counters do not need — staging `Option<(addr, val)>` per lane, an
-//! `O(w log w)` sort inside every step's conflict analysis, an
-//! `O(lanes²)` CREW scan per write step, and routing every merged value
-//! through the shared tile. This backend skips all of it: thread
-//! schedules are *streamed* from the shared walkers in
+//! counters do not need — moving every lane's `Option` request and value
+//! through the shared tile, a sort of one key per lane inside every
+//! step's conflict analysis (the scan that also catches CREW races),
+//! and a materialised per-stage schedule. This backend skips all of it:
+//! thread schedules are *streamed* from the shared walkers in
 //! [`crate::schedule`] (the same construction the simulator
 //! materialises) straight into a [`StepAccumulator`] in `O(active
 //! lanes + w)` per step, buffering only one warp's addresses at a time
@@ -33,7 +33,7 @@ use crate::schedule::{
 use super::ExecBackend;
 
 /// Schedule-replay conflict prediction: identical counters to
-/// [`super::SimBackend`], 7.4–7.6× faster over `crossval --quick`'s 34
+/// [`super::SimBackend`], 2.6–2.8× faster over `crossval --quick`'s 34
 /// cells.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyticBackend;

@@ -19,7 +19,7 @@ use wcms_gpu_sim::{tile_traffic_words, GpuKey, SharedMemory};
 use crate::instrument::RoundCounters;
 use crate::network::odd_even_sort;
 use crate::params::SortParams;
-use crate::schedule::MergeSchedule;
+use crate::schedule::{MergeSchedule, ThreadSlices};
 use crate::warp_exec::{coalesced_fill, lockstep_probe, lockstep_reads, lockstep_writes};
 
 /// Sort one block's `bE` elements, charging all memory traffic.
@@ -55,12 +55,14 @@ pub(crate) fn block_sort<K: GpuKey>(
 
     // --- Register sort: thread t reads tile[tE .. tE+E] (lockstep strided
     // reads), odd–even sorts in registers, writes back.
-    let read_seqs: Vec<Vec<usize>> = (0..b).map(|t| (t * e..(t + 1) * e).collect()).collect();
-    let mut regs = lockstep_reads(&mut smem, &read_seqs, w)?;
-    for r in &mut regs {
+    let addrs: Vec<usize> = (0..be).collect();
+    let starts: Vec<usize> = (0..b).map(|t| t * e).collect();
+    let ends: Vec<usize> = (1..=b).map(|t| t * e).collect();
+    let mut regs = lockstep_reads(&mut smem, ThreadSlices::new(&addrs, &ends), w)?;
+    for r in regs.chunks_mut(e) {
         counters.comparators += odd_even_sort(r);
     }
-    lockstep_writes(&mut smem, &read_seqs, &regs, w)?;
+    lockstep_writes(&mut smem, &starts, ThreadSlices::new(&regs, &ends), w)?;
     counters.shared.transfer.merge(&smem.drain_totals());
 
     // --- In-block pairwise merge rounds.
@@ -86,13 +88,13 @@ fn merge_round_in_block<K: GpuKey>(
     let w = params.w;
     let sched = MergeSchedule::in_block_round(smem.as_slice(), round, params);
 
-    lockstep_probe(smem, &sched.probe_seqs, w)?;
+    lockstep_probe(smem, sched.probe_seqs(), w)?;
     counters.shared.partition.merge(&smem.drain_totals());
 
-    lockstep_probe(smem, &sched.merge_seqs, w)?;
+    lockstep_probe(smem, sched.merge_seqs(), w)?;
     counters.shared.merge.merge(&smem.drain_totals());
 
-    lockstep_writes(smem, &sched.write_addrs, &sched.merged_vals, w)?;
+    lockstep_writes(smem, sched.write_starts(), sched.merged_vals(), w)?;
     counters.shared.transfer.merge(&smem.drain_totals());
     Ok(())
 }

@@ -87,14 +87,14 @@ pub(crate) fn merge_block<K: GpuKey>(
     // schedule for exact accounting.
     let sched = MergeSchedule::block_merge(a_part, b_part, params);
 
-    lockstep_probe(&mut smem, &sched.probe_seqs, w)?;
+    lockstep_probe(&mut smem, sched.probe_seqs(), w)?;
     counters.shared.partition.merge(&smem.drain_totals());
 
-    lockstep_probe(&mut smem, &sched.merge_seqs, w)?;
+    lockstep_probe(&mut smem, sched.merge_seqs(), w)?;
     counters.shared.merge.merge(&smem.drain_totals());
 
     // --- Stage 4: stage merged results and store coalesced.
-    lockstep_writes(&mut smem, &sched.write_addrs, &sched.merged_vals, w)?;
+    lockstep_writes(&mut smem, sched.write_starts(), sched.merged_vals(), w)?;
     counters.shared.transfer.merge(&smem.drain_totals());
     counters.global.merge(&tile_traffic_words(a_offset + diag_start, be, w, K::WORD_BYTES));
 
@@ -155,14 +155,14 @@ pub(crate) fn merge_block_multi<K: GpuKey>(
     // schedule for exact accounting.
     let sched = MergeSchedule::multiway_merge(&parts, params);
 
-    lockstep_probe(&mut smem, &sched.probe_seqs, w)?;
+    lockstep_probe(&mut smem, sched.probe_seqs(), w)?;
     counters.shared.partition.merge(&smem.drain_totals());
 
-    lockstep_probe(&mut smem, &sched.merge_seqs, w)?;
+    lockstep_probe(&mut smem, sched.merge_seqs(), w)?;
     counters.shared.merge.merge(&smem.drain_totals());
 
     // --- Stage 4: stage merged results and store coalesced.
-    lockstep_writes(&mut smem, &sched.write_addrs, &sched.merged_vals, w)?;
+    lockstep_writes(&mut smem, sched.write_starts(), sched.merged_vals(), w)?;
     counters.shared.transfer.merge(&smem.drain_totals());
     counters.global.merge(&tile_traffic_words(out_offset + diag_start, be, w, K::WORD_BYTES));
 

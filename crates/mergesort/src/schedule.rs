@@ -182,70 +182,119 @@ pub(crate) fn walk_multiway_merge<K: Copy + Ord>(
     }
 }
 
+/// Per-thread sequences stored end to end in one flat buffer: thread
+/// `t`'s items are `items[ends[t − 1]..ends[t]]` (`items[..ends[0]]` for
+/// thread 0).
+#[derive(Debug, Clone, Copy)]
+pub struct ThreadSlices<'a, T> {
+    items: &'a [T],
+    ends: &'a [usize],
+}
+
+impl<'a, T> ThreadSlices<'a, T> {
+    /// View `items` split at the per-thread `ends` (non-decreasing, the
+    /// last equal to `items.len()`).
+    #[must_use]
+    pub(crate) fn new(items: &'a [T], ends: &'a [usize]) -> Self {
+        debug_assert_eq!(ends.last().copied().unwrap_or(0), items.len());
+        Self { items, ends }
+    }
+
+    /// Every thread's items, end to end.
+    #[must_use]
+    pub(crate) fn items(&self) -> &'a [T] {
+        self.items
+    }
+
+    /// Number of threads.
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Thread `t`'s sequence.
+    #[must_use]
+    pub fn thread(&self, t: usize) -> &'a [T] {
+        &self.items[self.span(t)]
+    }
+
+    /// Where thread `t`'s sequence lies in the flat buffer.
+    #[must_use]
+    pub(crate) fn span(&self, t: usize) -> std::ops::Range<usize> {
+        let start = if t == 0 { 0 } else { self.ends[t - 1] };
+        start..self.ends[t]
+    }
+
+    /// Every thread's sequence, in thread order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a [T]> + '_ {
+        (0..self.threads()).map(|t| self.thread(t))
+    }
+}
+
 /// The complete shared-memory schedule of one merge stage of one thread
-/// block.
+/// block, in flat per-stage buffers (one set per stage, not per thread).
 ///
-/// `probe_seqs[t]` and `merge_seqs[t]` are the tile addresses thread `t`
-/// touches in its partition and merge phases; `write_addrs[t]` its
-/// staging destinations; `merged_vals[t]` the values it stages (the
-/// thread's merged output window, in emit order, same shape as
-/// `write_addrs[t]`).
+/// Thread `t` probes `probe_seqs().thread(t)` in its partition phase,
+/// reads `merge_seqs().thread(t)` in its merge phase, and stages the
+/// values it read — its merged window, `merged_vals().thread(t)`, in emit
+/// order — to the contiguous addresses from `write_starts()[t]`.
 #[derive(Debug, Clone)]
 pub struct MergeSchedule<K> {
     /// β₁: interleaved A/B probe addresses of the mutual binary search.
-    pub(crate) probe_seqs: Vec<Vec<usize>>,
+    probe_addrs: Vec<usize>,
+    probe_ends: Vec<usize>,
     /// β₂: the sequential merge's read addresses, in increasing key order.
-    pub merge_seqs: Vec<Vec<usize>>,
-    /// Staging write addresses (`diag .. diag + E` per thread).
-    pub(crate) write_addrs: Vec<Vec<usize>>,
-    /// Values staged by each thread (its merged `E`-element window).
-    pub(crate) merged_vals: Vec<Vec<K>>,
+    merge_addrs: Vec<usize>,
+    /// The value each merge read returns: the thread's merged window.
+    merged_vals: Vec<K>,
+    merge_ends: Vec<usize>,
+    /// First staging address of each thread.
+    write_starts: Vec<usize>,
 }
 
-/// Materialising sink: collects the stream into a [`MergeSchedule`]'s
-/// per-thread vectors.
-struct Materializer<K> {
-    sched: MergeSchedule<K>,
-    write_start: usize,
-}
+/// Materialising sink: appends the stream to a [`MergeSchedule`]'s flat
+/// buffers.
+struct Materializer<K>(MergeSchedule<K>);
 
 impl<K: Copy> ScheduleSink<K> for Materializer<K> {
     fn begin_thread(&mut self, write_start: usize) {
-        self.write_start = write_start;
-        self.sched.probe_seqs.push(Vec::new());
-        self.sched.merge_seqs.push(Vec::new());
-        self.sched.merged_vals.push(Vec::new());
+        self.0.write_starts.push(write_start);
     }
 
     fn probe(&mut self, a_addr: usize, b_addr: usize) {
-        let probes = self.sched.probe_seqs.last_mut().expect("probe before begin_thread");
-        probes.push(a_addr);
-        probes.push(b_addr);
+        self.0.probe_addrs.extend([a_addr, b_addr]);
     }
 
     fn probe_at(&mut self, addr: usize) {
-        self.sched.probe_seqs.last_mut().expect("probe_at before begin_thread").push(addr);
+        self.0.probe_addrs.push(addr);
     }
 
     fn merge_read(&mut self, addr: usize, val: K) {
-        self.sched.merge_seqs.last_mut().expect("merge_read before begin_thread").push(addr);
-        self.sched.merged_vals.last_mut().expect("merge_read before begin_thread").push(val);
+        self.0.merge_addrs.push(addr);
+        self.0.merged_vals.push(val);
     }
 
     fn end_thread(&mut self) {
-        let n = self.sched.merged_vals.last().map_or(0, Vec::len);
-        self.sched.write_addrs.push((self.write_start..self.write_start + n).collect());
+        self.0.probe_ends.push(self.0.probe_addrs.len());
+        self.0.merge_ends.push(self.0.merge_addrs.len());
     }
 }
 
 impl<K: Copy + Ord> MergeSchedule<K> {
-    fn with_capacity(threads: usize) -> Self {
-        Self {
-            probe_seqs: Vec::with_capacity(threads),
-            merge_seqs: Vec::with_capacity(threads),
-            write_addrs: Vec::with_capacity(threads),
-            merged_vals: Vec::with_capacity(threads),
-        }
+    /// Materialise one stage's walk: `walk` streams `params.b` threads
+    /// of `params.e` merge reads each into the sink.
+    fn materialize(params: &SortParams, walk: impl FnOnce(&mut Materializer<K>)) -> Self {
+        let (threads, reads) = (params.b, params.block_elems());
+        let mut m = Materializer(Self {
+            probe_addrs: Vec::new(),
+            probe_ends: Vec::with_capacity(threads),
+            merge_addrs: Vec::with_capacity(reads),
+            merged_vals: Vec::with_capacity(reads),
+            merge_ends: Vec::with_capacity(threads),
+            write_starts: Vec::with_capacity(threads),
+        });
+        walk(&mut m);
+        m.0
     }
 
     /// The schedule of in-block merge round `round` of the base case:
@@ -254,9 +303,7 @@ impl<K: Copy + Ord> MergeSchedule<K> {
     /// from [`walk_in_block_round`] — the walker is the construction.
     #[must_use]
     pub(crate) fn in_block_round(tile: &[K], round: usize, params: &SortParams) -> Self {
-        let mut m = Materializer { sched: Self::with_capacity(params.b), write_start: 0 };
-        walk_in_block_round(tile, round, params, &mut m);
-        m.sched
+        Self::materialize(params, |m| walk_in_block_round(tile, round, params, m))
     }
 
     /// The schedule of one global-merge block's tile stage: `b` threads
@@ -265,9 +312,7 @@ impl<K: Copy + Ord> MergeSchedule<K> {
     /// [`walk_block_merge`].
     #[must_use]
     pub(crate) fn block_merge(a_part: &[K], b_part: &[K], params: &SortParams) -> Self {
-        let mut m = Materializer { sched: Self::with_capacity(params.b), write_start: 0 };
-        walk_block_merge(a_part, b_part, params, &mut m);
-        m.sched
+        Self::materialize(params, |m| walk_block_merge(a_part, b_part, params, m))
     }
 
     /// The schedule of one *multiway* global-merge block's tile stage:
@@ -275,9 +320,34 @@ impl<K: Copy + Ord> MergeSchedule<K> {
     /// segments. Materialised from `walk_multiway_merge`.
     #[must_use]
     pub fn multiway_merge(parts: &[&[K]], params: &SortParams) -> Self {
-        let mut m = Materializer { sched: Self::with_capacity(params.b), write_start: 0 };
-        walk_multiway_merge(parts, params, &mut m);
-        m.sched
+        Self::materialize(params, |m| walk_multiway_merge(parts, params, m))
+    }
+}
+
+impl<K> MergeSchedule<K> {
+    /// β₁: each thread's probe addresses.
+    #[must_use]
+    pub(crate) fn probe_seqs(&self) -> ThreadSlices<'_, usize> {
+        ThreadSlices::new(&self.probe_addrs, &self.probe_ends)
+    }
+
+    /// β₂: each thread's merge-read addresses.
+    #[must_use]
+    pub fn merge_seqs(&self) -> ThreadSlices<'_, usize> {
+        ThreadSlices::new(&self.merge_addrs, &self.merge_ends)
+    }
+
+    /// Each thread's staged values (its merged window, in emit order).
+    #[must_use]
+    pub(crate) fn merged_vals(&self) -> ThreadSlices<'_, K> {
+        ThreadSlices::new(&self.merged_vals, &self.merge_ends)
+    }
+
+    /// Each thread's first staging address; thread `t` writes its `k`-th
+    /// merged value to `write_starts()[t] + k`.
+    #[must_use]
+    pub(crate) fn write_starts(&self) -> &[usize] {
+        &self.write_starts
     }
 }
 
@@ -429,20 +499,26 @@ mod tests {
         SortParams::new(8, 3, 16).unwrap() // bE = 48
     }
 
+    /// Each thread's staging addresses: its window from its start, one
+    /// address per staged value.
+    fn write_addrs<K>(s: &MergeSchedule<K>) -> Vec<std::ops::Range<usize>> {
+        s.write_starts().iter().zip(s.merged_vals().iter()).map(|(&w, v)| w..w + v.len()).collect()
+    }
+
     #[test]
     fn block_merge_schedule_covers_the_tile() {
         let p = params();
         let a: Vec<u32> = (0..24).map(|x| x * 2).collect();
         let b: Vec<u32> = (0..24).map(|x| x * 2 + 1).collect();
         let s = MergeSchedule::block_merge(&a, &b, &p);
-        assert_eq!(s.write_addrs.len(), p.b);
-        let mut covered: Vec<usize> = s.write_addrs.iter().flatten().copied().collect();
+        assert_eq!(s.write_starts().len(), p.b);
+        let mut covered: Vec<usize> = write_addrs(&s).into_iter().flatten().collect();
         covered.sort_unstable();
         assert_eq!(covered, (0..p.block_elems()).collect::<Vec<_>>());
         // Staged values assemble to the merged pair.
         let mut out = vec![0u32; p.block_elems()];
-        for (addrs, vals) in s.write_addrs.iter().zip(&s.merged_vals) {
-            for (&addr, &v) in addrs.iter().zip(vals) {
+        for (addrs, vals) in write_addrs(&s).into_iter().zip(s.merged_vals().iter()) {
+            for (addr, &v) in addrs.zip(vals) {
                 out[addr] = v;
             }
         }
@@ -459,8 +535,8 @@ mod tests {
         }
         let s = MergeSchedule::in_block_round(&tile, 1, &p);
         let mut out = vec![0u32; p.block_elems()];
-        for (addrs, vals) in s.write_addrs.iter().zip(&s.merged_vals) {
-            for (&addr, &v) in addrs.iter().zip(vals) {
+        for (addrs, vals) in write_addrs(&s).into_iter().zip(s.merged_vals().iter()) {
+            for (addr, &v) in addrs.zip(vals) {
                 out[addr] = v;
             }
         }
@@ -486,14 +562,14 @@ mod tests {
         let s2: Vec<u32> = (0..12).map(|x| x * 3 + 2).collect();
         let parts: Vec<&[u32]> = vec![&s0, &s1, &s2];
         let s = MergeSchedule::multiway_merge(&parts, &p);
-        assert_eq!(s.write_addrs.len(), p.b);
-        let mut covered: Vec<usize> = s.write_addrs.iter().flatten().copied().collect();
+        assert_eq!(s.write_starts().len(), p.b);
+        let mut covered: Vec<usize> = write_addrs(&s).into_iter().flatten().collect();
         covered.sort_unstable();
         assert_eq!(covered, (0..p.block_elems()).collect::<Vec<_>>());
         // Staged values assemble to the merged segments.
         let mut out = vec![0u32; p.block_elems()];
-        for (addrs, vals) in s.write_addrs.iter().zip(&s.merged_vals) {
-            for (&addr, &v) in addrs.iter().zip(vals) {
+        for (addrs, vals) in write_addrs(&s).into_iter().zip(s.merged_vals().iter()) {
+            for (addr, &v) in addrs.zip(vals) {
                 out[addr] = v;
             }
         }
@@ -501,9 +577,9 @@ mod tests {
         want.sort_unstable();
         assert_eq!(out, want);
         // Selection probes are single addresses within the tile.
-        assert!(s.probe_seqs.iter().flatten().all(|&a| a < p.block_elems()));
+        assert!(s.probe_seqs().iter().flatten().all(|&a| a < p.block_elems()));
         // Merge reads are one per staged element, like the pairwise path.
-        for (m, v) in s.merge_seqs.iter().zip(&s.merged_vals) {
+        for (m, v) in s.merge_seqs().iter().zip(s.merged_vals().iter()) {
             assert_eq!(m.len(), v.len());
         }
     }
@@ -519,9 +595,9 @@ mod tests {
         let pair = MergeSchedule::block_merge(&a, &b, &p);
         let parts: Vec<&[u32]> = vec![&a, &b];
         let multi = MergeSchedule::multiway_merge(&parts, &p);
-        assert_eq!(pair.merge_seqs, multi.merge_seqs);
-        assert_eq!(pair.merged_vals, multi.merged_vals);
-        assert_eq!(pair.write_addrs, multi.write_addrs);
+        assert!(pair.merge_seqs().iter().eq(multi.merge_seqs().iter()));
+        assert!(pair.merged_vals().iter().eq(multi.merged_vals().iter()));
+        assert_eq!(write_addrs(&pair), write_addrs(&multi));
     }
 
     #[test]

@@ -1,82 +1,85 @@
 //! Warp-lockstep execution helpers shared by the base-case and
 //! global-merge kernels.
 //!
-//! Each helper takes per-thread address sequences for one thread block
-//! and replays them warp by warp, step by step, against the simulated
-//! shared memory — charging exactly the per-step serialization the DMM
-//! model prescribes. Sequences may have unequal lengths (binary searches
-//! converge at different iterations); exhausted lanes idle.
+//! Each helper takes per-thread sequences for one thread block, as
+//! [`ThreadSlices`] over flat buffers, and replays them warp by warp,
+//! step by step, against the simulated shared memory — charging exactly
+//! the per-step serialization the DMM model prescribes. Sequences may
+//! have unequal lengths (binary searches converge at different
+//! iterations); exhausted lanes idle.
 
 use wcms_error::WcmsError;
 use wcms_gpu_sim::SharedMemory;
 
-/// Replay per-thread *read* sequences: `seqs[t][j]` is the tile address
-/// thread `t` reads at its step `j`. Returns the values read, in the same
-/// shape. The `addrs`/`vals` lane buffers are allocated once per call and
-/// reused across every warp chunk and step.
+use crate::schedule::ThreadSlices;
+
+/// Replay per-thread *read* sequences: thread `t` reads tile address
+/// `seqs.thread(t)[j]` at its step `j`. Returns the values read, flat in
+/// `seqs`' layout (the value of `seqs`' `i`-th address at index `i`).
 ///
 /// # Errors
 ///
 /// Propagates the tile's typed errors (out-of-bounds addresses).
 pub(crate) fn lockstep_reads<K: Copy + Default>(
     smem: &mut SharedMemory<K>,
-    seqs: &[Vec<usize>],
+    seqs: ThreadSlices<'_, usize>,
     warp: usize,
-) -> Result<Vec<Vec<K>>, WcmsError> {
-    let mut out: Vec<Vec<K>> = seqs.iter().map(|s| Vec::with_capacity(s.len())).collect();
-    let mut addrs: Vec<Option<usize>> = vec![None; warp];
-    let mut vals: Vec<Option<K>> = vec![None; warp];
-    for (chunk_idx, warp_threads) in seqs.chunks(warp).enumerate() {
-        let base = chunk_idx * warp;
-        let lanes = warp_threads.len();
-        let steps = warp_threads.iter().map(Vec::len).max().unwrap_or(0);
-        for j in 0..steps {
-            for (lane, seq) in warp_threads.iter().enumerate() {
-                addrs[lane] = seq.get(j).copied();
-            }
-            smem.read_step(&addrs[..lanes], &mut vals)?;
-            for lane in 0..lanes {
-                if let Some(v) = vals[lane] {
-                    out[base + lane].push(v);
-                }
-            }
-        }
-    }
+) -> Result<Vec<K>, WcmsError> {
+    let mut out = vec![K::default(); seqs.items().len()];
+    replay_reads(smem, seqs, warp, |i, v| out[i] = v)?;
     Ok(out)
 }
 
 /// Replay per-thread read sequences for *accounting only*, discarding the
 /// values. The charge is identical to [`lockstep_reads`] — same steps,
-/// same lanes, same addresses — but no per-thread result vectors are
-/// allocated, which matters on the β₁/β₂ replay paths that only need the
-/// conflict counts (the merged values already live in the
-/// [`crate::schedule::MergeSchedule`]).
+/// same lanes, same addresses — but nothing is collected, which matters
+/// on the β₁/β₂ replay paths that only need the conflict counts (the
+/// merged values already live in the [`crate::schedule::MergeSchedule`]).
 ///
 /// # Errors
 ///
 /// Propagates the tile's typed errors (out-of-bounds addresses).
 pub(crate) fn lockstep_probe<K: Copy + Default>(
     smem: &mut SharedMemory<K>,
-    seqs: &[Vec<usize>],
+    seqs: ThreadSlices<'_, usize>,
     warp: usize,
+) -> Result<(), WcmsError> {
+    replay_reads(smem, seqs, warp, |_, _| {})
+}
+
+/// The read replay behind [`lockstep_reads`] and [`lockstep_probe`]:
+/// hands each value read to `visit` with its index in the flat buffer.
+/// The lane buffers are allocated once per call and reused across every
+/// warp chunk and step.
+fn replay_reads<K: Copy + Default>(
+    smem: &mut SharedMemory<K>,
+    seqs: ThreadSlices<'_, usize>,
+    warp: usize,
+    mut visit: impl FnMut(usize, K),
 ) -> Result<(), WcmsError> {
     let mut addrs: Vec<Option<usize>> = vec![None; warp];
     let mut vals: Vec<Option<K>> = vec![None; warp];
-    for warp_threads in seqs.chunks(warp) {
-        let lanes = warp_threads.len();
-        let steps = warp_threads.iter().map(Vec::len).max().unwrap_or(0);
+    for first in (0..seqs.threads()).step_by(warp) {
+        let lanes = (seqs.threads() - first).min(warp);
+        let steps = (first..first + lanes).map(|t| seqs.span(t).len()).max().unwrap_or(0);
         for j in 0..steps {
-            for (lane, seq) in warp_threads.iter().enumerate() {
-                addrs[lane] = seq.get(j).copied();
+            for (lane, addr) in addrs[..lanes].iter_mut().enumerate() {
+                *addr = seqs.thread(first + lane).get(j).copied();
             }
             smem.read_step(&addrs[..lanes], &mut vals)?;
+            for (lane, val) in vals[..lanes].iter().enumerate() {
+                if let Some(v) = *val {
+                    visit(seqs.span(first + lane).start + j, v);
+                }
+            }
         }
     }
     Ok(())
 }
 
-/// Replay per-thread *write* sequences: thread `t` writes value
-/// `vals[t][j]` to address `addrs[t][j]` at step `j`.
+/// Replay per-thread *write* sequences into contiguous windows: thread
+/// `t` writes value `vals.thread(t)[j]` to address `starts[t] + j` at
+/// step `j`.
 ///
 /// # Errors
 ///
@@ -84,21 +87,21 @@ pub(crate) fn lockstep_probe<K: Copy + Default>(
 /// addresses).
 pub(crate) fn lockstep_writes<K: Copy + Default>(
     smem: &mut SharedMemory<K>,
-    addrs: &[Vec<usize>],
-    vals: &[Vec<K>],
+    starts: &[usize],
+    vals: ThreadSlices<'_, K>,
     warp: usize,
 ) -> Result<(), WcmsError> {
-    debug_assert_eq!(addrs.len(), vals.len());
+    debug_assert_eq!(starts.len(), vals.threads());
     let mut writes: Vec<Option<(usize, K)>> = vec![None; warp];
-    for (warp_addrs, warp_vals) in addrs.chunks(warp).zip(vals.chunks(warp)) {
-        let steps = warp_addrs.iter().map(Vec::len).max().unwrap_or(0);
-        #[allow(clippy::needless_range_loop)] // j indexes two parallel slices
+    for first in (0..vals.threads()).step_by(warp) {
+        let lanes = (vals.threads() - first).min(warp);
+        let steps = (first..first + lanes).map(|t| vals.span(t).len()).max().unwrap_or(0);
         for j in 0..steps {
-            for lane in 0..warp_addrs.len() {
-                writes[lane] = warp_addrs[lane].get(j).map(|&a| (a, warp_vals[lane][j]));
+            for (lane, write) in writes[..lanes].iter_mut().enumerate() {
+                let t = first + lane;
+                *write = vals.thread(t).get(j).map(|&v| (starts[t] + j, v));
             }
-            writes[warp_addrs.len()..].iter_mut().for_each(|w| *w = None);
-            smem.write_step(&writes[..warp_addrs.len().max(1)])?;
+            smem.write_step(&writes[..lanes])?;
         }
     }
     Ok(())
@@ -143,17 +146,30 @@ mod tests {
         m
     }
 
+    /// Per-thread sequences laid end to end: `(items, ends)`.
+    fn flat<T: Copy>(seqs: &[Vec<T>]) -> (Vec<T>, Vec<usize>) {
+        let ends = seqs
+            .iter()
+            .scan(0, |end, s| {
+                *end += s.len();
+                Some(*end)
+            })
+            .collect();
+        (seqs.concat(), ends)
+    }
+
     #[test]
     fn lockstep_reads_route_values_to_threads() {
         let mut m = smem(16);
         // 6 threads over warps of 4; ragged lengths.
-        let seqs = vec![vec![0, 1], vec![4], vec![8, 9], vec![12], vec![2, 3], vec![6]];
-        let out = lockstep_reads(&mut m, &seqs, 4).unwrap();
-        assert_eq!(out[0], vec![0, 10]);
-        assert_eq!(out[1], vec![40]);
-        assert_eq!(out[2], vec![80, 90]);
-        assert_eq!(out[4], vec![20, 30]);
-        assert_eq!(out[5], vec![60]);
+        let (seqs, ends) = flat(&[vec![0, 1], vec![4], vec![8, 9], vec![12], vec![2, 3], vec![6]]);
+        let vals = lockstep_reads(&mut m, ThreadSlices::new(&seqs, &ends), 4).unwrap();
+        let out = ThreadSlices::new(&vals, &ends);
+        assert_eq!(out.thread(0), [0, 10]);
+        assert_eq!(out.thread(1), [40]);
+        assert_eq!(out.thread(2), [80, 90]);
+        assert_eq!(out.thread(4), [20, 30]);
+        assert_eq!(out.thread(5), [60]);
         // Steps: warp 0 issues 2 steps, warp 1 issues 2 steps.
         assert_eq!(m.drain_totals().steps, 4);
     }
@@ -162,8 +178,8 @@ mod tests {
     fn lockstep_reads_count_conflicts() {
         let mut m = smem(16);
         // Two lanes in bank 0 (addresses 0 and 4 on 4 banks) every step.
-        let seqs = vec![vec![0], vec![4], vec![1], vec![2]];
-        let _ = lockstep_reads(&mut m, &seqs, 4).unwrap();
+        let (seqs, ends) = flat(&[vec![0], vec![4], vec![1], vec![2]]);
+        let _ = lockstep_reads(&mut m, ThreadSlices::new(&seqs, &ends), 4).unwrap();
         let t = m.drain_totals();
         assert_eq!(t.cycles, 2);
         assert_eq!(t.max_degree, 2);
@@ -171,20 +187,21 @@ mod tests {
 
     #[test]
     fn lockstep_probe_charges_exactly_like_reads() {
-        let seqs = vec![vec![0, 4, 8], vec![4], vec![1, 5], vec![2], vec![3, 7]];
+        let (seqs, ends) = flat(&[vec![0, 4, 8], vec![4], vec![1, 5], vec![2], vec![3, 7]]);
+        let seqs = ThreadSlices::new(&seqs, &ends);
         let mut read_m = smem(16);
-        let _ = lockstep_reads(&mut read_m, &seqs, 4).unwrap();
+        let _ = lockstep_reads(&mut read_m, seqs, 4).unwrap();
         let mut probe_m = smem(16);
-        lockstep_probe(&mut probe_m, &seqs, 4).unwrap();
+        lockstep_probe(&mut probe_m, seqs, 4).unwrap();
         assert_eq!(read_m.drain_totals(), probe_m.drain_totals());
     }
 
     #[test]
     fn lockstep_writes_store_values() {
         let mut m = smem(8);
-        let addrs = vec![vec![0usize, 1], vec![2]];
-        let vals = vec![vec![100u32, 101], vec![102]];
-        lockstep_writes(&mut m, &addrs, &vals, 4).unwrap();
+        // Thread 0 writes addresses 0, 1; thread 1 writes address 2.
+        let (vals, ends) = flat(&[vec![100u32, 101], vec![102]]);
+        lockstep_writes(&mut m, &[0, 2], ThreadSlices::new(&vals, &ends), 4).unwrap();
         assert_eq!(&m.as_slice()[..3], &[100, 101, 102]);
     }
 
