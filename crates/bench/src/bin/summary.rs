@@ -10,7 +10,7 @@
 
 use std::process::ExitCode;
 
-use wcms_bench::cliargs::figure_args_from_env;
+use wcms_bench::cliargs::parse_figure_args;
 use wcms_bench::experiment::{measure_on, SweepConfig};
 use wcms_bench::figures::{fig4, fig5_mgpu, fig5_thrust};
 use wcms_bench::resilient::SkippedCell;
@@ -31,9 +31,13 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), WcmsError> {
-    let args = figure_args_from_env("summary")?;
+    // `--beta` is summary's own switch: strip it before the shared
+    // parser, which refuses anything outside the figure flags.
+    let (beta, argv): (Vec<String>, Vec<String>) =
+        std::env::args().skip(1).partition(|a| a == "--beta");
+    let args = parse_figure_args("summary", &argv)?;
 
-    if std::env::args().any(|a| a == "--beta") {
+    if !beta.is_empty() {
         return beta_report(&args.opts.sweep, args.backend());
     }
 

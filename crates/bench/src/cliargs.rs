@@ -24,6 +24,12 @@
 //! [--replay]                    render entirely from checkpointed cells
 //! ```
 //!
+//! Any other argument is refused with an `InvalidInput` error naming it,
+//! before the checkpoint store opens: a mistyped `--resume` must not
+//! fall through to the fresh-run clear below. Binaries with flags of
+//! their own (`summary --beta`, `merge --figure/--from`) strip them
+//! first.
+//!
 //! The shard modes (`--shard-index/--shard-count`, `--steal`,
 //! `--replay`) make n independent *processes* cooperate on one grid
 //! through a shared checkpoint directory; they imply `--resume` (a
@@ -117,15 +123,64 @@ fn bad(msg: String) -> WcmsError {
     WcmsError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
 }
 
+/// The documented switches (see the module docs).
+const SWITCHES: [&str; 8] = [
+    "--quick",
+    "--standard",
+    "--full",
+    "--markdown",
+    "--resume",
+    "--no-checkpoint",
+    "--steal",
+    "--replay",
+];
+
+/// The documented flags that take the next argument as their value.
+const VALUE_FLAGS: [&str; 13] = [
+    "--backend",
+    "--algorithm",
+    "--jobs",
+    "--timeout",
+    "--retries",
+    "--checkpoint-dir",
+    "--trace",
+    "--trace-parent",
+    "--metrics",
+    "--shard-index",
+    "--shard-count",
+    "--worker-id",
+    "--lease-ttl",
+];
+
+/// Refuse the first argument outside the documented list, and a value
+/// flag with no value after it. A value flag consumes its value, so the
+/// value is never checked as a flag.
+fn reject_unknown(args: &[String]) -> Result<(), WcmsError> {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            if it.next().is_none() {
+                return Err(bad(format!("{arg}: missing value")));
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Err(bad(format!("{arg}: unknown argument")));
+        }
+    }
+    Ok(())
+}
+
 /// Parse `args` (without the program name) for the figure `figure`.
 ///
 /// # Errors
 ///
-/// Argument errors are reported as `Io(InvalidInput)` with the message;
-/// a `--resume` against a foreign checkpoint directory as
-/// [`WcmsError::CheckpointMismatch`]; checkpoint-directory failures as
+/// Argument errors are reported as `Io(InvalidInput)` with the message:
+/// an argument outside the documented list is refused before the
+/// checkpoint store opens, so a mistyped `--resume` cannot clear it. A
+/// `--resume` against a foreign checkpoint directory is a
+/// [`WcmsError::CheckpointMismatch`]; checkpoint-directory failures are
 /// their underlying I/O error.
 pub fn parse_figure_args(figure: &str, args: &[String]) -> Result<FigureArgs, WcmsError> {
+    reject_unknown(args)?;
     let sweep = if args.iter().any(|a| a == "--quick") {
         SweepConfig::quick()
     } else if args.iter().any(|a| a == "--full") {
@@ -565,6 +620,52 @@ mod tests {
         let store3 = a3.opts.resilience.checkpoint.as_ref().unwrap();
         assert!(matches!(store3.load("cell"), LoadOutcome::Cached(_)));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A mistyped flag is refused before the store opens: without
+    /// `--resume` the fresh-run clear would otherwise delete every cell
+    /// of the sweep the user meant to resume.
+    #[test]
+    fn unknown_flag_is_refused_and_the_cells_survive() {
+        let dir = std::env::temp_dir().join(format!("wcms-cli-typo-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let ck = dir.to_str().unwrap();
+        let a = parse_figure_args("figX", &strs(&["--quick", "--checkpoint-dir", ck])).unwrap();
+        let store = a.opts.resilience.checkpoint.as_ref().unwrap();
+        store.store("cell", &CellResult::Skipped { reason: "x".into(), attempts: 1 }).unwrap();
+
+        for typo in ["--resmue", "--quik", "resume"] {
+            let err = parse_figure_args("figX", &strs(&["--quick", typo, "--checkpoint-dir", ck]))
+                .unwrap_err();
+            assert!(
+                matches!(err, WcmsError::Io(ref e) if e.kind() == std::io::ErrorKind::InvalidInput),
+                "{typo}: {err}"
+            );
+            assert!(err.to_string().contains(typo), "the error must name {typo}: {err}");
+        }
+
+        let resumed =
+            parse_figure_args("figX", &strs(&["--quick", "--resume", "--checkpoint-dir", ck]))
+                .unwrap();
+        let store = resumed.opts.resilience.checkpoint.as_ref().unwrap();
+        assert!(matches!(store.load("cell"), LoadOutcome::Cached(_)), "a typo cleared the store");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every value flag consumes the token after it, so its value is
+    /// never taken for an unknown flag; a value flag with nothing after
+    /// it is refused.
+    #[test]
+    fn flag_values_are_consumed_and_required() {
+        let a = parse_figure_args(
+            "figX",
+            &strs(&["--no-checkpoint", "--metrics", "m.prom", "--retries", "2"]),
+        )
+        .unwrap();
+        assert_eq!(a.metrics.as_deref(), Some(std::path::Path::new("m.prom")));
+        assert_eq!(a.opts.resilience.retries, 2);
+        let err = parse_figure_args("figX", &strs(&["--no-checkpoint", "--metrics"])).unwrap_err();
+        assert!(err.to_string().contains("--metrics"), "{err}");
     }
 
     #[test]

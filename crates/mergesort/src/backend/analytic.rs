@@ -4,32 +4,30 @@
 //! counters do not need — moving every lane's `Option` request and value
 //! through the shared tile, a sort of one key per lane inside every
 //! step's conflict analysis (the scan that also catches CREW races),
-//! and a materialised per-stage schedule. This backend skips all of it:
-//! thread schedules are *streamed* from the shared walkers in
+//! and a materialised per-stage schedule. This backend's tile skips all
+//! of it: thread schedules are *streamed* from the shared walkers in
 //! [`crate::schedule`] (the same construction the simulator
 //! materialises) straight into a [`StepAccumulator`] in `O(active
 //! lanes + w)` per step, buffering only one warp's addresses at a time
 //! in reused flat scratch — no per-thread allocation anywhere. Data
 //! movement is plain slice copies. Counters come out integer-for-integer
-//! equal to [`super::SimBackend`] because the two backends share
-//! schedule construction and the accumulator reproduces the
-//! [`wcms_dmm::ConflictCounter`] arithmetic exactly — including the
-//! padded physical layout, which is applied per address rather than
-//! approximated with a closed form (a fill that crosses a padding
-//! boundary is *not* conflict-free, and a formula would miss that).
+//! equal to [`super::SimBackend`] because the two backends run the same
+//! kernels ([`super::kernel`]) over the same schedules, and the
+//! accumulator reproduces the [`wcms_dmm::ConflictCounter`] arithmetic
+//! exactly — including the padded physical layout, which is applied
+//! per address rather than approximated with a closed form (a fill that
+//! crosses a padding boundary is *not* conflict-free, and a formula
+//! would miss that).
 
 use wcms_dmm::{padded_len, BankModel, ConflictTotals, StepAccumulator, StepConflicts};
 use wcms_error::WcmsError;
-use wcms_gpu_sim::{tile_traffic_words, GpuKey};
+use wcms_gpu_sim::GpuKey;
 
-use crate::instrument::RoundCounters;
-use crate::network::odd_even_sort;
+use crate::instrument::{PhaseTotals, RoundCounters};
 use crate::params::SortParams;
-use crate::schedule::{
-    find_block_coranks, find_block_coranks_multi, validate_coranks, validate_coranks_multi,
-    walk_block_merge, walk_in_block_round, walk_multiway_merge, ScheduleSink,
-};
+use crate::schedule::{ScheduleSink, Stage, ThreadSlices};
 
+use super::kernel::Tile;
 use super::ExecBackend;
 
 /// Schedule-replay conflict prediction: identical counters to
@@ -37,22 +35,6 @@ use super::ExecBackend;
 /// cells.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyticBackend;
-
-/// One warp's per-thread address sequences, flattened (CSR-style): the
-/// addresses of thread `t` of the warp are
-/// `addrs[ends[t-1]..ends[t]]`. Reused across warps, rounds and blocks.
-#[derive(Default)]
-struct WarpSeqs {
-    addrs: Vec<usize>,
-    ends: Vec<usize>,
-}
-
-impl WarpSeqs {
-    fn clear(&mut self) {
-        self.addrs.clear();
-        self.ends.clear();
-    }
-}
 
 /// Conflict accounting for one thread block's tile, mirroring the step
 /// structure of the lockstep helpers in [`crate::warp_exec`] exactly:
@@ -96,22 +78,23 @@ impl TileCounter {
     /// the input across threads), selecting the accumulator's dedupe-free
     /// fast path at compile time; probe phases broadcast and must take
     /// the general one.
-    fn replay_warp<const DISTINCT: bool>(&mut self, warp: &WarpSeqs) {
-        let lanes = warp.ends.len();
+    fn replay_warp<const DISTINCT: bool>(&mut self, seqs: ThreadSlices<'_, usize>) {
+        let lanes = seqs.threads();
         if lanes == 0 {
             return;
         }
+        let addrs = seqs.items();
         // Equal-length sequences (always true for the merge phase — every
         // thread consumes exactly E inputs — and for most probe warps):
         // no lane ever idles, so the per-lane bounds bookkeeping drops
         // out of the transpose.
-        let len = warp.ends[0];
-        if warp.ends.iter().enumerate().all(|(l, &end)| end == (l + 1) * len) {
+        let len = seqs.thread(0).len();
+        if seqs.iter().all(|seq| seq.len() == len) {
             for j in 0..len {
                 self.acc.begin_step();
                 let mut k = j;
                 for _ in 0..lanes {
-                    let p = self.phys(warp.addrs[k]);
+                    let p = self.phys(addrs[k]);
                     if DISTINCT {
                         self.acc.access_distinct(p);
                     } else {
@@ -123,25 +106,18 @@ impl TileCounter {
             }
             return;
         }
-        let mut steps = 0usize;
-        let mut start = 0usize;
-        for &end in &warp.ends {
-            steps = steps.max(end - start);
-            start = end;
-        }
+        let steps = seqs.iter().map(<[usize]>::len).max().unwrap_or(0);
         for j in 0..steps {
             self.acc.begin_step();
-            let mut start = 0usize;
-            for &end in &warp.ends[..lanes] {
-                if j < end - start {
-                    let p = self.phys(warp.addrs[start + j]);
+            for seq in seqs.iter() {
+                if let Some(&addr) = seq.get(j) {
+                    let p = self.phys(addr);
                     if DISTINCT {
                         self.acc.access_distinct(p);
                     } else {
                         self.acc.access(p);
                     }
                 }
-                start = end;
             }
             self.acc.end_step();
         }
@@ -249,27 +225,29 @@ impl TileCounter {
 /// Warp-granular buffers and per-phase totals of one merge stage's
 /// streamed schedules. The walkers feed it through [`StageSink`], which
 /// appends each thread's addresses directly to these flat buffers (no
-/// intermediate per-thread storage) and replays a warp's three phases
-/// into the tile counter the moment its last lane completes.
+/// intermediate per-thread storage, the [`ThreadSlices`] layout of the
+/// simulator's materialised schedules) and replays a warp's three
+/// phases into the tile counter the moment its last lane completes.
 struct StageCounter {
-    probe: WarpSeqs,
-    merge: WarpSeqs,
+    probe_addrs: Vec<usize>,
+    probe_ends: Vec<usize>,
+    merge_addrs: Vec<usize>,
+    merge_ends: Vec<usize>,
     writes: Vec<(usize, usize)>,
-    partition: ConflictTotals,
-    merging: ConflictTotals,
-    transfer: ConflictTotals,
+    /// The stage's totals so far, by phase.
+    phases: PhaseTotals,
     warp: usize,
 }
 
 impl StageCounter {
     fn new(warp: usize) -> Self {
         Self {
-            probe: WarpSeqs::default(),
-            merge: WarpSeqs::default(),
+            probe_addrs: Vec::new(),
+            probe_ends: Vec::new(),
+            merge_addrs: Vec::new(),
+            merge_ends: Vec::new(),
             writes: Vec::with_capacity(warp),
-            partition: ConflictTotals::default(),
-            merging: ConflictTotals::default(),
-            transfer: ConflictTotals::default(),
+            phases: PhaseTotals::default(),
             warp,
         }
     }
@@ -279,26 +257,17 @@ impl StageCounter {
         if self.writes.is_empty() {
             return;
         }
-        tc.replay_warp::<false>(&self.probe);
-        self.partition.merge(&tc.drain());
-        tc.replay_warp::<true>(&self.merge);
-        self.merging.merge(&tc.drain());
+        tc.replay_warp::<false>(ThreadSlices::new(&self.probe_addrs, &self.probe_ends));
+        self.phases.partition.merge(&tc.drain());
+        tc.replay_warp::<true>(ThreadSlices::new(&self.merge_addrs, &self.merge_ends));
+        self.phases.merge.merge(&tc.drain());
         tc.replay_warp_ranges(&self.writes);
-        self.transfer.merge(&tc.drain());
-        self.probe.clear();
-        self.merge.clear();
+        self.phases.transfer.merge(&tc.drain());
+        self.probe_addrs.clear();
+        self.probe_ends.clear();
+        self.merge_addrs.clear();
+        self.merge_ends.clear();
         self.writes.clear();
-    }
-
-    /// Fold the stage's per-phase totals into the round counters and
-    /// reset them for the next stage.
-    fn charge(&mut self, counters: &mut RoundCounters) {
-        counters.shared.partition.merge(&self.partition);
-        counters.shared.merge.merge(&self.merging);
-        counters.shared.transfer.merge(&self.transfer);
-        self.partition = ConflictTotals::default();
-        self.merging = ConflictTotals::default();
-        self.transfer = ConflictTotals::default();
     }
 }
 
@@ -321,27 +290,106 @@ impl<K: Copy> ScheduleSink<K> for StageSink<'_, K> {
     }
 
     fn probe(&mut self, a_addr: usize, b_addr: usize) {
-        self.stage.probe.addrs.push(a_addr);
-        self.stage.probe.addrs.push(b_addr);
+        self.stage.probe_addrs.push(a_addr);
+        self.stage.probe_addrs.push(b_addr);
     }
 
     fn probe_at(&mut self, addr: usize) {
-        self.stage.probe.addrs.push(addr);
+        self.stage.probe_addrs.push(addr);
     }
 
     fn merge_read(&mut self, addr: usize, val: K) {
-        self.stage.merge.addrs.push(addr);
+        self.stage.merge_addrs.push(addr);
         self.out[self.cursor] = val;
         self.cursor += 1;
     }
 
     fn end_thread(&mut self) {
-        self.stage.probe.ends.push(self.stage.probe.addrs.len());
-        self.stage.merge.ends.push(self.stage.merge.addrs.len());
+        self.stage.probe_ends.push(self.stage.probe_addrs.len());
+        self.stage.merge_ends.push(self.stage.merge_addrs.len());
         self.stage.writes.push((self.write_start, self.cursor - self.write_start));
         if self.stage.writes.len() == self.stage.warp {
             self.stage.flush(self.tc);
         }
+    }
+}
+
+impl<'a, K> StageSink<'a, K> {
+    fn new(stage: &'a mut StageCounter, tc: &'a mut TileCounter, out: &'a mut [K]) -> Self {
+        Self { stage, tc, out, write_start: 0, cursor: 0 }
+    }
+}
+
+/// The analytic tile: the tile's contents as a plain buffer, and every
+/// warp step the kernels issue counted by a [`TileCounter`] — the
+/// fills, strided passes and staging windows in closed form, the
+/// schedules streamed a warp at a time through a [`StageSink`].
+struct CountTile<K> {
+    counter: TileCounter,
+    stage: StageCounter,
+    data: Vec<K>,
+    /// An in-block round's staging buffer, which then takes `data`'s
+    /// place (every round stages all `bE` words).
+    spare: Vec<K>,
+}
+
+impl<K: GpuKey> Tile<K> for CountTile<K> {
+    fn new(params: &SortParams) -> Self {
+        let be = params.block_elems();
+        Self {
+            counter: TileCounter::new(params, be),
+            stage: StageCounter::new(params.w),
+            data: Vec::with_capacity(be),
+            spare: Vec::new(),
+        }
+    }
+
+    fn load(&mut self, values: &[K], params: &SortParams) -> Result<(), WcmsError> {
+        self.counter.count_fill(self.data.len(), values.len(), params.b, params.w);
+        self.data.extend_from_slice(values);
+        Ok(())
+    }
+
+    fn register_pass(
+        &mut self,
+        params: &SortParams,
+        f: impl FnOnce(&mut [K]),
+    ) -> Result<(), WcmsError> {
+        // Strided reads and the write-back to the same addresses, both
+        // generated arithmetically; the registers are the tile itself.
+        self.counter.count_strided(params.b, params.e, params.w);
+        f(&mut self.data);
+        self.counter.count_strided(params.b, params.e, params.w);
+        Ok(())
+    }
+
+    fn merge_stage(
+        &mut self,
+        stage: Stage<'_, K>,
+        params: &SortParams,
+    ) -> Result<PhaseTotals, WcmsError> {
+        let Self { counter, stage: buffers, data, spare } = self;
+        if let Stage::InBlock(_) = stage {
+            // Threads of a pair read what others overwrite: stage into
+            // the second buffer, then swap.
+            spare.resize(data.len(), K::default());
+            stage.walk(data, params, &mut StageSink::new(buffers, counter, spare));
+            std::mem::swap(data, spare);
+        } else {
+            // A global stage reads the global lists, so its staged
+            // values land in the tile directly.
+            stage.walk(&[], params, &mut StageSink::new(buffers, counter, data));
+        }
+        buffers.flush(counter);
+        Ok(std::mem::take(&mut buffers.phases))
+    }
+
+    fn drain(&mut self) -> ConflictTotals {
+        self.counter.drain()
+    }
+
+    fn into_vec(self) -> Vec<K> {
+        self.data
     }
 }
 
@@ -356,57 +404,7 @@ impl ExecBackend for AnalyticBackend {
         global_offset: usize,
         params: &SortParams,
     ) -> Result<(Vec<K>, RoundCounters), WcmsError> {
-        let be = params.block_elems();
-        if chunk.len() != be {
-            return Err(WcmsError::InvalidLength { n: chunk.len(), block_elems: be });
-        }
-        let (w, e, b) = (params.w, params.e, params.b);
-
-        let mut counters = RoundCounters { blocks: 1, ..Default::default() };
-        let mut tc = TileCounter::new(params, be);
-        let mut tile = chunk.to_vec();
-
-        // Tile load: global (coalesced) → shared (round-robin).
-        counters.global.merge(&tile_traffic_words(global_offset, be, w, K::WORD_BYTES));
-        tc.count_fill(0, be, b, w);
-
-        // Register sort: strided reads, odd–even network, write-back to
-        // the same addresses — both passes generated arithmetically.
-        tc.count_strided(b, e, w);
-        for run in tile.chunks_mut(e) {
-            counters.comparators += odd_even_sort(run);
-        }
-        tc.count_strided(b, e, w);
-        counters.shared.transfer.merge(&tc.drain());
-
-        // In-block pairwise merge rounds: stream the shared schedule
-        // walker warp by warp into the accumulator; staged values land in
-        // a double buffer (threads of a pair read what others overwrite).
-        let mut out = tile.clone();
-        let mut stage = StageCounter::new(w);
-        for round in 1..=params.block_rounds() {
-            walk_in_block_round(
-                &tile,
-                round,
-                params,
-                &mut StageSink {
-                    stage: &mut stage,
-                    tc: &mut tc,
-                    out: &mut out,
-                    write_start: 0,
-                    cursor: 0,
-                },
-            );
-            stage.flush(&mut tc);
-            stage.charge(&mut counters);
-            // Every round stages all bE positions, so the buffers swap
-            // roles instead of copying.
-            std::mem::swap(&mut tile, &mut out);
-        }
-
-        // Store: shared → global (coalesced).
-        counters.global.merge(&tile_traffic_words(global_offset, be, w, K::WORD_BYTES));
-        Ok((tile, counters))
+        CountTile::base_block(chunk, global_offset, params)
     }
 
     fn merge_unit<K: GpuKey>(
@@ -419,56 +417,7 @@ impl ExecBackend for AnalyticBackend {
         params: &SortParams,
         precomputed: Option<(usize, usize)>,
     ) -> Result<(Vec<K>, RoundCounters), WcmsError> {
-        let be = params.block_elems();
-        let w = params.w;
-        let mut counters = RoundCounters { blocks: 1, ..Default::default() };
-
-        // Stage 1: block partition in global memory (shared code path).
-        let diag_start = block_index * be;
-        let diag_end = diag_start + be;
-        let (ca_start, ca_end) =
-            find_block_coranks(a, b, diag_start, diag_end, precomputed, &mut counters);
-        validate_coranks((ca_start, ca_end), diag_start, diag_end, a.len(), b.len(), block_index)?;
-        let (cb_start, cb_end) = (diag_start - ca_start, diag_end - ca_end);
-
-        let a_part = &a[ca_start..ca_end];
-        let b_part = &b[cb_start..cb_end];
-        let la = a_part.len();
-
-        // Stage 2: tile load (A at 0, B at la).
-        counters.global.merge(&tile_traffic_words(a_offset + ca_start, la, w, K::WORD_BYTES));
-        counters.global.merge(&tile_traffic_words(
-            b_offset + cb_start,
-            b_part.len(),
-            w,
-            K::WORD_BYTES,
-        ));
-        let mut tc = TileCounter::new(params, be);
-        tc.count_fill(0, la, params.b, w);
-        tc.count_fill(la, b_part.len(), params.b, w);
-        counters.shared.transfer.merge(&tc.drain());
-
-        // Stages 3 & 4: GPU Merge Path streamed from the shared walker;
-        // the staged writes cover the whole tile, so assembling them in
-        // `out` is exactly the simulator's final tile content.
-        let mut out = vec![K::default(); be];
-        let mut stage = StageCounter::new(w);
-        walk_block_merge(
-            a_part,
-            b_part,
-            params,
-            &mut StageSink {
-                stage: &mut stage,
-                tc: &mut tc,
-                out: &mut out,
-                write_start: 0,
-                cursor: 0,
-            },
-        );
-        stage.flush(&mut tc);
-        stage.charge(&mut counters);
-        counters.global.merge(&tile_traffic_words(a_offset + diag_start, be, w, K::WORD_BYTES));
-        Ok((out, counters))
+        CountTile::merge_unit(a, b, a_offset, b_offset, block_index, params, precomputed)
     }
 
     fn merge_unit_multi<K: GpuKey>(
@@ -480,47 +429,7 @@ impl ExecBackend for AnalyticBackend {
         params: &SortParams,
         precomputed: Option<&[(usize, usize)]>,
     ) -> Result<(Vec<K>, RoundCounters), WcmsError> {
-        let be = params.block_elems();
-        let w = params.w;
-        let mut counters = RoundCounters { blocks: 1, ..Default::default() };
-
-        // Stage 1: block partition in global memory (shared code path).
-        let diag_start = block_index * be;
-        let diag_end = diag_start + be;
-        let lens: Vec<usize> = runs.iter().map(|r| r.len()).collect();
-        let pairs =
-            find_block_coranks_multi(runs, diag_start, diag_end, precomputed, &mut counters);
-        validate_coranks_multi(&pairs, diag_start, diag_end, &lens, block_index)?;
-
-        // Stage 2: tile load, segment i right after segment i−1.
-        let parts: Vec<&[K]> = runs.iter().zip(&pairs).map(|(r, &(s, e))| &r[s..e]).collect();
-        let mut tc = TileCounter::new(params, be);
-        let mut base = 0usize;
-        for ((part, &(s, _)), &off) in parts.iter().zip(&pairs).zip(run_offsets) {
-            counters.global.merge(&tile_traffic_words(off + s, part.len(), w, K::WORD_BYTES));
-            tc.count_fill(base, part.len(), params.b, w);
-            base += part.len();
-        }
-        counters.shared.transfer.merge(&tc.drain());
-
-        // Stages 3 & 4: the k-way merge streamed from the shared walker.
-        let mut out = vec![K::default(); be];
-        let mut stage = StageCounter::new(w);
-        walk_multiway_merge(
-            &parts,
-            params,
-            &mut StageSink {
-                stage: &mut stage,
-                tc: &mut tc,
-                out: &mut out,
-                write_start: 0,
-                cursor: 0,
-            },
-        );
-        stage.flush(&mut tc);
-        stage.charge(&mut counters);
-        counters.global.merge(&tile_traffic_words(out_offset + diag_start, be, w, K::WORD_BYTES));
-        Ok((out, counters))
+        CountTile::merge_unit_multi(runs, run_offsets, out_offset, block_index, params, precomputed)
     }
 }
 
@@ -533,35 +442,50 @@ mod tests {
         SortParams::new(8, 3, 16).unwrap() // bE = 48
     }
 
+    /// Every tile path: flat and padded layouts, aligned and misaligned
+    /// global offsets.
     #[test]
     fn base_block_matches_sim_exactly() {
         for p in [params(), params().with_padding()] {
             let input: Vec<u32> =
                 (0..p.block_elems() as u32).map(|i| i.wrapping_mul(2_654_435_761) % 977).collect();
-            let (sim_out, sim_c) = SimBackend.base_block(&input, 0, &p).unwrap();
-            let (ana_out, ana_c) = AnalyticBackend.base_block(&input, 0, &p).unwrap();
-            assert_eq!(ana_out, sim_out);
-            assert_eq!(ana_c, sim_c, "padding={}", p.smem_padding);
+            for offset in [0, 4] {
+                let (sim_out, sim_c) = SimBackend.base_block(&input, offset, &p).unwrap();
+                let (ana_out, ana_c) = AnalyticBackend.base_block(&input, offset, &p).unwrap();
+                let case = format!("padding={} offset={offset}", p.smem_padding);
+                assert_eq!(ana_out, sim_out, "{case}");
+                assert_eq!(ana_c, sim_c, "{case}");
+            }
         }
     }
 
+    /// Every tile path: flat and padded layouts, fused (Thrust) and
+    /// precomputed (Modern GPU) co-ranks.
     #[test]
     fn merge_unit_matches_sim_exactly() {
-        let p = params();
-        let be = p.block_elems();
-        let a: Vec<u32> = (0..be as u32).map(|x| x * 3 % 101).collect();
-        let b: Vec<u32> = (0..be as u32).map(|x| x * 7 % 103).collect();
-        let (mut a, mut b) = (a, b);
-        a.sort_unstable();
-        b.sort_unstable();
-        for j in 0..2 {
-            let (sim_out, sim_c) = SimBackend.merge_unit(&a, &b, 0, be, j, &p, None).unwrap();
-            let (ana_out, ana_c) = AnalyticBackend.merge_unit(&a, &b, 0, be, j, &p, None).unwrap();
-            assert_eq!(ana_out, sim_out, "block {j}");
-            assert_eq!(ana_c, sim_c, "block {j}");
+        for p in [params(), params().with_padding()] {
+            let be = p.block_elems();
+            let mut a: Vec<u32> = (0..be as u32).map(|x| x * 3 % 101).collect();
+            let mut b: Vec<u32> = (0..be as u32).map(|x| x * 7 % 103).collect();
+            a.sort_unstable();
+            b.sort_unstable();
+            let (coranks, _) = SimBackend.partition_unit(&a, &b, 2, &p);
+            for (j, &corank) in coranks.iter().enumerate() {
+                for pre in [None, Some(corank)] {
+                    let (sim_out, sim_c) =
+                        SimBackend.merge_unit(&a, &b, 0, be, j, &p, pre).unwrap();
+                    let (ana_out, ana_c) =
+                        AnalyticBackend.merge_unit(&a, &b, 0, be, j, &p, pre).unwrap();
+                    let case = format!("block {j} padding={} pre={pre:?}", p.smem_padding);
+                    assert_eq!(ana_out, sim_out, "{case}");
+                    assert_eq!(ana_c, sim_c, "{case}");
+                }
+            }
         }
     }
 
+    /// Every tile path of the k-way unit: flat and padded layouts, fused
+    /// and precomputed co-ranks.
     #[test]
     fn merge_unit_multi_matches_sim_exactly() {
         for p in [params(), params().with_padding()] {
@@ -574,13 +498,17 @@ mod tests {
             }
             let refs: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
             let offsets: Vec<usize> = (0..3).map(|i| i * be).collect();
-            for j in 0..3 {
-                let (sim_out, sim_c) =
-                    SimBackend.merge_unit_multi(&refs, &offsets, 0, j, &p, None).unwrap();
-                let (ana_out, ana_c) =
-                    AnalyticBackend.merge_unit_multi(&refs, &offsets, 0, j, &p, None).unwrap();
-                assert_eq!(ana_out, sim_out, "block {j} padding={}", p.smem_padding);
-                assert_eq!(ana_c, sim_c, "block {j} padding={}", p.smem_padding);
+            let (coranks, _) = SimBackend.partition_unit_multi(&refs, 3, &p);
+            for (j, corank) in coranks.iter().enumerate() {
+                for pre in [None, Some(corank.as_slice())] {
+                    let (sim_out, sim_c) =
+                        SimBackend.merge_unit_multi(&refs, &offsets, 0, j, &p, pre).unwrap();
+                    let (ana_out, ana_c) =
+                        AnalyticBackend.merge_unit_multi(&refs, &offsets, 0, j, &p, pre).unwrap();
+                    let case = format!("block {j} padding={} pre={pre:?}", p.smem_padding);
+                    assert_eq!(ana_out, sim_out, "{case}");
+                    assert_eq!(ana_c, sim_c, "{case}");
+                }
             }
         }
     }

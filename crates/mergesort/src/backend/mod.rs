@@ -22,17 +22,23 @@
 //!  forwards each     SharedMemory    into a             / merge_emit,
 //!  unit to the       replay, exact   StepAccumulator,   no counters
 //!  backend it names  values+counters exact counters     (degrade ladder)
+//!                         └──────┬──────────┘
+//!                  kernel: the work units written once
+//!                  against a Tile (SimTile · CountTile)
 //! ```
 //!
 //! [`Cancellable`] wraps any of them so every unit first polls a
 //! [`CancelToken`].
 //!
-//! [`SimBackend`] and [`AnalyticBackend`] consume the *same* address
-//! schedules ([`crate::schedule::MergeSchedule`]) and differ only in the
-//! accounting engine, which is why their counters agree integer for
-//! integer (asserted by the cross-validation tests in the bench crate).
+//! [`SimBackend`] and [`AnalyticBackend`] run the *same* work units
+//! (`kernel`, written once against a shared-memory tile) over the same
+//! address schedules ([`crate::schedule`]), and differ only in their
+//! tile's accounting engine, which is why their counters agree integer
+//! for integer (asserted by the cross-validation tests in the bench
+//! crate).
 
 mod analytic;
+mod kernel;
 mod reference;
 mod sim;
 
@@ -72,9 +78,9 @@ pub trait ExecBackend: Sync {
     ) -> Result<(Vec<K>, RoundCounters), WcmsError>;
 
     /// Merge one block's `bE`-element output window of the sorted pair
-    /// `(a, b)`. Mirrors `crate::globalmerge::merge_block`'s contract:
-    /// `precomputed` carries the co-ranks of a separate partition kernel
-    /// (Modern GPU), `None` makes the block search its own (Thrust).
+    /// `(a, b)`: `precomputed` carries the co-ranks of a separate
+    /// partition kernel (Modern GPU), `None` makes the block search its
+    /// own (Thrust).
     ///
     /// # Errors
     ///
@@ -103,13 +109,12 @@ pub trait ExecBackend: Sync {
         num_blocks: usize,
         params: &SortParams,
     ) -> (Vec<(usize, usize)>, RoundCounters) {
-        crate::globalmerge::partition_pass(a, b, num_blocks, params)
+        crate::schedule::partition_pass(a, b, num_blocks, params)
     }
 
     /// Merge one block's `bE`-element output window of a *multiway*
     /// group of sorted runs — the k-way analogue of
-    /// [`ExecBackend::merge_unit`], mirroring
-    /// `crate::globalmerge::merge_block_multi`'s contract.
+    /// [`ExecBackend::merge_unit`], with the same contract.
     ///
     /// # Errors
     ///
@@ -135,7 +140,7 @@ pub trait ExecBackend: Sync {
         num_blocks: usize,
         params: &SortParams,
     ) -> (Vec<Vec<(usize, usize)>>, RoundCounters) {
-        crate::globalmerge::partition_pass_multi(runs, num_blocks, params)
+        crate::schedule::partition_pass_multi(runs, num_blocks, params)
     }
 }
 

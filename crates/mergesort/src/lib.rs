@@ -7,13 +7,17 @@
 //!
 //! Structure (all parameters per [`params::SortParams`]):
 //!
-//! 1. **Base case** (`blocksort`) — each thread block sorts `bE`
-//!    elements in shared memory: per-thread odd–even register sort
-//!    (`network`), then `log₂ b` in-block Merge Path rounds.
-//! 2. **Global rounds** (`globalmerge`) — `⌈log₂ N/(bE)⌉` pairwise
-//!    rounds; in round `i`, `2ⁱ` blocks cooperate per pair, each finding
-//!    its `bE` quantile by mutual binary search in global memory and
-//!    merging it in shared memory.
+//! 1. **Base case** — each thread block sorts `bE` elements in shared
+//!    memory: per-thread odd–even register sort (`network`), then
+//!    `log₂ b` in-block Merge Path rounds.
+//! 2. **Global rounds** — `⌈log₂ N/(bE)⌉` pairwise rounds; in round
+//!    `i`, `2ⁱ` blocks cooperate per pair, each finding its `bE`
+//!    quantile by mutual binary search in global memory (or reading it
+//!    from a partition kernel's array, [`schedule`]) and merging it in
+//!    shared memory.
+//!
+//! Both are work units written once (`backend::kernel`) against a
+//! shared-memory tile; the backends differ only in their tile.
 //!
 //! [`driver::sort_with_report`] runs the whole pipeline (each phase's
 //! blocks on idle cores through [`exec`], reduced in window order) and
@@ -45,10 +49,8 @@ pub(crate) mod algorithm;
 pub(crate) mod assess;
 pub(crate) mod backend;
 pub mod bitonic;
-pub(crate) mod blocksort;
 pub(crate) mod driver;
 pub mod exec;
-pub(crate) mod globalmerge;
 pub mod instrument;
 pub(crate) mod network;
 pub mod params;

@@ -8,13 +8,18 @@
 //! Both the cycle-accurate lockstep simulator
 //! ([`crate::backend::SimBackend`]) and the fast analytic counter
 //! ([`crate::backend::AnalyticBackend`]) consume the schedules built
-//! here; they differ only in *how they account* the identical schedule —
-//! the simulator replays it against a [`wcms_gpu_sim::SharedMemory`]
-//! tile, the analytic backend feeds it to a
+//! here; they differ only in *how their tile accounts* the identical
+//! schedule — the simulator's replays it against a
+//! [`wcms_gpu_sim::SharedMemory`], the analytic one feeds it to a
 //! [`wcms_dmm::StepAccumulator`]. That is what makes the analytic
 //! counters exactly (integer-for-integer) equal to the simulated ones:
 //! the two backends cannot drift apart in schedule construction, because
 //! there is only one construction.
+//!
+//! The block partitioning in global memory lives here too: each merge
+//! block's co-rank search ([`find_block_coranks`]) and its validation,
+//! and the Modern GPU partition kernels that precompute every block's
+//! co-ranks in one pass (`partition_pass`, `partition_pass_multi`).
 
 use wcms_gpu_sim::scalar_traffic;
 use wcms_mergepath::diagonal::{merge_path, merge_path_trace, merge_path_visit};
@@ -93,9 +98,11 @@ fn thread_schedule<K: Copy + Ord>(
     sink.end_thread();
 }
 
-/// Stream the schedule of in-block merge round `round` (see
-/// [`MergeSchedule::in_block_round`]) thread by thread, in thread order,
-/// into `sink` — no per-thread allocation.
+/// Stream the schedule of in-block merge round `round` of the base case
+/// thread by thread, in thread order, into `sink` — no per-thread
+/// allocation. `2^round` threads cooperate per pair of
+/// `2^{round−1}·E`-element runs, all addresses relative to the block
+/// tile `tile`.
 pub(crate) fn walk_in_block_round<K: Copy + Ord>(
     tile: &[K],
     round: usize,
@@ -115,8 +122,10 @@ pub(crate) fn walk_in_block_round<K: Copy + Ord>(
     }
 }
 
-/// Stream the schedule of one global-merge block's tile stage (see
-/// `MergeSchedule::block_merge`) thread by thread into `sink`.
+/// Stream the schedule of one global-merge block's tile stage thread by
+/// thread into `sink`: `b` threads merge the block's quantile from its
+/// loaded sub-ranges (`a_part` at tile offset 0, `b_part` at
+/// `a_part.len()`).
 pub fn walk_block_merge<K: Copy + Ord>(
     a_part: &[K],
     b_part: &[K],
@@ -182,6 +191,35 @@ pub(crate) fn walk_multiway_merge<K: Copy + Ord>(
     }
 }
 
+/// Which merge stage a tile runs: the schedule walker to stream, with
+/// the sources it reads. Only an in-block round reads the tile it
+/// stages into; a global stage reads the global lists the tile was
+/// loaded from.
+#[derive(Debug)]
+pub(crate) enum Stage<'a, K> {
+    /// In-block merge round `round` of the base case, over the tile's
+    /// own contents ([`walk_in_block_round`]).
+    InBlock(usize),
+    /// A global pairwise merge of the block's sub-ranges, `A` loaded at
+    /// tile offset 0 and `B` after it ([`walk_block_merge`]).
+    Pair(&'a [K], &'a [K]),
+    /// A global k-way merge of the block's segments, loaded end to end
+    /// ([`walk_multiway_merge`]).
+    Multi(&'a [&'a [K]]),
+}
+
+impl<K: Copy + Ord> Stage<'_, K> {
+    /// Stream this stage's schedule into `sink`. `tile` is the tile's
+    /// current contents, which only an in-block round reads.
+    pub(crate) fn walk(&self, tile: &[K], params: &SortParams, sink: &mut impl ScheduleSink<K>) {
+        match *self {
+            Stage::InBlock(round) => walk_in_block_round(tile, round, params, sink),
+            Stage::Pair(a, b) => walk_block_merge(a, b, params, sink),
+            Stage::Multi(parts) => walk_multiway_merge(parts, params, sink),
+        }
+    }
+}
+
 /// Per-thread sequences stored end to end in one flat buffer: thread
 /// `t`'s items are `items[ends[t − 1]..ends[t]]` (`items[..ends[0]]` for
 /// thread 0).
@@ -227,7 +265,12 @@ impl<'a, T> ThreadSlices<'a, T> {
 
     /// Every thread's sequence, in thread order.
     pub fn iter(&self) -> impl Iterator<Item = &'a [T]> + '_ {
-        (0..self.threads()).map(|t| self.thread(t))
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let seq = &self.items[start..end];
+            start = end;
+            seq
+        })
     }
 }
 
@@ -281,9 +324,10 @@ impl<K: Copy> ScheduleSink<K> for Materializer<K> {
 }
 
 impl<K: Copy + Ord> MergeSchedule<K> {
-    /// Materialise one stage's walk: `walk` streams `params.b` threads
-    /// of `params.e` merge reads each into the sink.
-    fn materialize(params: &SortParams, walk: impl FnOnce(&mut Materializer<K>)) -> Self {
+    /// Materialise `stage`'s walk over the tile contents `tile`: `b`
+    /// threads of `E` merge reads each. The walker is the construction.
+    #[must_use]
+    pub(crate) fn of(stage: &Stage<'_, K>, tile: &[K], params: &SortParams) -> Self {
         let (threads, reads) = (params.b, params.block_elems());
         let mut m = Materializer(Self {
             probe_addrs: Vec::new(),
@@ -293,26 +337,8 @@ impl<K: Copy + Ord> MergeSchedule<K> {
             merge_ends: Vec::with_capacity(threads),
             write_starts: Vec::with_capacity(threads),
         });
-        walk(&mut m);
+        stage.walk(tile, params, &mut m);
         m.0
-    }
-
-    /// The schedule of in-block merge round `round` of the base case:
-    /// `2^round` threads cooperate per pair of `2^{round−1}·E`-element
-    /// runs, all addresses relative to the block tile `tile`. Materialised
-    /// from [`walk_in_block_round`] — the walker is the construction.
-    #[must_use]
-    pub(crate) fn in_block_round(tile: &[K], round: usize, params: &SortParams) -> Self {
-        Self::materialize(params, |m| walk_in_block_round(tile, round, params, m))
-    }
-
-    /// The schedule of one global-merge block's tile stage: `b` threads
-    /// merge the block's quantile from its loaded sub-ranges (`a_part` at
-    /// tile offset 0, `b_part` at `a_part.len()`). Materialised from
-    /// [`walk_block_merge`].
-    #[must_use]
-    pub(crate) fn block_merge(a_part: &[K], b_part: &[K], params: &SortParams) -> Self {
-        Self::materialize(params, |m| walk_block_merge(a_part, b_part, params, m))
     }
 
     /// The schedule of one *multiway* global-merge block's tile stage:
@@ -320,7 +346,7 @@ impl<K: Copy + Ord> MergeSchedule<K> {
     /// segments. Materialised from `walk_multiway_merge`.
     #[must_use]
     pub fn multiway_merge(parts: &[&[K]], params: &SortParams) -> Self {
-        Self::materialize(params, |m| walk_multiway_merge(parts, params, m))
+        Self::of(&Stage::Multi(parts), &[], params)
     }
 }
 
@@ -421,6 +447,77 @@ pub(crate) fn find_block_coranks_multi<K: Copy + Ord>(
     }
 }
 
+/// The Modern GPU partition kernel: one mutual binary search per merge
+/// block, the co-rank written to a partition array in global memory.
+/// Returns each block's `(ca_start, ca_end)` and the kernel's counters
+/// (probe reads + one array write per diagonal, plus the launch cost of
+/// `⌈blocks/b⌉` partition thread blocks).
+pub(crate) fn partition_pass<K: Copy + Ord>(
+    a: &[K],
+    b: &[K],
+    num_blocks: usize,
+    params: &SortParams,
+) -> (Vec<(usize, usize)>, RoundCounters) {
+    let be = params.block_elems();
+    let mut counters = RoundCounters {
+        // The searches are packed one-per-thread into partition blocks.
+        blocks: (num_blocks + 1).div_ceil(params.b),
+        ..Default::default()
+    };
+    // Diagonals 0, bE, 2bE, …, num_blocks·bE (the last one closes the
+    // final block's window).
+    let mut coranks = Vec::with_capacity(num_blocks + 1);
+    for j in 0..=num_blocks {
+        let (c, probes) = merge_path_trace(j * be, a.len(), b.len(), |i| a[i], |x| b[x]);
+        for _ in probes {
+            counters.global.merge(&scalar_traffic());
+            counters.global.merge(&scalar_traffic());
+        }
+        // Store the co-rank to the partition array.
+        counters.global.merge(&scalar_traffic());
+        coranks.push(c);
+    }
+    let pairs = coranks.windows(2).map(|w| (w[0], w[1])).collect();
+    (pairs, counters)
+}
+
+/// The Modern-GPU-style partition kernel for a *multiway* group: one
+/// multisequence selection per merge-block diagonal, the `g` co-ranks of
+/// each written to a partition array in global memory. Returns each
+/// block's per-run `(start, end)` pairs and the kernel's counters (one
+/// scalar probe read per selection probe plus `g` array writes per
+/// diagonal, and the launch cost of `⌈(blocks+1)/b⌉` partition thread
+/// blocks).
+pub(crate) fn partition_pass_multi<K: Copy + Ord>(
+    runs: &[&[K]],
+    num_blocks: usize,
+    params: &SortParams,
+) -> (Vec<Vec<(usize, usize)>>, RoundCounters) {
+    let be = params.block_elems();
+    let g = runs.len();
+    let lens: Vec<usize> = runs.iter().map(|r| r.len()).collect();
+    let mut counters = RoundCounters {
+        // The selections are packed one-per-thread into partition blocks.
+        blocks: (num_blocks + 1).div_ceil(params.b),
+        ..Default::default()
+    };
+    let mut cuts = Vec::with_capacity(num_blocks + 1);
+    for j in 0..=num_blocks {
+        let cut = multiway_select(&lens, j * be, |i, x| {
+            counters.global.merge(&scalar_traffic());
+            runs[i][x]
+        });
+        // Store the g co-ranks to the partition array.
+        for _ in 0..g {
+            counters.global.merge(&scalar_traffic());
+        }
+        cuts.push(cut);
+    }
+    let pairs =
+        cuts.windows(2).map(|w| w[0].iter().zip(&w[1]).map(|(&s, &e)| (s, e)).collect()).collect();
+    (pairs, counters)
+}
+
 /// Structural validation of a multiway co-rank vector against its output
 /// window — the k-way analogue of [`validate_coranks`], with the same
 /// typed-error contract. The reported co-rank pair is the offending
@@ -510,7 +607,7 @@ mod tests {
         let p = params();
         let a: Vec<u32> = (0..24).map(|x| x * 2).collect();
         let b: Vec<u32> = (0..24).map(|x| x * 2 + 1).collect();
-        let s = MergeSchedule::block_merge(&a, &b, &p);
+        let s = MergeSchedule::of(&Stage::Pair(&a, &b), &[], &p);
         assert_eq!(s.write_starts().len(), p.b);
         let mut covered: Vec<usize> = write_addrs(&s).into_iter().flatten().collect();
         covered.sort_unstable();
@@ -533,7 +630,7 @@ mod tests {
         for run in tile.chunks_mut(p.e) {
             run.sort_unstable();
         }
-        let s = MergeSchedule::in_block_round(&tile, 1, &p);
+        let s = MergeSchedule::of(&Stage::InBlock(1), &tile, &p);
         let mut out = vec![0u32; p.block_elems()];
         for (addrs, vals) in write_addrs(&s).into_iter().zip(s.merged_vals().iter()) {
             for (addr, &v) in addrs.zip(vals) {
@@ -592,7 +689,7 @@ mod tests {
         let p = params();
         let a: Vec<u32> = (0..24).map(|x| x * 2).collect();
         let b: Vec<u32> = (0..24).map(|x| x * 2 + 1).collect();
-        let pair = MergeSchedule::block_merge(&a, &b, &p);
+        let pair = MergeSchedule::of(&Stage::Pair(&a, &b), &[], &p);
         let parts: Vec<&[u32]> = vec![&a, &b];
         let multi = MergeSchedule::multiway_merge(&parts, &p);
         assert!(pair.merge_seqs().iter().eq(multi.merge_seqs().iter()));
@@ -615,6 +712,29 @@ mod tests {
         let got = find_block_coranks_multi(&runs, 48, 96, Some(&pairs), &mut pre);
         assert_eq!(got, pairs);
         assert_eq!(pre.global.requests, 6, "precomputed vector costs 2g fetches");
+    }
+
+    #[test]
+    fn multiway_partition_pass_matches_fused_coranks() {
+        use crate::backend::{ExecBackend, SimBackend};
+        let p = params();
+        let be = p.block_elems();
+        let runs: Vec<Vec<u32>> =
+            (0..3u32).map(|r| (0..be as u32).map(|x| 3 * x + r).collect()).collect();
+        let refs: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
+        let num_blocks = 3;
+        let (pairs, c) = partition_pass_multi(&refs, num_blocks, &p);
+        assert_eq!(pairs.len(), num_blocks);
+        assert!(c.global.requests > 0);
+        assert_eq!(c.blocks, 1);
+        // Precomputed co-ranks reproduce the fused block's merge exactly.
+        let offsets: Vec<usize> = (0..3).map(|i| i * be).collect();
+        for (j, pair) in pairs.iter().enumerate() {
+            let (fused, _) = SimBackend.merge_unit_multi(&refs, &offsets, 0, j, &p, None).unwrap();
+            let (pre, _) =
+                SimBackend.merge_unit_multi(&refs, &offsets, 0, j, &p, Some(pair)).unwrap();
+            assert_eq!(fused, pre, "block {j}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Warp-lockstep execution helpers shared by the base-case and
-//! global-merge kernels.
+//! Warp-lockstep execution helpers: the simulator's tile
+//! (`backend::sim`) runs its fill, register phase and merge stages
+//! through them.
 //!
 //! Each helper takes per-thread sequences for one thread block, as
 //! [`ThreadSlices`] over flat buffers, and replays them warp by warp,
