@@ -1,25 +1,42 @@
 //! `wcms-analyze` — the workspace's static-analysis gate.
 //!
-//! ```text
-//! wcms-analyze [--verify-bounds] [--model-check] [--model-check-shard] [--crosscheck]
-//!              [--lint] [--all] [--warp W] [--doublings D] [--min-schedules N]
-//!              [--root PATH] [--allowlist PATH] [--json]
-//! ```
+//! Usage: `wcms-analyze [--verify-bounds] [--model-check] [--model-check-shard] [--crosscheck]
+//!                      [--lint] [--all] [--warp <W>] [--doublings <D>] [--min-schedules <N>]
+//!                      [--root <PATH>] [--allowlist <PATH>] [--json]`
 //!
 //! Exit status 0 when every requested pass is clean, 1 on any finding,
 //! 2 on usage errors. CI runs `wcms-analyze --all` as a required job.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use wcms_analyzer::bounds::{verify_grid, verify_multiway_rounds};
 use wcms_analyzer::crosscheck::{crosscheck_fig4, warp_grid_disagreements};
 use wcms_analyzer::interleave::ExploreConfig;
-use wcms_analyzer::lint::lint_workspace;
+use wcms_analyzer::lint::{json_str, lint_workspace};
 use wcms_analyzer::model_fs::{check_fs_consistency, check_fs_mutations};
 use wcms_analyzer::shard_model::{check_shard_mutations, check_shard_protocol};
 use wcms_analyzer::supervisor_model::check_supervisor_protocol;
+use wcms_error::cli::{self, Args, Cli, Flag};
+use wcms_error::WcmsError;
+
+const CLI: Cli = Cli {
+    name: "wcms-analyze",
+    flags: &[&[
+        Flag::switch("--verify-bounds"),
+        Flag::switch("--model-check"),
+        Flag::switch("--model-check-shard"),
+        Flag::switch("--crosscheck"),
+        Flag::switch("--lint"),
+        Flag::switch("--all"),
+        Flag::value("--warp", "W"),
+        Flag::value("--doublings", "D"),
+        Flag::value("--min-schedules", "N"),
+        Flag::value("--root", "PATH"),
+        Flag::value("--allowlist", "PATH"),
+        Flag::switch("--json"),
+    ]],
+};
 
 struct Options {
     verify_bounds: bool,
@@ -35,93 +52,41 @@ struct Options {
     allowlist: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: wcms-analyze [--verify-bounds] [--model-check] \
-[--model-check-shard] [--crosscheck] [--lint] [--all] [--warp W] [--doublings D] \
-[--min-schedules N] [--root PATH] [--allowlist PATH] [--json]";
-
-fn parse_args() -> Result<Options, String> {
-    let mut o = Options {
-        verify_bounds: false,
-        model_check: false,
-        model_check_shard: false,
-        crosscheck: false,
-        lint: false,
-        json: false,
-        warp: 32,
-        doublings: 2,
-        min_schedules: 10_000,
-        root: PathBuf::from("."),
-        allowlist: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value =
-            |name: &str| args.next().ok_or_else(|| format!("{name} needs a value\n{USAGE}"));
-        match a.as_str() {
-            "--verify-bounds" => o.verify_bounds = true,
-            "--model-check" => o.model_check = true,
-            "--model-check-shard" => o.model_check_shard = true,
-            "--crosscheck" => o.crosscheck = true,
-            "--lint" => o.lint = true,
-            "--all" => {
-                o.verify_bounds = true;
-                o.model_check = true;
-                o.model_check_shard = true;
-                o.crosscheck = true;
-                o.lint = true;
-            }
-            "--json" => o.json = true,
-            "--warp" => {
-                o.warp = value("--warp")?.parse().map_err(|e| format!("--warp: {e}"))?;
-            }
-            "--doublings" => {
-                o.doublings =
-                    value("--doublings")?.parse().map_err(|e| format!("--doublings: {e}"))?;
-            }
-            "--min-schedules" => {
-                o.min_schedules = value("--min-schedules")?
-                    .parse()
-                    .map_err(|e| format!("--min-schedules: {e}"))?;
-            }
-            "--root" => o.root = PathBuf::from(value("--root")?),
-            "--allowlist" => o.allowlist = Some(PathBuf::from(value("--allowlist")?)),
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+impl Options {
+    fn from_args(args: &Args) -> Result<Self, WcmsError> {
+        let pass = |flag| args.has("--all") || args.has(flag);
+        let o = Options {
+            verify_bounds: pass("--verify-bounds"),
+            model_check: pass("--model-check"),
+            model_check_shard: pass("--model-check-shard"),
+            crosscheck: pass("--crosscheck"),
+            lint: pass("--lint"),
+            json: args.has("--json"),
+            warp: args.get_or("--warp", 32)?,
+            doublings: args.get_or("--doublings", 2)?,
+            min_schedules: args.get_or("--min-schedules", 10_000)?,
+            root: args.get_or("--root", PathBuf::from("."))?,
+            allowlist: args.get("--allowlist")?,
+        };
+        if !(o.verify_bounds || o.model_check || o.model_check_shard || o.crosscheck || o.lint) {
+            return Err(WcmsError::Usage {
+                reason: "nothing to do — pick a pass or --all".into()
+            });
         }
+        Ok(o)
     }
-    if !(o.verify_bounds || o.model_check || o.model_check_shard || o.crosscheck || o.lint) {
-        return Err(format!("nothing to do — pick a pass or --all\n{USAGE}"));
-    }
-    Ok(o)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn main() -> ExitCode {
-    let o = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+    cli::main(&CLI, |args| {
+        let clean = analyze(&Options::from_args(args)?);
+        Ok(if clean { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+    })
+}
 
+/// Run the requested passes and print their reports; `true` when every
+/// pass is clean.
+fn analyze(o: &Options) -> bool {
     let mut ok = true;
     let mut json_sections: Vec<String> = Vec::new();
 
@@ -149,7 +114,7 @@ fn main() -> ExitCode {
                                 "{{\"e\":{},\"case\":{},\"aligned\":{},\"closed_form\":{},\
                                  \"min_cycles\":{},\"holds\":{}}}",
                                 v.e,
-                                json_escape(v.case.name()),
+                                json_str(v.case.name()),
                                 v.aligned,
                                 v.closed_form,
                                 v.min_cycles,
@@ -165,7 +130,7 @@ fn main() -> ExitCode {
                                  \"closed_form\":{},\"per_warp\":{:?},\"holds\":{}}}",
                                 v.e,
                                 v.k,
-                                json_escape(v.label),
+                                json_str(v.label),
                                 v.stride_regular,
                                 v.closed_form.map_or("null".into(), |c| c.to_string()),
                                 v.per_warp_aligned,
@@ -243,7 +208,7 @@ fn main() -> ExitCode {
                     format!(
                         "{{\"scenario\":{},\"schedules\":{},\"states\":{},\"max_depth\":{},\
                          \"violations\":{},\"truncated\":{}}}",
-                        json_escape(r.name),
+                        json_str(r.name),
                         r.report.schedules,
                         r.report.states,
                         r.report.max_depth_seen,
@@ -308,7 +273,7 @@ fn main() -> ExitCode {
                     format!(
                         "{{\"scenario\":{},\"schedules\":{},\"states\":{},\"max_depth\":{},\
                          \"violations\":{},\"truncated\":{}}}",
-                        json_escape(r.name),
+                        json_str(r.name),
                         r.report.schedules,
                         r.report.states,
                         r.report.max_depth_seen,
@@ -322,7 +287,7 @@ fn main() -> ExitCode {
                 .map(|r| {
                     format!(
                         "{{\"script\":{},\"crash_points\":{},\"cases\":{},\"violations\":{}}}",
-                        json_escape(r.script),
+                        json_str(r.script),
                         r.crash_points,
                         r.cases,
                         r.violations.len()
@@ -336,13 +301,13 @@ fn main() -> ExitCode {
                         format!(
                             "{{\"schedule\":{:?},\"message\":{}}}",
                             v.schedule,
-                            json_escape(&v.message)
+                            json_str(&v.message)
                         )
                     });
                     format!(
                         "{{\"name\":{},\"kind\":\"interleaving\",\"schedules\":{},\
                          \"caught\":{},\"replayed\":{},\"counterexample\":{ce}}}",
-                        json_escape(m.variant.name()),
+                        json_str(m.variant.name()),
                         m.schedules,
                         m.caught,
                         m.replayed
@@ -353,16 +318,16 @@ fn main() -> ExitCode {
                 let ce = m.counterexample.as_ref().map_or("null".to_string(), |v| {
                     format!(
                         "{{\"script\":{},\"crash_after\":{},\"choice\":{:?},\"message\":{}}}",
-                        json_escape(v.script),
+                        json_str(v.script),
                         v.crash_after,
                         v.choice,
-                        json_escape(&v.message)
+                        json_str(&v.message)
                     )
                 });
                 format!(
                     "{{\"name\":{},\"kind\":\"crash\",\"cases\":{},\
                      \"caught\":{},\"replayed\":{},\"counterexample\":{ce}}}",
-                    json_escape(m.variant.name()),
+                    json_str(m.variant.name()),
                     m.cases,
                     m.caught,
                     m.replayed
@@ -466,7 +431,7 @@ fn main() -> ExitCode {
                             format!(
                                 "{{\"label\":{},\"n\":{},\"rounds\":{},\"predicted_cycles\":{},\
                                  \"holds\":{}}}",
-                                json_escape(&c.label),
+                                json_str(&c.label),
                                 c.n,
                                 c.rounds,
                                 c.predicted_cycles,
@@ -572,9 +537,5 @@ fn main() -> ExitCode {
     } else {
         println!("{}", if ok { "analysis clean" } else { "analysis FAILED" });
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ok
 }

@@ -189,23 +189,12 @@ impl LintReport {
 }
 
 /// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
+/// `s` as a JSON string literal, through the workspace's one escaper
+/// ([`wcms_obs::json::escape_into`]).
+#[must_use]
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    wcms_obs::json::escape_into(&mut out, s);
     out
 }
 

@@ -14,10 +14,11 @@
 
 use std::process::ExitCode;
 
+use wcms_bench::cliargs::{backend_algorithm_jobs, ADHOC};
 use wcms_bench::experiment::model_time;
-use wcms_bench::panel::adhoc_binary_main;
 use wcms_bench::supervisor::parallel_map;
 use wcms_core::{WorstCaseBuilder, WorstCaseFamily};
+use wcms_error::cli::{self, Cli};
 use wcms_error::WcmsError;
 use wcms_gpu_sim::{CostModel, DeviceSpec, Occupancy};
 use wcms_mergesort::{sort_algo_with_report_traced_on, SortParams, SortReport};
@@ -25,13 +26,13 @@ use wcms_obs::Obs;
 use wcms_workloads::random::random_permutation;
 
 fn main() -> ExitCode {
-    adhoc_binary_main("ablation", |args| {
+    cli::main(&Cli { name: "ablation", flags: &[ADHOC] }, |args| {
         let device = DeviceSpec::quadro_m4000();
         let params = SortParams::new(32, 15, 128)?;
-        let doublings = if args.quick { 4 } else { 6 };
+        let doublings = if args.has("--quick") { 4 } else { 6 };
         let n = params.block_elems() << doublings;
         let builder = WorstCaseBuilder::new(params.w, params.e, params.b)?;
-        let (backend, algorithm) = (args.backend, args.algorithm);
+        let (backend, algorithm, jobs) = backend_algorithm_jobs(args)?;
         let algo = algorithm.instance();
 
         let report_of = |input: &[u32]| -> Result<SortReport, WcmsError> {
@@ -57,7 +58,7 @@ fn main() -> ExitCode {
         println!("## adversarial rounds dial (of {} global rounds)", params.global_rounds(n));
         println!("{:>8} {:>12} {:>12} {:>10}", "rounds", "beta2", "time (ms)", "slowdown");
         // Dial positions measured in parallel (`--jobs`), printed in order.
-        args.emit_rows((0..=params.global_rounds(n)).collect(), |k| {
+        let rows = parallel_map((0..=params.global_rounds(n)).collect(), jobs, |_, k| {
             let r = report_of(&builder.build_partial(n, k)?)?;
             let t = time_of(&r)?;
             Ok(format!(
@@ -66,13 +67,16 @@ fn main() -> ExitCode {
                 t * 1e3,
                 (t / random_t - 1.0) * 100.0
             ))
-        })?;
+        });
+        for row in rows {
+            println!("{}", row?);
+        }
 
         // --- 2. Family variance.
         println!("\n## worst-case family variance (5 members)");
         let members: Vec<Vec<u32>> =
             WorstCaseFamily::new(params.w, params.e, params.b, n, 100)?.take(5).collect();
-        let times: Vec<f64> = parallel_map(members, args.jobs, |_, m| time_of(&report_of(&m)?))
+        let times: Vec<f64> = parallel_map(members, jobs, |_, m| time_of(&report_of(&m)?))
             .into_iter()
             .collect::<Result<_, _>>()?;
         let mean = times.iter().sum::<f64>() / times.len() as f64;

@@ -14,28 +14,34 @@
 //! to the sequential reference — zero lost cells, zero diverging
 //! double-commits, corrupt state quarantined and re-measured.
 //!
-//! Usage: `chaos [--cycles <k>] [--multi-cycles <k>] [--jobs <n>]
-//!               [--seed <s>] [--backend <sim|analytic|reference>]
-//!               [--keep]`
+//! Usage: `chaos [--cycles <k>] [--multi-cycles <k>] [--jobs <n>] [--seed <s>]
+//!               [--backend <sim|analytic|reference>] [--keep]`
 
+use std::io;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 use std::time::Duration;
 
+use wcms_bench::cliargs::{BACKEND, JOBS};
+use wcms_error::cli::{self, Args, Cli, Flag};
 use wcms_error::WcmsError;
+use wcms_mergesort::BackendKind;
+
+const CLI: Cli = Cli {
+    name: "chaos",
+    flags: &[&[
+        Flag::value("--cycles", "k"),
+        Flag::value("--multi-cycles", "k"),
+        JOBS,
+        Flag::value("--seed", "s"),
+        BACKEND,
+        Flag::switch("--keep"),
+    ]],
+};
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("chaos: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn bad(msg: String) -> WcmsError {
-    WcmsError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
+    cli::main(&CLI, run)
 }
 
 /// Deterministic kill-point generator (an LCG — the harness must not
@@ -53,39 +59,27 @@ impl Lcg {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, WcmsError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            args.get(i + 1).cloned().map(Some).ok_or_else(|| bad(format!("{flag} needs a value")))
-        }
-    }
-}
-
 /// The fig4 and merge binaries ship next to this one in the target
 /// directory.
 fn sibling(name: &str) -> Result<PathBuf, WcmsError> {
     let me = std::env::current_exe()?;
-    let dir = me.parent().ok_or_else(|| bad("current_exe has no parent".into()))?;
+    let dir = me.parent().ok_or_else(|| io::Error::other("current_exe has no parent"))?;
     let path = dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
-    if path.exists() {
-        Ok(path)
-    } else {
-        Err(bad(format!("{name} binary not found at {} — build it first", path.display())))
+    if !path.exists() {
+        let missing = format!("{name} binary not found at {} — build it first", path.display());
+        return Err(WcmsError::Io(io::Error::other(missing)));
     }
+    Ok(path)
 }
 
-fn run() -> Result<(), WcmsError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cycles: u32 = flag_value(&args, "--cycles")?
-        .map_or(Ok(5), |v| v.parse().map_err(|_| bad(format!("bad --cycles: {v}"))))?;
-    let jobs = flag_value(&args, "--jobs")?.unwrap_or_else(|| "4".into());
-    let seed: u64 = flag_value(&args, "--seed")?
-        .map_or(Ok(0xC4A05), |v| v.parse().map_err(|_| bad(format!("bad --seed: {v}"))))?;
-    let backend = flag_value(&args, "--backend")?.unwrap_or_else(|| "sim".into());
-    let keep = args.iter().any(|a| a == "--keep");
-    let multi_cycles: u32 = flag_value(&args, "--multi-cycles")?
-        .map_or(Ok(2), |v| v.parse().map_err(|_| bad(format!("bad --multi-cycles: {v}"))))?;
+fn run(args: &Args) -> Result<(), WcmsError> {
+    let cycles: u32 = args.get_or("--cycles", 5)?;
+    let jobs = args.get("--jobs")?.map_or(4, NonZeroUsize::get).to_string();
+    let seed: u64 = args.get_or("--seed", 0xC4A05)?;
+    let backend: BackendKind = args.get("--backend")?.unwrap_or_default();
+    let backend = backend.name();
+    let keep = args.has("--keep");
+    let multi_cycles: u32 = args.get_or("--multi-cycles", 2)?;
 
     let fig4 = sibling("fig4")?;
     let merge = sibling("merge")?;
@@ -99,7 +93,7 @@ fn run() -> Result<(), WcmsError> {
     let started = clock.now_us();
     let reference = run_to_completion(
         &fig4,
-        &["--quick", "--jobs", "1", "--no-checkpoint", "--backend", &backend],
+        &["--quick", "--jobs", "1", "--no-checkpoint", "--backend", backend],
     )?;
     // Kill points are drawn from the sweep's actual duration, so some
     // cycles die mid-sweep with cells on disk and some die early.
@@ -112,19 +106,19 @@ fn run() -> Result<(), WcmsError> {
     // Sanity: an uninterrupted *parallel* run must already match.
     let parallel = run_to_completion(
         &fig4,
-        &["--quick", "--jobs", &jobs, "--no-checkpoint", "--backend", &backend],
+        &["--quick", "--jobs", &jobs, "--no-checkpoint", "--backend", backend],
     )?;
     if parallel != reference {
-        return Err(bad(format!(
+        return Err(WcmsError::Io(io::Error::other(format!(
             "uninterrupted --jobs {jobs} run differs from sequential before any chaos"
-        )));
+        ))));
     }
 
     for cycle in 1..=cycles {
         let ckpt = scratch.join(format!("cycle-{cycle}"));
         let ckpt_s = ckpt.to_string_lossy().into_owned();
         let sweep_args =
-            ["--quick", "--jobs", &jobs, "--checkpoint-dir", &ckpt_s, "--backend", &backend];
+            ["--quick", "--jobs", &jobs, "--checkpoint-dir", &ckpt_s, "--backend", backend];
 
         // Phase 1: start the sweep, kill it after a random delay.
         let mut child = Command::new(&fig4)
@@ -152,11 +146,11 @@ fn run() -> Result<(), WcmsError> {
         if resumed != reference {
             std::fs::write(scratch.join("expected.csv"), &reference)?;
             std::fs::write(scratch.join("got.csv"), &resumed)?;
-            return Err(bad(format!(
+            return Err(WcmsError::Io(io::Error::other(format!(
                 "cycle {cycle}: resumed CSV differs from the reference run \
                  (seed {seed}, delay {delay:?}); see {}",
                 scratch.display()
-            )));
+            ))));
         }
     }
 
@@ -165,7 +159,7 @@ fn run() -> Result<(), WcmsError> {
             &fig4,
             &merge,
             &scratch,
-            &backend,
+            backend,
             &reference,
             &mut rng,
             ref_ms,
@@ -272,7 +266,9 @@ fn multi_process_cycle(
     for child in &mut restarted {
         let status = child.wait()?;
         if !status.success() {
-            return Err(bad(format!("multi cycle {cycle}: restarted worker failed: {status}")));
+            return Err(WcmsError::Io(io::Error::other(format!(
+                "multi cycle {cycle}: restarted worker failed: {status}"
+            ))));
         }
     }
 
@@ -289,11 +285,11 @@ fn multi_process_cycle(
     if merged != reference {
         std::fs::write(scratch.join("expected.csv"), reference)?;
         std::fs::write(scratch.join("got.csv"), &merged)?;
-        return Err(bad(format!(
+        return Err(WcmsError::Io(io::Error::other(format!(
             "multi cycle {cycle}: merged CSV differs from the reference run (seed {seed}); \
              see {}",
             scratch.display()
-        )));
+        ))));
     }
     Ok(())
 }
@@ -348,7 +344,11 @@ fn corrupt_random_lease(ckpt: &Path, rng: &mut Lcg) -> Result<bool, WcmsError> {
 fn run_to_completion(fig4: &Path, args: &[&str]) -> Result<Vec<u8>, WcmsError> {
     let out = Command::new(fig4).args(args).stderr(Stdio::null()).output()?;
     if !out.status.success() {
-        return Err(bad(format!("fig4 {} failed with {}", args.join(" "), out.status)));
+        return Err(WcmsError::Io(io::Error::other(format!(
+            "fig4 {} failed with {}",
+            args.join(" "),
+            out.status
+        ))));
     }
     Ok(out.stdout)
 }

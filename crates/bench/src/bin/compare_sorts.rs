@@ -7,12 +7,15 @@
 //!
 //! Usage: `compare_sorts [--quick] [--backend <sim|analytic|reference>]
 //!                       [--algorithm <pairwise|multiway>] [--jobs <n>]`
+//!
 //! (backend and algorithm apply to the merge sort; bitonic always simulates)
 
 use std::process::ExitCode;
 
+use wcms_bench::cliargs::{backend_algorithm_jobs, ADHOC};
 use wcms_bench::experiment::model_time;
-use wcms_bench::panel::adhoc_binary_main;
+use wcms_bench::supervisor::parallel_map;
+use wcms_error::cli::{self, Cli};
 use wcms_error::WcmsError;
 use wcms_gpu_sim::DeviceSpec;
 use wcms_mergesort::bitonic::bitonic_sort_with_report;
@@ -21,15 +24,15 @@ use wcms_obs::Obs;
 use wcms_workloads::random::random_permutation;
 
 fn main() -> ExitCode {
-    adhoc_binary_main("compare_sorts", |args| {
+    cli::main(&Cli { name: "compare_sorts", flags: &[ADHOC] }, |args| {
         let device = DeviceSpec::quadro_m4000();
         // Power-of-two tile so both sorts accept the same sizes. With a
         // power-of-two E, the pairwise sort's worst case is *sorted order*
         // itself (§III: gcd(w, E) = E) — no constructed permutation needed.
         let params = SortParams::new(32, 16, 128)?; // bE = 2048
-        let doublings = if args.quick { 3..=6 } else { 3..=9 };
+        let doublings = if args.has("--quick") { 3..=6 } else { 3..=9 };
         let worst_input = |n: usize| -> Vec<u32> { (0..n as u32).collect() };
-        let (backend, algorithm) = (args.backend, args.algorithm);
+        let (backend, algorithm, jobs) = backend_algorithm_jobs(args)?;
         let algo = algorithm.instance();
 
         println!(
@@ -44,7 +47,7 @@ fn main() -> ExitCode {
         println!("{:>10} {:>16} {:>16} {:>16} {:>16}", "", "(ms)", "(ms)", "(ms)", "(ms)");
         // Rows computed in parallel (`--jobs`), printed in N order so
         // output bytes never depend on the worker count.
-        args.emit_rows(doublings.collect(), |d| {
+        let rows = parallel_map(doublings.collect(), jobs, |_, d| {
             let n = params.block_elems() << d;
             let random = random_permutation(n, 17);
             let worst = worst_input(n);
@@ -70,7 +73,10 @@ fn main() -> ExitCode {
                 time(&br)?,
                 time(&bw)?
             ))
-        })?;
+        });
+        for row in rows {
+            println!("{}", row?);
+        }
         println!();
         println!("bitonic's two columns are identical (data-oblivious: immune to the");
         println!("adversary) but both sit above the merge-sort random column — the log N");

@@ -1,46 +1,24 @@
 //! Cross-validate the analytic backend against the cycle-accurate
 //! simulator: run both over the Fig. 4 presets and the §III worst-case
 //! families, demand integer-identical outputs and reports, and print
-//! the wall-clock speedup. Exits non-zero on any divergence, so CI can
-//! use it as a gate.
+//! the wall-clock speedup. Exits 1 on any divergence, so CI can use it
+//! as a gate.
 //!
-//! Usage: `crossval [--quick|--standard|--full]`
+//! Usage: `crossval`
 
 use std::process::ExitCode;
 
 use wcms_bench::crossval::{cross_validate, default_jobs};
-use wcms_bench::experiment::SweepConfig;
-use wcms_error::WcmsError;
+use wcms_error::cli::{self, Cli};
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(all_equal) => {
-            if all_equal {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+    cli::main(&Cli { name: "crossval", flags: &[] }, |_| {
+        let report = cross_validate(&default_jobs()?)?;
+        print!("{}", report.render());
+        if report.all_equal() {
+            return Ok(ExitCode::SUCCESS);
         }
-        Err(e) => {
-            eprintln!("crossval: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<bool, WcmsError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let sweep = if args.iter().any(|a| a == "--quick") {
-        SweepConfig::quick()
-    } else if args.iter().any(|a| a == "--full") {
-        SweepConfig::full()
-    } else {
-        SweepConfig::standard()
-    };
-    let report = cross_validate(&default_jobs(&sweep)?)?;
-    print!("{}", report.render());
-    if !report.all_equal() {
         eprintln!("crossval: {} cell(s) diverged", report.mismatches().len());
-    }
-    Ok(report.all_equal())
+        Ok(ExitCode::FAILURE)
+    })
 }

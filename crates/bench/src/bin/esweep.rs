@@ -6,27 +6,28 @@
 //! the simulated device, exposing where the libraries' `E = 15/17`
 //! choices sit.
 //!
-//! Usage: `esweep [--quick] [--rtx] [--backend <sim|analytic|reference>]
-//!                [--algorithm <pairwise|multiway>] [--jobs <n>]`
+//! Usage: `esweep [--quick] [--backend <sim|analytic|reference>]
+//!                [--algorithm <pairwise|multiway>] [--jobs <n>] [--rtx]`
 
 use std::process::ExitCode;
 
+use wcms_bench::cliargs::{backend_algorithm_jobs, ADHOC};
 use wcms_bench::experiment::measure_algo_on;
-use wcms_bench::panel::adhoc_binary_main;
+use wcms_bench::supervisor::parallel_map;
+use wcms_error::cli::{self, Cli, Flag};
 use wcms_gpu_sim::DeviceSpec;
 use wcms_mergesort::SortParams;
 use wcms_workloads::WorkloadSpec;
 
+const CLI: Cli = Cli { name: "esweep", flags: &[ADHOC, &[Flag::switch("--rtx")]] };
+
 fn main() -> ExitCode {
-    adhoc_binary_main("esweep", |args| {
-        let device = if args.has_flag("--rtx") {
-            DeviceSpec::rtx_2080_ti()
-        } else {
-            DeviceSpec::quadro_m4000()
-        };
-        let doublings = if args.quick { 4 } else { 6 };
+    cli::main(&CLI, |args| {
+        let device =
+            if args.has("--rtx") { DeviceSpec::rtx_2080_ti() } else { DeviceSpec::quadro_m4000() };
+        let doublings = if args.has("--quick") { 4 } else { 6 };
         let b = 128usize;
-        let (backend, algorithm) = (args.backend, args.algorithm);
+        let (backend, algorithm, jobs) = backend_algorithm_jobs(args)?;
 
         println!(
             "device = {}, b = {b}, N = bE·2^{doublings}, backend = {backend}, algorithm = {algorithm}",
@@ -38,7 +39,7 @@ fn main() -> ExitCode {
         );
         // Rows computed in parallel (`--jobs`), printed strictly in E
         // order so the output is byte-identical to the sequential path.
-        args.emit_rows((3..32).step_by(2).collect(), |e| {
+        let rows = parallel_map((3..32).step_by(2).collect(), jobs, |_, e| {
             let params = SortParams::new(32, e, b)?;
             let n = params.block_elems() << doublings;
             let spec = WorkloadSpec::RandomPermutation { seed: 3 };
@@ -59,7 +60,10 @@ fn main() -> ExitCode {
                 (random.throughput / worst.throughput - 1.0) * 100.0,
                 worst.beta2
             ))
-        })?;
+        });
+        for row in rows {
+            println!("{}", row?);
+        }
         println!();
         println!("Reading (§III-C): worst-case beta2 tracks E (small case exactly E, large");
         println!("case the Theorem 9 fraction); random throughput peaks at mid-range E where");

@@ -2,17 +2,16 @@
 //! Thrust (left) and Modern GPU (right), each with E=15/b=512 and
 //! E=17/b=256, random vs. constructed worst-case inputs.
 //!
-//! Usage: `fig5 [--quick|--standard|--full] [--backend <sim|analytic|reference>]
-//!              [--algorithm <pairwise|multiway>] [--jobs <n>] [--markdown]
-//!              [--resume] [--timeout <secs>] [--retries <k>]
-//!              [--checkpoint-dir <dir>] [--no-checkpoint]
-//!              [--shard-index <i> --shard-count <n> | --steal --worker-id <id>
-//!               [--lease-ttl <secs>] | --replay]`
+//! Usage: `fig5 [--quick] [--standard] [--full] [--backend <sim|analytic|reference>]
+//!              [--algorithm <pairwise|multiway>] [--jobs <n>] [--markdown] [--resume]
+//!              [--timeout <secs>] [--retries <k>] [--checkpoint-dir <dir>] [--no-checkpoint]
+//!              [--trace <path>] [--trace-parent <t/s>] [--metrics <path>] [--shard-index <i>]
+//!              [--shard-count <n>] [--steal] [--worker-id <id>] [--lease-ttl <secs>] [--replay]`
 
 use std::process::ExitCode;
 
-use wcms_bench::panel::{build_figure_panels, figure_binary_main};
+use wcms_bench::panel::figure_binary_main;
 
 fn main() -> ExitCode {
-    figure_binary_main("fig5", |args| build_figure_panels("fig5", &args.opts))
+    figure_binary_main("fig5")
 }

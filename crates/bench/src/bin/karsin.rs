@@ -16,17 +16,23 @@
 //! per-cell deadlines/retries, and resumable checkpoints (`--resume`;
 //! cells are keyed by family × workload × algorithm × N).
 //!
-//! Usage: `karsin [--quick|--standard|--full] [--backend <sim|analytic|reference>]
-//!               [--jobs <n>] [--resume] [--timeout <secs>] [--retries <k>]
-//!               [--checkpoint-dir <dir>] [--no-checkpoint]`
+//! Usage: `karsin [--quick] [--standard] [--full] [--backend <sim|analytic|reference>]
+//!                [--jobs <n>] [--resume] [--timeout <secs>] [--retries <k>]
+//!                [--checkpoint-dir <dir>] [--no-checkpoint] [--trace <path>]
+//!                [--trace-parent <t/s>] [--metrics <path>] [--shard-index <i>]
+//!                [--shard-count <n>] [--steal] [--worker-id <id>] [--lease-ttl <secs>]
+//!                [--replay]`
 
 use std::process::ExitCode;
 
 use wcms_bench::checkpoint::CellResult;
-use wcms_bench::cliargs::figure_args_from_env;
+use wcms_bench::cliargs::{
+    parse_figure_args, shard_from_args, BACKEND, GRID, JOBS, OBSERVABILITY, RESILIENCE, SHARD,
+};
 use wcms_bench::experiment::{measure_algo_traced, Measurement};
 use wcms_bench::figures::RANDOM_SEED;
 use wcms_bench::supervisor::run_sweep;
+use wcms_error::cli::{self, Args, Cli};
 use wcms_error::WcmsError;
 use wcms_gpu_sim::DeviceSpec;
 use wcms_mergesort::{AlgorithmKind, SortParams};
@@ -34,18 +40,17 @@ use wcms_workloads::WorkloadSpec;
 
 type Cell = (String, &'static str, SortParams, WorkloadSpec, AlgorithmKind, usize);
 
+/// Both algorithms run in every cell, so there is no `--algorithm`, and
+/// the output is CSV only, so there is no `--markdown`.
+const CLI: Cli =
+    Cli { name: "karsin", flags: &[GRID, &[BACKEND, JOBS], RESILIENCE, OBSERVABILITY, SHARD] };
+
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("karsin: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main(&CLI, run)
 }
 
-fn run() -> Result<(), WcmsError> {
-    let args = figure_args_from_env("karsin")?;
+fn run(argv: &Args) -> Result<(), WcmsError> {
+    let args = parse_figure_args("karsin", argv, shard_from_args(argv)?)?;
     let device = DeviceSpec::quadro_m4000();
     let families = [
         ("small-E (Thm 3)", SortParams::new(32, 3, 64)?, WorkloadSpec::WorstCase),

@@ -14,64 +14,53 @@
 //! incomplete grid; (c) absorbs the per-shard metric exports
 //! (`shard-metrics-*.prom`) into one unified `# sweep-summary` line.
 //!
-//! Usage: `merge --figure <fig4|fig5|fig6> [--from <dir>]...
-//!              [--quick|--standard|--full] [--backend <...>]
-//!              [--algorithm <...>] [--markdown] [--checkpoint-dir <dir>]
-//!              [--trace <path>] [--metrics <path>]`
+//! Usage: `merge --figure <fig4|fig5|fig6> [--from <dir>]... [--quick] [--standard] [--full]
+//!               [--backend <sim|analytic|reference>] [--algorithm <pairwise|multiway>]
+//!               [--markdown] [--checkpoint-dir <dir>] [--trace <path>] [--metrics <path>]`
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 use wcms_bench::checkpoint::write_atomic;
-use wcms_bench::cliargs::parse_figure_args;
+use wcms_bench::cliargs::{
+    parse_figure_args, ALGORITHM, BACKEND, CHECKPOINT_DIR, GRID, MARKDOWN, METRICS, TRACE,
+};
 use wcms_bench::panel::build_figure_panels;
 use wcms_bench::protocol::ATOMIC_WRITE_STEPS;
 use wcms_bench::resilient::SweepStats;
-use wcms_bench::shard::LOST_PREFIX;
+use wcms_bench::shard::{ShardPolicy, LOST_PREFIX};
+use wcms_error::cli::{self, Args, Cli, Flag};
 use wcms_error::WcmsError;
 use wcms_obs::{parse_prometheus_text, MetricsRegistry};
 
+const CLI: Cli = Cli {
+    name: "merge",
+    flags: &[
+        &[
+            Flag::value("--figure", "fig4|fig5|fig6").required(),
+            Flag::value("--from", "dir").repeated(),
+        ],
+        GRID,
+        &[BACKEND, ALGORITHM, MARKDOWN, CHECKPOINT_DIR, TRACE, METRICS],
+    ],
+};
+
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("merge: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main(&CLI, run)
 }
 
 fn bad(msg: String) -> WcmsError {
     WcmsError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
 }
 
-fn run() -> Result<(), WcmsError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut figure = None;
-    let mut from: Vec<PathBuf> = Vec::new();
-    let mut fig_argv: Vec<String> = Vec::new();
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--figure" => {
-                figure =
-                    Some(it.next().ok_or_else(|| bad("--figure: missing figure name".into()))?);
-            }
-            "--from" => {
-                from.push(PathBuf::from(
-                    it.next().ok_or_else(|| bad("--from: missing directory".into()))?,
-                ));
-            }
-            _ => fig_argv.push(a),
-        }
+fn run(argv: &Args) -> Result<(), WcmsError> {
+    let figure = argv.value("--figure").unwrap_or_default();
+    if !["fig4", "fig5", "fig6"].contains(&figure) {
+        return Err(WcmsError::Usage { reason: format!("--figure {figure}: not a figure") });
     }
-    let figure = figure.ok_or_else(|| bad("merge requires --figure <fig4|fig5|fig6>".into()))?;
     // The whole point of the merge is rendering from checkpoints only.
-    if !fig_argv.iter().any(|a| a == "--replay") {
-        fig_argv.push("--replay".into());
-    }
-    let args = parse_figure_args(&figure, &fig_argv)?;
+    let args = parse_figure_args(figure, argv, ShardPolicy::Replay)?;
     let store = args
         .opts
         .resilience
@@ -80,13 +69,13 @@ fn run() -> Result<(), WcmsError> {
         .ok_or_else(|| bad("merge requires a checkpoint store".into()))?;
 
     let mut report = JoinReport::default();
-    for dir in &from {
-        join_dir(store.dir(), dir, &mut report)?;
+    for dir in argv.values("--from") {
+        join_dir(store.dir(), Path::new(dir), &mut report)?;
     }
-    if !from.is_empty() {
+    let from = argv.values("--from").count();
+    if from > 0 {
         eprintln!(
-            "# merge: joined {} shard dir(s): {} cell file(s) imported, {} identical duplicate(s)",
-            from.len(),
+            "# merge: joined {from} shard dir(s): {} cell file(s) imported, {} identical duplicate(s)",
             report.imported,
             report.duplicates
         );
@@ -94,7 +83,7 @@ fn run() -> Result<(), WcmsError> {
 
     // Re-render through the exact pipeline the figure binaries use —
     // same grid, same panel code — with every cell replayed from disk.
-    let panels = build_figure_panels(&figure, &args.opts)?;
+    let panels = build_figure_panels(figure, &args.opts)?;
     let lost: Vec<String> = panels
         .iter()
         .flat_map(|p| p.report.skipped.iter())
@@ -111,7 +100,7 @@ fn run() -> Result<(), WcmsError> {
     for panel in &panels {
         let (data, comments) = panel.render(args.backend(), args.markdown);
         eprint!("{comments}");
-        eprintln!("{}", panel.report.stats.summary_line(&figure));
+        eprintln!("{}", panel.report.stats.summary_line(figure));
         print!("{data}");
     }
 

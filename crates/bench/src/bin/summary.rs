@@ -3,41 +3,47 @@
 //! Karsin β₁/β₂ averages on random inputs and their growth with
 //! inversions (`--beta`).
 //!
-//! Usage: `summary [--quick|--standard|--full] [--beta]
-//!                 [--backend <sim|analytic|reference>] [--jobs <n>]
-//!                 [--resume] [--timeout <secs>] [--retries <k>]
-//!                 [--checkpoint-dir <dir>] [--no-checkpoint]`
+//! Usage: `summary [--quick] [--standard] [--full] [--beta] [--backend <sim|analytic|reference>]
+//!                 [--algorithm <pairwise|multiway>] [--jobs <n>] [--resume] [--timeout <secs>]
+//!                 [--retries <k>] [--checkpoint-dir <dir>] [--no-checkpoint] [--trace <path>]
+//!                 [--trace-parent <t/s>] [--metrics <path>] [--shard-index <i>]
+//!                 [--shard-count <n>] [--steal] [--worker-id <id>] [--lease-ttl <secs>]
+//!                 [--replay]`
 
 use std::process::ExitCode;
 
-use wcms_bench::cliargs::parse_figure_args;
+use wcms_bench::cliargs::{
+    parse_figure_args, shard_from_args, ALGORITHM, BACKEND, GRID, JOBS, OBSERVABILITY, RESILIENCE,
+    SHARD,
+};
 use wcms_bench::experiment::{measure_on, SweepConfig};
 use wcms_bench::figures::{fig4, fig5_mgpu, fig5_thrust};
 use wcms_bench::resilient::SkippedCell;
 use wcms_bench::summary::slowdown_table;
+use wcms_error::cli::{self, Args, Cli, Flag};
 use wcms_error::WcmsError;
 use wcms_gpu_sim::DeviceSpec;
 use wcms_mergesort::{BackendKind, SortParams};
 use wcms_workloads::WorkloadSpec;
 
+const CLI: Cli = Cli {
+    name: "summary",
+    flags: &[
+        GRID,
+        &[Flag::switch("--beta"), BACKEND, ALGORITHM, JOBS],
+        RESILIENCE,
+        OBSERVABILITY,
+        SHARD,
+    ],
+};
+
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("summary: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main(&CLI, run)
 }
 
-fn run() -> Result<(), WcmsError> {
-    // `--beta` is summary's own switch: strip it before the shared
-    // parser, which refuses anything outside the figure flags.
-    let (beta, argv): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|a| a == "--beta");
-    let args = parse_figure_args("summary", &argv)?;
-
-    if !beta.is_empty() {
+fn run(argv: &Args) -> Result<(), WcmsError> {
+    let args = parse_figure_args("summary", argv, shard_from_args(argv)?)?;
+    if argv.has("--beta") {
         return beta_report(&args.opts.sweep, args.backend());
     }
 

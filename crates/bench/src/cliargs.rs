@@ -1,6 +1,11 @@
-//! Shared command-line parsing for the figure binaries.
+//! The command-line surface of the sweep binaries: the flag rows their
+//! [`Cli`](wcms_error::cli::Cli) tables are built from, and the conversion of the walked
+//! arguments into a [`FigureArgs`].
 //!
-//! Every figure runner accepts the same resilience surface:
+//! The figure binaries (`fig4`, `fig5`, `fig6`) take the table
+//! [`FIGURE`]; `summary`, `karsin` and `merge` compose their own tables
+//! from the same rows, and the ad-hoc tables (`esweep`,
+//! `compare_sorts`, `ablation`) start from [`ADHOC`]:
 //!
 //! ```text
 //! [--quick|--standard|--full]   sweep size (default --standard)
@@ -24,11 +29,11 @@
 //! [--replay]                    render entirely from checkpointed cells
 //! ```
 //!
-//! Any other argument is refused with an `InvalidInput` error naming it,
-//! before the checkpoint store opens: a mistyped `--resume` must not
-//! fall through to the fresh-run clear below. Binaries with flags of
-//! their own (`summary --beta`, `merge --figure/--from`) strip them
-//! first.
+//! The walk ([`wcms_error::cli`]) refuses any argument outside a
+//! binary's table with a [`WcmsError::Usage`] naming it, before
+//! [`parse_figure_args`] runs and so before the checkpoint store opens:
+//! a mistyped `--resume` must not fall through to the fresh-run clear
+//! below.
 //!
 //! The shard modes (`--shard-index/--shard-count`, `--steal`,
 //! `--replay`) make n independent *processes* cooperate on one grid
@@ -49,10 +54,12 @@
 //! the worker count changes scheduling, never results, so resuming a
 //! `--jobs 1` sweep with `--jobs 8` is fine.)
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+use wcms_error::cli::{Args, Flag};
 use wcms_error::WcmsError;
 use wcms_mergesort::{AlgorithmKind, BackendKind};
 use wcms_obs::{Clock, Obs, RingCollector, TraceContext};
@@ -63,6 +70,49 @@ use crate::figures::RANDOM_SEED;
 use crate::resilient::ResilienceConfig;
 use crate::shard::{RetryJitter, ShardPolicy, DEFAULT_LEASE_TTL};
 use crate::supervisor::SweepOptions;
+
+/// `[--quick|--standard|--full]`.
+pub const GRID: &[Flag] =
+    &[Flag::switch("--quick"), Flag::switch("--standard"), Flag::switch("--full")];
+/// `--backend <sim|analytic|reference>`.
+pub const BACKEND: Flag = Flag::value("--backend", "sim|analytic|reference");
+/// `--algorithm <pairwise|multiway>`.
+pub const ALGORITHM: Flag = Flag::value("--algorithm", "pairwise|multiway");
+/// `--jobs <n>` ([`backend_algorithm_jobs`]).
+pub const JOBS: Flag = Flag::value("--jobs", "n");
+/// `--markdown`.
+pub const MARKDOWN: Flag = Flag::switch("--markdown");
+/// `--checkpoint-dir <dir>`.
+pub const CHECKPOINT_DIR: Flag = Flag::value("--checkpoint-dir", "dir");
+/// `--trace <path>`.
+pub const TRACE: Flag = Flag::value("--trace", "path");
+/// `--metrics <path>`.
+pub const METRICS: Flag = Flag::value("--metrics", "path");
+/// The per-cell policy and the checkpoint store.
+pub const RESILIENCE: &[Flag] = &[
+    Flag::switch("--resume"),
+    Flag::value("--timeout", "secs"),
+    Flag::value("--retries", "k"),
+    CHECKPOINT_DIR,
+    Flag::switch("--no-checkpoint"),
+];
+/// The trace journal, the caller's trace context, and the metrics
+/// snapshot.
+pub const OBSERVABILITY: &[Flag] = &[TRACE, Flag::value("--trace-parent", "t/s"), METRICS];
+/// The multi-process shard modes ([`shard_from_args`]).
+pub const SHARD: &[Flag] = &[
+    Flag::value("--shard-index", "i"),
+    Flag::value("--shard-count", "n"),
+    Flag::switch("--steal"),
+    Flag::value("--worker-id", "id"),
+    Flag::value("--lease-ttl", "secs"),
+    Flag::switch("--replay"),
+];
+/// The figure binaries' table rows.
+pub const FIGURE: &[&[Flag]] =
+    &[GRID, &[BACKEND, ALGORITHM, JOBS, MARKDOWN], RESILIENCE, OBSERVABILITY, SHARD];
+/// The rows every ad-hoc table starts with.
+pub const ADHOC: &[Flag] = &[Flag::switch("--quick"), BACKEND, ALGORITHM, JOBS];
 
 /// Parsed figure-binary arguments.
 #[derive(Debug, Clone)]
@@ -119,102 +169,49 @@ impl FigureArgs {
     }
 }
 
-fn bad(msg: String) -> WcmsError {
-    WcmsError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
+fn bad(reason: String) -> WcmsError {
+    WcmsError::Usage { reason }
 }
 
-/// The documented switches (see the module docs).
-const SWITCHES: [&str; 8] = [
-    "--quick",
-    "--standard",
-    "--full",
-    "--markdown",
-    "--resume",
-    "--no-checkpoint",
-    "--steal",
-    "--replay",
-];
-
-/// The documented flags that take the next argument as their value.
-const VALUE_FLAGS: [&str; 13] = [
-    "--backend",
-    "--algorithm",
-    "--jobs",
-    "--timeout",
-    "--retries",
-    "--checkpoint-dir",
-    "--trace",
-    "--trace-parent",
-    "--metrics",
-    "--shard-index",
-    "--shard-count",
-    "--worker-id",
-    "--lease-ttl",
-];
-
-/// Refuse the first argument outside the documented list, and a value
-/// flag with no value after it. A value flag consumes its value, so the
-/// value is never checked as a flag.
-fn reject_unknown(args: &[String]) -> Result<(), WcmsError> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            if it.next().is_none() {
-                return Err(bad(format!("{arg}: missing value")));
-            }
-        } else if !SWITCHES.contains(&arg.as_str()) {
-            return Err(bad(format!("{arg}: unknown argument")));
-        }
-    }
-    Ok(())
-}
-
-/// Parse `args` (without the program name) for the figure `figure`.
+/// Convert the walked `args` of the sweep binary `figure` into a
+/// [`FigureArgs`] running under `shard` ([`shard_from_args`], or
+/// [`ShardPolicy::Replay`] for `merge`). A flag outside the binary's
+/// table reads as absent: the walk has refused it already.
 ///
 /// # Errors
 ///
-/// Argument errors are reported as `Io(InvalidInput)` with the message:
-/// an argument outside the documented list is refused before the
-/// checkpoint store opens, so a mistyped `--resume` cannot clear it. A
-/// `--resume` against a foreign checkpoint directory is a
-/// [`WcmsError::CheckpointMismatch`]; checkpoint-directory failures are
-/// their underlying I/O error.
-pub fn parse_figure_args(figure: &str, args: &[String]) -> Result<FigureArgs, WcmsError> {
-    reject_unknown(args)?;
-    let sweep = if args.iter().any(|a| a == "--quick") {
+/// A [`WcmsError::Usage`] for a value that does not parse or a
+/// combination of flags that means nothing. A `--resume` against a
+/// foreign checkpoint directory is a [`WcmsError::CheckpointMismatch`];
+/// checkpoint-directory failures are their underlying I/O error.
+pub fn parse_figure_args(
+    figure: &str,
+    args: &Args,
+    shard: ShardPolicy,
+) -> Result<FigureArgs, WcmsError> {
+    let sweep = if args.has("--quick") {
         SweepConfig::quick()
-    } else if args.iter().any(|a| a == "--full") {
+    } else if args.has("--full") {
         SweepConfig::full()
     } else {
         SweepConfig::standard()
     };
-    let value_of = |flag: &str| -> Option<&str> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
-    };
-
-    let backend = backend_from_args(args)?;
-    let algorithm = algorithm_from_args(args)?;
-    let jobs = jobs_from_args(args)?;
-    let shard = shard_from_args(args)?;
+    let (backend, algorithm, jobs) = backend_algorithm_jobs(args)?;
 
     let mut resilience = ResilienceConfig::none();
-    if let Some(secs) = value_of("--timeout") {
-        let secs: f64 = secs.parse().map_err(|_| bad(format!("--timeout {secs}: not a number")))?;
-        if secs.is_nan() || secs <= 0.0 {
-            return Err(bad(format!("--timeout {secs}: must be positive")));
-        }
-        resilience.timeout = Some(Duration::from_secs_f64(secs));
+    if let Some(timeout) = seconds(args, "--timeout")? {
+        resilience.timeout = Some(timeout);
         resilience.backoff = Duration::from_millis(100);
     }
-    if let Some(k) = value_of("--retries") {
-        resilience.retries = k.parse().map_err(|_| bad(format!("--retries {k}: not a count")))?;
+    if let Some(k) = args.get("--retries")? {
+        resilience.retries = k;
         if resilience.backoff.is_zero() {
             resilience.backoff = Duration::from_millis(100);
         }
     }
 
-    let trace = value_of("--trace").map(PathBuf::from);
-    let metrics = value_of("--metrics").map(PathBuf::from);
+    let trace: Option<PathBuf> = args.get("--trace")?;
+    let metrics: Option<PathBuf> = args.get("--metrics")?;
     let mut ring = None;
     if trace.is_some() {
         // Tracing implies metrics recording; both share one bundle.
@@ -224,7 +221,7 @@ pub fn parse_figure_args(figure: &str, args: &[String]) -> Result<FigureArgs, Wc
     } else if metrics.is_some() {
         resilience.obs = Obs::enabled(Clock::wall());
     }
-    if let Some(parent) = value_of("--trace-parent") {
+    if let Some(parent) = args.value("--trace-parent") {
         // A daemon (or a wrapping script) hands its context to the
         // worker here; the sweep span then parents to the caller's
         // span and the whole fleet joins into one causal tree.
@@ -242,7 +239,7 @@ pub fn parse_figure_args(figure: &str, args: &[String]) -> Result<FigureArgs, Wc
     }
 
     if !shard.is_off() {
-        if args.iter().any(|a| a == "--no-checkpoint") {
+        if args.has("--no-checkpoint") {
             return Err(bad(
                 "--no-checkpoint: shard modes coordinate through the checkpoint store".into(),
             ));
@@ -261,14 +258,14 @@ pub fn parse_figure_args(figure: &str, args: &[String]) -> Result<FigureArgs, Wc
     }
     // Shard modes imply --resume: the store is shared, and a fresh-run
     // clear() here would destroy cells the other workers committed.
-    let resume = args.iter().any(|a| a == "--resume") || !shard.is_off();
-    if !args.iter().any(|a| a == "--no-checkpoint") {
+    let resume = args.has("--resume") || !shard.is_off();
+    if !args.has("--no-checkpoint") {
         // Namespace the default per backend: sim and analytic sweeps of
         // the same figure must never share (or clear) each other's cells.
         // The algorithm joins the namespace the same way — but pairwise
         // keeps the historical un-suffixed directory, so existing
         // pairwise checkpoints survive this flag's introduction.
-        let dir = value_of("--checkpoint-dir").map(String::from).unwrap_or_else(|| {
+        let dir = args.value("--checkpoint-dir").map(String::from).unwrap_or_else(|| {
             if algorithm == AlgorithmKind::Pairwise {
                 format!("results/.checkpoint/{figure}/{backend}")
             } else {
@@ -289,88 +286,51 @@ pub fn parse_figure_args(figure: &str, args: &[String]) -> Result<FigureArgs, Wc
 
     Ok(FigureArgs {
         opts: SweepOptions { sweep, resilience, backend, algorithm, jobs, shard },
-        markdown: args.iter().any(|a| a == "--markdown"),
+        markdown: args.has("--markdown"),
         trace,
         metrics,
         ring,
     })
 }
 
-/// Parse `--backend <sim|analytic|reference>` from a raw argument list.
-/// The ad-hoc binaries (`esweep`, `ablation`, `compare_sorts`, `karsin`)
-/// share this one parser with [`parse_figure_args`], so the flag means
-/// the same thing everywhere.
-///
-/// # Errors
-///
-/// Returns the [`BackendKind`] parse error for an unknown backend name.
-pub(crate) fn backend_from_args(args: &[String]) -> Result<BackendKind, WcmsError> {
-    match args.iter().position(|a| a == "--backend").and_then(|i| args.get(i + 1)) {
-        Some(name) => name.parse(),
-        None => Ok(BackendKind::default()),
+/// A positive number of seconds given to `flag`, if it was given.
+fn seconds(args: &Args, flag: &str) -> Result<Option<Duration>, WcmsError> {
+    let Some(secs) = args.get::<f64>(flag)? else { return Ok(None) };
+    match Duration::try_from_secs_f64(secs) {
+        Ok(d) if !d.is_zero() => Ok(Some(d)),
+        _ => Err(bad(format!("{flag} {secs}: must be positive"))),
     }
 }
 
-/// Parse `--algorithm <pairwise|multiway>` from a raw argument list
-/// (default pairwise — the paper's sort). Shared by the figure binaries
-/// and the ad-hoc sweeps, so the flag means the same thing everywhere.
+/// `--backend`, `--algorithm` and `--jobs` (defaults: sim, pairwise,
+/// one worker — the sequential path). Shared by the figure binaries and
+/// the ad-hoc tables, so the flags mean the same thing everywhere.
 ///
 /// # Errors
 ///
-/// Returns the [`AlgorithmKind`] parse error for an unknown algorithm
-/// name.
-pub(crate) fn algorithm_from_args(args: &[String]) -> Result<AlgorithmKind, WcmsError> {
-    match args.iter().position(|a| a == "--algorithm").and_then(|i| args.get(i + 1)) {
-        Some(name) => name.parse(),
-        None => Ok(AlgorithmKind::default()),
-    }
+/// Refuses an unknown backend or algorithm and a non-numeric or zero
+/// worker count.
+pub fn backend_algorithm_jobs(
+    args: &Args,
+) -> Result<(BackendKind, AlgorithmKind, usize), WcmsError> {
+    let jobs: Option<NonZeroUsize> = args.get("--jobs")?;
+    let algorithm = args.get("--algorithm")?.unwrap_or_default();
+    Ok((args.get("--backend")?.unwrap_or_default(), algorithm, jobs.map_or(1, NonZeroUsize::get)))
 }
 
-/// Parse `--jobs <n>` from a raw argument list (default 1 — the
-/// sequential path). Shared by the figure binaries and the ad-hoc
-/// sweeps, so the flag means the same thing everywhere.
+/// The multi-process sharding mode: `--shard-index <i> --shard-count
+/// <n>` (static), `--steal --worker-id <id> [--lease-ttl <secs>]`
+/// (dynamic), or `--replay` (render from checkpoints only).
 ///
 /// # Errors
 ///
-/// Rejects a missing, non-numeric or zero worker count.
-pub(crate) fn jobs_from_args(args: &[String]) -> Result<usize, WcmsError> {
-    match args.iter().position(|a| a == "--jobs").and_then(|i| args.get(i + 1)) {
-        Some(n) => {
-            let jobs: usize =
-                n.parse().map_err(|_| bad(format!("--jobs {n}: not a worker count")))?;
-            if jobs == 0 {
-                return Err(bad("--jobs 0: need at least one worker".into()));
-            }
-            Ok(jobs)
-        }
-        None => {
-            if args.iter().any(|a| a == "--jobs") {
-                return Err(bad("--jobs: missing worker count".into()));
-            }
-            Ok(1)
-        }
-    }
-}
-
-/// Parse the multi-process sharding flags from a raw argument list:
-/// `--shard-index <i> --shard-count <n>` (static), `--steal
-/// --worker-id <id> [--lease-ttl <secs>]` (dynamic), or `--replay`
-/// (render from checkpoints only). Shared by the figure binaries and
-/// the ad-hoc sweeps, so the flags mean the same thing everywhere.
-///
-/// # Errors
-///
-/// Rejects mixed modes, a lone `--shard-index`/`--shard-count`, an
+/// Refuses mixed modes, a lone `--shard-index`/`--shard-count`, an
 /// out-of-range index, `--steal` without a worker id, a non-positive
 /// lease TTL, and `--worker-id`/`--lease-ttl` outside `--steal`.
-pub(crate) fn shard_from_args(args: &[String]) -> Result<ShardPolicy, WcmsError> {
-    let value_of = |flag: &str| -> Option<&str> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
-    };
-    let steal = args.iter().any(|a| a == "--steal");
-    let replay = args.iter().any(|a| a == "--replay");
-    let static_mode =
-        args.iter().any(|a| a == "--shard-index") || args.iter().any(|a| a == "--shard-count");
+pub fn shard_from_args(args: &Args) -> Result<ShardPolicy, WcmsError> {
+    let steal = args.has("--steal");
+    let replay = args.has("--replay");
+    let static_mode = args.has("--shard-index") || args.has("--shard-count");
     if usize::from(steal) + usize::from(replay) + usize::from(static_mode) > 1 {
         return Err(bad(
             "--shard-index/--shard-count, --steal and --replay are mutually exclusive".into(),
@@ -378,7 +338,7 @@ pub(crate) fn shard_from_args(args: &[String]) -> Result<ShardPolicy, WcmsError>
     }
     if !steal {
         for flag in ["--worker-id", "--lease-ttl"] {
-            if args.iter().any(|a| a == flag) {
+            if args.has(flag) {
                 return Err(bad(format!("{flag} only makes sense with --steal")));
             }
         }
@@ -387,36 +347,19 @@ pub(crate) fn shard_from_args(args: &[String]) -> Result<ShardPolicy, WcmsError>
         return Ok(ShardPolicy::Replay);
     }
     if steal {
-        let worker = value_of("--worker-id")
-            .ok_or_else(|| {
-                bad("--steal requires --worker-id <id>: a stable, pid-independent worker \
-                     name (lease ownership and jitter must survive restarts)"
-                    .into())
-            })?
-            .to_string();
-        if worker.is_empty() || worker.starts_with("--") {
-            return Err(bad(format!("--worker-id {worker}: not a worker name")));
-        }
-        let ttl = match value_of("--lease-ttl") {
-            None => DEFAULT_LEASE_TTL,
-            Some(s) => {
-                let secs: f64 =
-                    s.parse().map_err(|_| bad(format!("--lease-ttl {s}: not a number")))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(bad(format!("--lease-ttl {s}: must be positive")));
-                }
-                Duration::from_secs_f64(secs)
-            }
-        };
-        return Ok(ShardPolicy::Steal { worker, ttl });
+        let worker = args.value("--worker-id").filter(|w| !w.is_empty()).ok_or_else(|| {
+            bad("--steal requires --worker-id <id>: a stable, pid-independent worker \
+                 name (lease ownership and jitter must survive restarts)"
+                .into())
+        })?;
+        let ttl = seconds(args, "--lease-ttl")?.unwrap_or(DEFAULT_LEASE_TTL);
+        return Ok(ShardPolicy::Steal { worker: worker.to_string(), ttl });
     }
     if static_mode {
-        let (Some(i), Some(c)) = (value_of("--shard-index"), value_of("--shard-count")) else {
+        let (Some(index), Some(count)) = (args.get("--shard-index")?, args.get("--shard-count")?)
+        else {
             return Err(bad("--shard-index and --shard-count must be given together".into()));
         };
-        let index: usize =
-            i.parse().map_err(|_| bad(format!("--shard-index {i}: not an index")))?;
-        let count: usize = c.parse().map_err(|_| bad(format!("--shard-count {c}: not a count")))?;
         if count == 0 {
             return Err(bad("--shard-count 0: need at least one shard".into()));
         }
@@ -430,30 +373,26 @@ pub(crate) fn shard_from_args(args: &[String]) -> Result<ShardPolicy, WcmsError>
     Ok(ShardPolicy::Off)
 }
 
-/// [`parse_figure_args`] over the process arguments.
-///
-/// # Errors
-///
-/// Same conditions as [`parse_figure_args`].
-pub fn figure_args_from_env(figure: &str) -> Result<FigureArgs, WcmsError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_figure_args(figure, &args)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checkpoint::{CellResult, LoadOutcome};
+    use wcms_error::cli::Cli;
 
     fn strs(xs: &[&str]) -> Vec<String> {
         xs.iter().map(|s| (*s).to_string()).collect()
     }
 
+    /// Walk `xs` through the figure binaries' table, then convert.
+    fn parse(xs: &[&str]) -> Result<FigureArgs, WcmsError> {
+        let args = Cli { name: "figX", flags: FIGURE }.parse(strs(xs))?;
+        parse_figure_args("figX", &args, shard_from_args(&args)?)
+    }
+
     #[test]
     fn defaults_are_standard_sequential_and_checkpointed() {
         let dir = std::env::temp_dir().join(format!("wcms-cli-{}", std::process::id()));
-        let a =
-            parse_figure_args("figX", &strs(&["--checkpoint-dir", dir.to_str().unwrap()])).unwrap();
+        let a = parse(&["--checkpoint-dir", dir.to_str().unwrap()]).unwrap();
         assert_eq!(a.opts.sweep.max_doublings, SweepConfig::standard().max_doublings);
         assert_eq!(a.backend(), BackendKind::Sim);
         assert_eq!(a.opts.jobs, 1);
@@ -465,11 +404,8 @@ mod tests {
 
     #[test]
     fn timeout_and_retries_parse() {
-        let a = parse_figure_args(
-            "figX",
-            &strs(&["--quick", "--no-checkpoint", "--timeout", "2.5", "--retries", "4"]),
-        )
-        .unwrap();
+        let a =
+            parse(&["--quick", "--no-checkpoint", "--timeout", "2.5", "--retries", "4"]).unwrap();
         assert_eq!(a.opts.resilience.timeout, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(a.opts.resilience.retries, 4);
         assert!(a.opts.resilience.checkpoint.is_none());
@@ -477,23 +413,19 @@ mod tests {
 
     #[test]
     fn backend_flag_parses() {
-        let a = parse_figure_args("figX", &strs(&["--no-checkpoint", "--backend", "analytic"]))
-            .unwrap();
+        let a = parse(&["--no-checkpoint", "--backend", "analytic"]).unwrap();
         assert_eq!(a.backend(), BackendKind::Analytic);
-        let err =
-            parse_figure_args("figX", &strs(&["--no-checkpoint", "--backend", "gpu"])).unwrap_err();
+        let err = parse(&["--no-checkpoint", "--backend", "gpu"]).unwrap_err();
         assert!(err.to_string().contains("unknown backend"), "{err}");
     }
 
     #[test]
     fn algorithm_flag_parses() {
-        let a = parse_figure_args("figX", &strs(&["--no-checkpoint"])).unwrap();
+        let a = parse(&["--no-checkpoint"]).unwrap();
         assert_eq!(a.opts.algorithm, AlgorithmKind::Pairwise, "default is the paper's sort");
-        let a = parse_figure_args("figX", &strs(&["--no-checkpoint", "--algorithm", "multiway"]))
-            .unwrap();
+        let a = parse(&["--no-checkpoint", "--algorithm", "multiway"]).unwrap();
         assert_eq!(a.opts.algorithm, AlgorithmKind::Multiway);
-        let err = parse_figure_args("figX", &strs(&["--no-checkpoint", "--algorithm", "bitonic"]))
-            .unwrap_err();
+        let err = parse(&["--no-checkpoint", "--algorithm", "bitonic"]).unwrap_err();
         assert!(err.to_string().contains("unknown algorithm"), "{err}");
     }
 
@@ -504,22 +436,15 @@ mod tests {
     fn resume_across_algorithms_refuses_naming_the_field() {
         let dir = std::env::temp_dir().join(format!("wcms-cli-algo-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let _ = parse_figure_args(
-            "figX",
-            &strs(&["--quick", "--checkpoint-dir", dir.to_str().unwrap()]),
-        )
-        .unwrap();
-        let err = parse_figure_args(
-            "figX",
-            &strs(&[
-                "--quick",
-                "--resume",
-                "--algorithm",
-                "multiway",
-                "--checkpoint-dir",
-                dir.to_str().unwrap(),
-            ]),
-        )
+        let _ = parse(&["--quick", "--checkpoint-dir", dir.to_str().unwrap()]).unwrap();
+        let err = parse(&[
+            "--quick",
+            "--resume",
+            "--algorithm",
+            "multiway",
+            "--checkpoint-dir",
+            dir.to_str().unwrap(),
+        ])
         .unwrap_err();
         assert!(
             matches!(err, WcmsError::CheckpointMismatch { field: "algorithm", .. }),
@@ -530,30 +455,32 @@ mod tests {
 
     #[test]
     fn jobs_flag_parses_and_rejects_zero() {
-        let a = parse_figure_args("figX", &strs(&["--no-checkpoint", "--jobs", "4"])).unwrap();
+        let a = parse(&["--no-checkpoint", "--jobs", "4"]).unwrap();
         assert_eq!(a.opts.jobs, 4);
         for bad_args in [&["--no-checkpoint", "--jobs", "0"][..], &["--no-checkpoint", "--jobs"]] {
-            let err = parse_figure_args("figX", &strs(bad_args)).unwrap_err();
+            let err = parse(bad_args).unwrap_err();
             assert!(err.to_string().contains("--jobs"), "{err}");
         }
-        assert_eq!(jobs_from_args(&strs(&["--jobs", "8"])).unwrap(), 8);
-        assert_eq!(jobs_from_args(&strs(&[])).unwrap(), 1);
+        let jobs = |xs: &[&str]| {
+            let args = Cli { name: "esweep", flags: &[ADHOC] }.parse(strs(xs)).unwrap();
+            backend_algorithm_jobs(&args).map(|(_, _, jobs)| jobs)
+        };
+        assert_eq!(jobs(&["--jobs", "8"]).unwrap(), 8);
+        assert_eq!(jobs(&[]).unwrap(), 1);
+        assert!(matches!(jobs(&["--jobs", "x"]), Err(WcmsError::Usage { .. })));
     }
 
     #[test]
     fn trace_and_metrics_flags_enable_the_obs_bundle() {
-        let base = strs(&["--no-checkpoint"]);
-        let a = parse_figure_args("figX", &base).unwrap();
+        let a = parse(&["--no-checkpoint"]).unwrap();
         assert!(!a.obs().is_active(), "no flag: observability stays off");
         assert!(a.ring.is_none());
 
-        let a = parse_figure_args("figX", &strs(&["--no-checkpoint", "--metrics", "/tmp/m.prom"]))
-            .unwrap();
+        let a = parse(&["--no-checkpoint", "--metrics", "/tmp/m.prom"]).unwrap();
         assert!(a.obs().is_active() && !a.obs().is_tracing(), "--metrics: metrics only");
         assert_eq!(a.metrics.as_deref(), Some(std::path::Path::new("/tmp/m.prom")));
 
-        let a = parse_figure_args("figX", &strs(&["--no-checkpoint", "--trace", "/tmp/t.jsonl"]))
-            .unwrap();
+        let a = parse(&["--no-checkpoint", "--trace", "/tmp/t.jsonl"]).unwrap();
         assert!(a.obs().is_tracing(), "--trace installs a recorder");
         assert!(a.obs().is_active(), "--trace implies metrics");
         assert!(a.ring.is_some());
@@ -563,36 +490,26 @@ mod tests {
     fn trace_parent_adopts_the_wire_context_and_rejects_garbage() {
         let ctx = TraceContext::root(0xC0FFEE, "fleet-obs");
         let wire = ctx.encode();
-        let a = parse_figure_args(
-            "figX",
-            &strs(&["--no-checkpoint", "--trace", "/tmp/t.jsonl", "--trace-parent", &wire]),
-        )
-        .unwrap();
+        let a = parse(&["--no-checkpoint", "--trace", "/tmp/t.jsonl", "--trace-parent", &wire])
+            .unwrap();
         let adopted = a.obs().context().expect("--trace-parent must set a context");
         assert_eq!(adopted.trace, ctx.trace);
         assert_eq!(adopted.span, ctx.span);
 
         // Even without --trace, the context is adopted (a metrics-only
         // worker still stamps leases it claims).
-        let a = parse_figure_args("figX", &strs(&["--no-checkpoint", "--trace-parent", &wire]))
-            .unwrap();
+        let a = parse(&["--no-checkpoint", "--trace-parent", &wire]).unwrap();
         assert!(a.obs().context().is_some());
 
-        let err = parse_figure_args(
-            "figX",
-            &strs(&["--no-checkpoint", "--trace-parent", "not-a-context"]),
-        )
-        .unwrap_err();
+        let err = parse(&["--no-checkpoint", "--trace-parent", "not-a-context"]).unwrap_err();
         assert!(err.to_string().contains("--trace-parent"), "{err}");
     }
 
     #[test]
     fn bad_timeout_is_a_typed_error() {
-        let err = parse_figure_args("figX", &strs(&["--no-checkpoint", "--timeout", "soon"]))
-            .unwrap_err();
+        let err = parse(&["--no-checkpoint", "--timeout", "soon"]).unwrap_err();
         assert!(err.to_string().contains("--timeout"), "{err}");
-        let err =
-            parse_figure_args("figX", &strs(&["--no-checkpoint", "--timeout", "-1"])).unwrap_err();
+        let err = parse(&["--no-checkpoint", "--timeout", "-1"]).unwrap_err();
         assert!(err.to_string().contains("positive"), "{err}");
     }
 
@@ -601,22 +518,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wcms-cli-res-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         // Fresh run writes the manifest...
-        let a =
-            parse_figure_args("figX", &strs(&["--checkpoint-dir", dir.to_str().unwrap()])).unwrap();
+        let a = parse(&["--checkpoint-dir", dir.to_str().unwrap()]).unwrap();
         let store = a.opts.resilience.checkpoint.as_ref().unwrap();
         store.store("cell", &CellResult::Skipped { reason: "x".into(), attempts: 1 }).unwrap();
         // ...a fresh re-run clears the cells...
-        let a2 =
-            parse_figure_args("figX", &strs(&["--checkpoint-dir", dir.to_str().unwrap()])).unwrap();
+        let a2 = parse(&["--checkpoint-dir", dir.to_str().unwrap()]).unwrap();
         let store2 = a2.opts.resilience.checkpoint.as_ref().unwrap();
         assert_eq!(store2.load("cell"), LoadOutcome::Absent);
         store2.store("cell", &CellResult::Skipped { reason: "x".into(), attempts: 1 }).unwrap();
         // ...and a resumed run keeps them.
-        let a3 = parse_figure_args(
-            "figX",
-            &strs(&["--resume", "--checkpoint-dir", dir.to_str().unwrap()]),
-        )
-        .unwrap();
+        let a3 = parse(&["--resume", "--checkpoint-dir", dir.to_str().unwrap()]).unwrap();
         let store3 = a3.opts.resilience.checkpoint.as_ref().unwrap();
         assert!(matches!(store3.load("cell"), LoadOutcome::Cached(_)));
         std::fs::remove_dir_all(&dir).ok();
@@ -630,23 +541,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wcms-cli-typo-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let ck = dir.to_str().unwrap();
-        let a = parse_figure_args("figX", &strs(&["--quick", "--checkpoint-dir", ck])).unwrap();
+        let a = parse(&["--quick", "--checkpoint-dir", ck]).unwrap();
         let store = a.opts.resilience.checkpoint.as_ref().unwrap();
         store.store("cell", &CellResult::Skipped { reason: "x".into(), attempts: 1 }).unwrap();
 
         for typo in ["--resmue", "--quik", "resume"] {
-            let err = parse_figure_args("figX", &strs(&["--quick", typo, "--checkpoint-dir", ck]))
-                .unwrap_err();
-            assert!(
-                matches!(err, WcmsError::Io(ref e) if e.kind() == std::io::ErrorKind::InvalidInput),
-                "{typo}: {err}"
-            );
+            let err = parse(&["--quick", typo, "--checkpoint-dir", ck]).unwrap_err();
+            assert!(matches!(err, WcmsError::Usage { .. }), "{typo}: {err}");
             assert!(err.to_string().contains(typo), "the error must name {typo}: {err}");
         }
 
-        let resumed =
-            parse_figure_args("figX", &strs(&["--quick", "--resume", "--checkpoint-dir", ck]))
-                .unwrap();
+        let resumed = parse(&["--quick", "--resume", "--checkpoint-dir", ck]).unwrap();
         let store = resumed.opts.resilience.checkpoint.as_ref().unwrap();
         assert!(matches!(store.load("cell"), LoadOutcome::Cached(_)), "a typo cleared the store");
         std::fs::remove_dir_all(&dir).ok();
@@ -656,15 +561,11 @@ mod tests {
     /// never taken for an unknown flag; a value flag with nothing after
     /// it is refused.
     #[test]
-    fn flag_values_are_consumed_and_required() {
-        let a = parse_figure_args(
-            "figX",
-            &strs(&["--no-checkpoint", "--metrics", "m.prom", "--retries", "2"]),
-        )
-        .unwrap();
+    fn value_flags_consume_their_value_and_require_one() {
+        let a = parse(&["--no-checkpoint", "--metrics", "m.prom", "--retries", "2"]).unwrap();
         assert_eq!(a.metrics.as_deref(), Some(std::path::Path::new("m.prom")));
         assert_eq!(a.opts.resilience.retries, 2);
-        let err = parse_figure_args("figX", &strs(&["--no-checkpoint", "--metrics"])).unwrap_err();
+        let err = parse(&["--no-checkpoint", "--metrics"]).unwrap_err();
         assert!(err.to_string().contains("--metrics"), "{err}");
     }
 
@@ -672,38 +573,94 @@ mod tests {
     fn resume_against_a_different_configuration_refuses() {
         let dir = std::env::temp_dir().join(format!("wcms-cli-mis-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let _ = parse_figure_args(
-            "figX",
-            &strs(&["--quick", "--checkpoint-dir", dir.to_str().unwrap()]),
-        )
-        .unwrap();
+        let _ = parse(&["--quick", "--checkpoint-dir", dir.to_str().unwrap()]).unwrap();
         // Same directory, resumed under a different grid → typed refusal.
-        let err = parse_figure_args(
-            "figX",
-            &strs(&["--full", "--resume", "--checkpoint-dir", dir.to_str().unwrap()]),
-        )
-        .unwrap_err();
+        let err =
+            parse(&["--full", "--resume", "--checkpoint-dir", dir.to_str().unwrap()]).unwrap_err();
         assert!(
             matches!(err, WcmsError::CheckpointMismatch { field: "grid", .. }),
             "expected a grid mismatch, got {err}"
         );
         // And resuming a sim checkpoint as analytic also refuses.
-        let err = parse_figure_args(
-            "figX",
-            &strs(&[
-                "--quick",
-                "--resume",
-                "--backend",
-                "analytic",
-                "--checkpoint-dir",
-                dir.to_str().unwrap(),
-            ]),
-        )
+        let err = parse(&[
+            "--quick",
+            "--resume",
+            "--backend",
+            "analytic",
+            "--checkpoint-dir",
+            dir.to_str().unwrap(),
+        ])
         .unwrap_err();
         assert!(
             matches!(err, WcmsError::CheckpointMismatch { field: "backend", .. }),
             "expected a backend mismatch, got {err}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The ad-hoc tables walk their shared rows plus their own, and
+    /// refuse every figure-only row.
+    #[test]
+    fn adhoc_tables_walk_the_shared_surface() {
+        const ESWEEP: Cli = Cli { name: "esweep", flags: &[ADHOC, &[Flag::switch("--rtx")]] };
+        let args = ESWEEP
+            .parse(strs(&[
+                "--quick",
+                "--backend",
+                "analytic",
+                "--algorithm",
+                "multiway",
+                "--jobs",
+                "3",
+                "--rtx",
+            ]))
+            .unwrap();
+        assert!(args.has("--quick") && args.has("--rtx"));
+        assert_eq!(
+            backend_algorithm_jobs(&args).unwrap(),
+            (BackendKind::Analytic, AlgorithmKind::Multiway, 3)
+        );
+
+        let defaults = ESWEEP.parse(Vec::new()).unwrap();
+        assert!(!defaults.has("--quick"));
+        assert_eq!(
+            backend_algorithm_jobs(&defaults).unwrap(),
+            (BackendKind::Sim, AlgorithmKind::Pairwise, 1)
+        );
+
+        let args = ESWEEP.parse(strs(&["--algorithm", "quantum"])).unwrap();
+        assert!(matches!(backend_algorithm_jobs(&args), Err(WcmsError::Usage { .. })));
+        for flag in ["--markdown", "--steal", "--resume", "--rxt"] {
+            let err = ESWEEP.parse(strs(&["--quick", flag])).unwrap_err();
+            assert!(matches!(err, WcmsError::Usage { .. }) && err.to_string().contains(flag));
+        }
+        for flag in ["--shard-index", "--shard-count", "--checkpoint-dir"] {
+            assert!(ESWEEP.parse(strs(&[flag, "1"])).is_err(), "{flag}");
+        }
+    }
+
+    /// A row a binary's table leaves out reads as absent: karsin runs
+    /// both algorithms, so it has no `--algorithm` row and its
+    /// checkpoint directory never moves with one.
+    #[test]
+    fn a_table_without_a_row_refuses_it_and_reads_the_default() {
+        let karsin = Cli { name: "karsin", flags: &[GRID, &[BACKEND, JOBS], RESILIENCE] };
+        let err = karsin.parse(strs(&["--quick", "--algorithm", "multiway"])).unwrap_err();
+        assert!(err.to_string().contains("--algorithm"), "{err}");
+        let args = karsin.parse(strs(&["--quick", "--no-checkpoint"])).unwrap();
+        let a = parse_figure_args("karsin", &args, ShardPolicy::Off).unwrap();
+        assert_eq!(a.opts.algorithm, AlgorithmKind::Pairwise);
+        assert!(!a.markdown);
+    }
+
+    /// Bad seconds are refused, never turned into a panic.
+    #[test]
+    fn out_of_range_seconds_are_usage_errors() {
+        for secs in ["inf", "1e300", "-0.5", "0", "NaN"] {
+            let err = parse(&["--no-checkpoint", "--timeout", secs]).unwrap_err();
+            assert!(matches!(err, WcmsError::Usage { .. }), "--timeout {secs}: {err}");
+            let err = parse(&["--steal", "--worker-id", "w", "--lease-ttl", secs]).unwrap_err();
+            assert!(err.to_string().contains("--lease-ttl"), "{secs}: {err}");
+        }
     }
 }

@@ -25,7 +25,6 @@ use wcms_mergesort::{
 use wcms_obs::Obs;
 use wcms_workloads::WorkloadSpec;
 
-use crate::experiment::SweepConfig;
 use crate::figures::fig4_configs;
 
 /// One `(params, workload, N)` cell to validate.
@@ -206,28 +205,27 @@ fn cross_validate_traced(jobs: &[CrossJob], obs: &Obs) -> Result<CrossReport, Wc
     Ok(report)
 }
 
-/// The standard validation grid: the Fig. 4 presets (worst-case and
-/// random), the Fig. 4 Thrust preset with padded tiles, the three
-/// worst-case families — small-E (Theorem 3), large-E (Theorem 9),
-/// power-of-two E (where sorted order is worst) — and a sorted-input
-/// control.
+/// The validation grid: the Fig. 4 presets (worst-case and random) at
+/// their two smallest sizes, the Fig. 4 Thrust preset with padded
+/// tiles, the three worst-case families — small-E (Theorem 3), large-E
+/// (Theorem 9), power-of-two E (where sorted order is worst) — and a
+/// sorted-input control, each under every algorithm: 34 cells.
 ///
 /// # Errors
 ///
 /// Returns parameter-validation errors from the presets.
-pub fn default_jobs(sweep: &SweepConfig) -> Result<Vec<CrossJob>, WcmsError> {
+pub fn default_jobs() -> Result<Vec<CrossJob>, WcmsError> {
     let device = wcms_gpu_sim::DeviceSpec::quadro_m4000();
     let mut cells: Vec<(String, SortParams, WorkloadSpec, usize)> = Vec::new();
     // The figure-4 grid, at the small end of the sweep (the big end is
     // the figure runners' job — here every cell runs twice per
     // algorithm).
-    let doublings = sweep.min_doublings..=sweep.max_doublings.min(sweep.min_doublings + 1);
     for cfg in fig4_configs(&device)? {
         for (wl, spec) in [
             ("worst-case", WorkloadSpec::WorstCase),
             ("random", WorkloadSpec::RandomPermutation { seed: 0xC0FFEE }),
         ] {
-            for m in doublings.clone() {
+            for m in 1..=2 {
                 cells.push((
                     format!("fig4/{} E={} b={} {wl}", cfg.label, cfg.params.e, cfg.params.b),
                     cfg.params,
@@ -238,14 +236,14 @@ pub fn default_jobs(sweep: &SweepConfig) -> Result<Vec<CrossJob>, WcmsError> {
         }
     }
     // Padded tiles at the production tuning, on its worst-case input at
-    // the sweep's smallest size: padding moves every shared-memory
+    // the grid's smallest size: padding moves every shared-memory
     // address, so its schedules need a cell of their own.
     let padded = SortParams::thrust(&device)?.with_padding();
     cells.push((
         format!("fig4/Thrust E={} b={} worst-case padded", padded.e, padded.b),
         padded,
         WorkloadSpec::WorstCase,
-        padded.block_elems() << sweep.min_doublings,
+        padded.block_elems() << 1,
     ));
     // The worst-case families of §III, at a bench-friendly block size.
     let families = [
@@ -316,7 +314,8 @@ mod tests {
 
     #[test]
     fn default_grid_covers_presets_families_and_algorithms() {
-        let jobs = default_jobs(&SweepConfig::quick()).unwrap();
+        let jobs = default_jobs().unwrap();
+        assert_eq!(jobs.len(), 34, "the grid crossval's docs and CI cite");
         for needle in ["fig4/Thrust", "fig4/ModernGPU", "small-E", "large-E", "power-of-two"] {
             assert!(jobs.iter().any(|j| j.label.contains(needle)), "missing {needle}");
         }

@@ -7,28 +7,26 @@
 //! (like `--backend`) lands in exactly one place and every figure
 //! reports it the same way.
 //!
-//! A binary describes its output as one or more [`FigurePanel`]s — a
-//! heading, a [`SweepReport`], and the projections to print — and hands
-//! a builder closure to [`figure_binary_main`]. Data rows go to stdout;
+//! A figure's output is one or more [`FigurePanel`]s — a heading, a
+//! [`SweepReport`], and the projections to print — built by
+//! [`build_figure_panels`]; a figure binary's whole `main` is
+//! [`figure_binary_main`]. Data rows go to stdout;
 //! all commentary (headings, paper quotes, slowdown statistics, gap
 //! counts) goes to stderr as `#`-prefixed lines, exactly as before.
 
 use std::process::ExitCode;
 
+use wcms_error::cli::{self, Cli};
 use wcms_error::WcmsError;
 use wcms_mergesort::{AlgorithmKind, BackendKind};
 
 use crate::checkpoint::sanitize;
-use crate::cliargs::{
-    algorithm_from_args, backend_from_args, figure_args_from_env, jobs_from_args, shard_from_args,
-    FigureArgs,
-};
+use crate::cliargs::{parse_figure_args, shard_from_args, FIGURE};
 use crate::experiment::Measurement;
 use crate::resilient::SweepReport;
 use crate::series::Series;
-use crate::shard::ShardPolicy;
 use crate::summary::slowdown_table;
-use crate::supervisor::{parallel_map, SweepOptions};
+use crate::supervisor::SweepOptions;
 
 /// One projected table of a panel: an optional stderr caption, the
 /// per-measurement value to print, and its unit (markdown mode only).
@@ -226,170 +224,51 @@ fn rank_agreement_lines(series: &[Series]) -> Vec<String> {
         .collect()
 }
 
-/// Parsed arguments shared by the ad-hoc study binaries (`esweep`,
-/// `compare_sorts`, `ablation`, …): the `--quick` switch plus the
-/// `--backend`/`--algorithm`/`--jobs` surface every sweep speaks, and
-/// the raw argv for binary-specific flags. Before this type each binary
-/// repeated the same parse/dispatch/print boilerplate; now a new shared
-/// flag lands in exactly one place.
-#[derive(Debug, Clone)]
-pub struct AdhocArgs {
-    argv: Vec<String>,
-    /// `--quick`: smaller grids for CI / smoke runs.
-    pub quick: bool,
-    /// `--backend <sim|analytic|reference>`.
-    pub backend: BackendKind,
-    /// `--algorithm <pairwise|multiway>`.
-    pub algorithm: AlgorithmKind,
-    /// `--jobs <n>` worker threads.
-    pub jobs: usize,
-    /// `--shard-index/--shard-count`: static division of the row set
-    /// among independent processes. The ad-hoc tables have no
-    /// checkpoint store, so the lease-based modes (`--steal`,
-    /// `--replay`) are rejected here — only static sharding applies.
-    pub(crate) shard: ShardPolicy,
-}
-
-impl AdhocArgs {
-    /// Parse an argument list (without the program name).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying parse error for an unknown backend or
-    /// algorithm name, or a bad worker count.
-    pub(crate) fn parse(argv: Vec<String>) -> Result<Self, WcmsError> {
-        let quick = argv.iter().any(|a| a == "--quick");
-        let backend = backend_from_args(&argv)?;
-        let algorithm = algorithm_from_args(&argv)?;
-        let jobs = jobs_from_args(&argv)?;
-        let shard = shard_from_args(&argv)?;
-        if matches!(shard, ShardPolicy::Steal { .. } | ShardPolicy::Replay) {
-            return Err(WcmsError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "--steal/--replay need a checkpointed sweep; the ad-hoc tables only support \
-                 --shard-index/--shard-count",
-            )));
-        }
-        Ok(Self { argv, quick, backend, algorithm, jobs, shard })
-    }
-
-    /// Is `flag` present in the raw argument list?
-    #[must_use]
-    pub fn has_flag(&self, flag: &str) -> bool {
-        self.argv.iter().any(|a| a == flag)
-    }
-
-    /// Compute one printable row per item on `--jobs` workers and print
-    /// them in submission order — the shared shape of every ad-hoc
-    /// table. Output bytes never depend on the worker count. Under
-    /// `--shard-index/--shard-count` only this shard's rows are
-    /// computed and printed (in submission order), so n processes'
-    /// outputs interleave-merge back into the full table.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first row's error (after printing the rows before
-    /// it), exactly like the sequential loop it replaces.
-    pub fn emit_rows<J: Send>(
-        &self,
-        items: Vec<J>,
-        row: impl Fn(J) -> Result<String, WcmsError> + Sync,
-    ) -> Result<(), WcmsError> {
-        let mine: Vec<J> = items
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| self.shard.owns(*i))
-            .map(|(_, item)| item)
-            .collect();
-        for r in parallel_map(mine, self.jobs, |_, item| row(item)) {
-            println!("{}", r?);
-        }
-        Ok(())
-    }
-}
-
-/// The whole `main` of an ad-hoc study binary: parse the shared CLI,
-/// run the study, map any error to `EXIT_FAILURE` with the binary name
-/// attached.
-pub fn adhoc_binary_main(
-    name: &str,
-    run: impl FnOnce(&AdhocArgs) -> Result<(), WcmsError>,
-) -> ExitCode {
-    let result = AdhocArgs::parse(std::env::args().skip(1).collect()).and_then(|args| run(&args));
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The whole `main` of a figure binary: parse the shared CLI, build the
-/// panels, render them, map any error to `EXIT_FAILURE` with the figure
-/// name attached.
-pub fn figure_binary_main(
-    figure: &str,
-    build: impl FnOnce(&FigureArgs) -> Result<Vec<FigurePanel>, WcmsError>,
-) -> ExitCode {
-    let args = match figure_args_from_env(figure) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{figure}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let panels = match build(&args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{figure}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let partial = args.opts.shard.partial_output();
-    for panel in &panels {
-        let (data, comments) = panel.render(args.backend(), args.markdown);
-        eprint!("{comments}");
-        // Pairwise keeps the historical stderr byte for byte; only a
-        // non-default algorithm announces itself.
-        if args.opts.algorithm != AlgorithmKind::Pairwise {
-            eprintln!("# algorithm: {}", args.opts.algorithm);
-        }
-        // The structured run summary: one greppable line per sweep,
-        // rebuilt from the metrics registry by the supervisor
-        // (`SweepStats::from_registry`), so it can never drift from a
-        // `--metrics` dump of the same run.
-        eprintln!("{}", panel.report.stats.summary_line(figure));
-        // A shard holds only its slice of the grid: its CSV would be
-        // partial and silently misleading, so data rows are suppressed
-        // — the `merge` binary (or a `--replay` run) renders the full,
-        // byte-identical CSV from the joined checkpoint store.
-        if !partial {
-            print!("{data}");
-        }
-    }
-    if partial {
-        if let (Some(worker), Some(store)) =
-            (args.opts.shard.worker_label(), &args.opts.resilience.checkpoint)
-        {
-            // Export this shard's counters next to its cells, so the
-            // merge step can absorb them into one unified summary.
-            let name = format!("shard-metrics-{}.prom", sanitize(&worker));
-            if let Err(e) = store.write_aux(&name, &args.obs().metrics.prometheus_text()) {
-                eprintln!("{figure}: writing shard metrics: {e}");
-                return ExitCode::FAILURE;
+/// The whole `main` of a figure binary: walk the arguments through the
+/// figure table, build the panels, render them, and map the outcome to
+/// the exit contract ([`cli::main`]).
+pub fn figure_binary_main(figure: &'static str) -> ExitCode {
+    cli::main(&Cli { name: figure, flags: FIGURE }, |args| {
+        let args = parse_figure_args(figure, args, shard_from_args(args)?)?;
+        let panels = build_figure_panels(figure, &args.opts)?;
+        let partial = args.opts.shard.partial_output();
+        for panel in &panels {
+            let (data, comments) = panel.render(args.backend(), args.markdown);
+            eprint!("{comments}");
+            // Pairwise keeps the historical stderr byte for byte; only a
+            // non-default algorithm announces itself.
+            if args.opts.algorithm != AlgorithmKind::Pairwise {
+                eprintln!("# algorithm: {}", args.opts.algorithm);
+            }
+            // The structured run summary: one greppable line per sweep,
+            // rebuilt from the metrics registry by the supervisor
+            // (`SweepStats::from_registry`), so it can never drift from a
+            // `--metrics` dump of the same run.
+            eprintln!("{}", panel.report.stats.summary_line(figure));
+            // A shard holds only its slice of the grid: its CSV would be
+            // partial and silently misleading, so data rows are suppressed
+            // — the `merge` binary (or a `--replay` run) renders the full,
+            // byte-identical CSV from the joined checkpoint store.
+            if !partial {
+                print!("{data}");
             }
         }
-        eprintln!(
-            "# shard: data rows suppressed; run `merge --figure {figure}` (or re-run with \
-             --replay) against the shared checkpoint dir for the full CSV"
-        );
-    }
-    if let Err(e) = args.export_observability() {
-        eprintln!("{figure}: writing observability outputs: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+        if partial {
+            if let (Some(worker), Some(store)) =
+                (args.opts.shard.worker_label(), &args.opts.resilience.checkpoint)
+            {
+                // Export this shard's counters next to its cells, so the
+                // merge step can absorb them into one unified summary.
+                let name = format!("shard-metrics-{}.prom", sanitize(&worker));
+                store.write_aux(&name, &args.obs().metrics.prometheus_text())?;
+            }
+            eprintln!(
+                "# shard: data rows suppressed; run `merge --figure {figure}` (or re-run with \
+                 --replay) against the shared checkpoint dir for the full CSV"
+            );
+        }
+        args.export_observability()
+    })
 }
 
 #[cfg(test)]
@@ -485,36 +364,6 @@ mod tests {
         let conflict_pos = comments.find("bank conflicts").unwrap();
         assert!(runtime_pos < conflict_pos);
         assert!(comments.contains("rank agreement"), "{comments}");
-    }
-
-    #[test]
-    fn adhoc_args_parse_the_shared_surface() {
-        let strs = |xs: &[&str]| xs.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
-        let args = AdhocArgs::parse(strs(&[
-            "--quick",
-            "--backend",
-            "analytic",
-            "--algorithm",
-            "multiway",
-            "--jobs",
-            "3",
-            "--rtx",
-        ]))
-        .unwrap();
-        assert!(args.quick);
-        assert_eq!(args.backend, BackendKind::Analytic);
-        assert_eq!(args.algorithm, AlgorithmKind::Multiway);
-        assert_eq!(args.jobs, 3);
-        assert!(args.has_flag("--rtx"));
-        assert!(!args.has_flag("--markdown"));
-
-        let defaults = AdhocArgs::parse(vec![]).unwrap();
-        assert!(!defaults.quick);
-        assert_eq!(defaults.backend, BackendKind::Sim);
-        assert_eq!(defaults.algorithm, AlgorithmKind::Pairwise);
-        assert_eq!(defaults.jobs, 1);
-
-        assert!(AdhocArgs::parse(strs(&["--algorithm", "quantum"])).is_err());
     }
 
     #[test]

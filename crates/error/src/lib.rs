@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cancel;
+pub mod cli;
 #[cfg(feature = "model-check")]
 pub mod mc;
 
@@ -242,6 +243,14 @@ pub enum WcmsError {
         reason: String,
     },
 
+    /// A command line the binary's flag table refuses: an unknown
+    /// token, a missing or unparsable value, a repeated flag, or a
+    /// combination of flags that means nothing (see [`cli`]).
+    Usage {
+        /// What is wrong, naming the offending token.
+        reason: String,
+    },
+
     /// An underlying I/O error (dataset or checkpoint files).
     Io(std::io::Error),
 }
@@ -322,6 +331,7 @@ impl fmt::Display for WcmsError {
                  retry after {retry_after_ms} ms"
             ),
             WcmsError::WireMalformed { reason } => write!(f, "malformed wire data: {reason}"),
+            WcmsError::Usage { reason } => f.write_str(reason),
             WcmsError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }

@@ -31,8 +31,7 @@ use super::kernel::Tile;
 use super::ExecBackend;
 
 /// Schedule-replay conflict prediction: identical counters to
-/// [`super::SimBackend`], 2.6–2.8× faster over `crossval --quick`'s 34
-/// cells.
+/// [`super::SimBackend`], 2.6–2.8× faster over `crossval`'s 34 cells.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyticBackend;
 

@@ -267,8 +267,8 @@ impl BackendKind {
     /// The next rung of the graceful-degradation ladder: when a cell
     /// repeatedly times out on this backend, the sweep supervisor
     /// retries it on a strictly cheaper engine — `sim → analytic`
-    /// (identical measurements, 2.6–2.8× faster over `crossval
-    /// --quick`'s 34 cells) and `analytic → reference` (completes, but
+    /// (identical measurements, 2.6–2.8× faster over `crossval`'s 34
+    /// cells) and `analytic → reference` (completes, but
     /// models no GPU time).
     /// `None` from `reference`: there is nothing cheaper, the cell
     /// becomes an explicit gap.

@@ -37,7 +37,7 @@
 //! that executes one work unit at a time: the cycle-accurate
 //! [`backend::SimBackend`] (the default), the
 //! [`backend::AnalyticBackend`] with integer-identical counters (the
-//! simulator takes 2.6–2.8× its time on `crossval --quick`'s cells),
+//! simulator takes 2.6–2.8× its time on `crossval`'s cells),
 //! and the counter-free CPU [`backend::ReferenceBackend`] that also
 //! serves as the resilient degrade ladder's bottom rung. All three
 //! share the per-thread address schedules of [`schedule`].

@@ -6,7 +6,8 @@
 //! (journal timestamps are microseconds, far inside the 2^53
 //! exact-integer range) and objects preserve insertion order. Parsing
 //! is linear in the document: each run of unescaped string bytes is
-//! copied as one slice.
+//! copied as one slice. Nesting is bounded (64 levels), so a hostile
+//! document of brackets is refused instead of overflowing the stack.
 
 use std::fmt::Write as _;
 
@@ -77,15 +78,21 @@ impl Value {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// documents the workspace writes nest at most 4 levels (the Chrome
+/// trace export); the parser recurses once per level.
+const MAX_DEPTH: usize = 64;
+
 /// Parse one complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 ///
 /// # Errors
 ///
-/// A `String` naming the byte offset and what was expected there.
+/// A `String` naming the byte offset and what was expected there, or
+/// the first bracket nested deeper than 64 levels.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut pos = 0;
-    let value = parse_value(text, &mut pos)?;
+    let value = parse_value(text, &mut pos, 0)?;
     skip_ws(text.as_bytes(), &mut pos);
     if pos != text.len() {
         return Err(format!("byte {pos}: trailing characters after the document"));
@@ -99,12 +106,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(text: &str, pos: &mut usize) -> Result<Value, String> {
+/// Parse the value at `pos`, which sits inside `depth` arrays and
+/// objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(text, pos),
-        Some(b'[') => parse_array(text, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("byte {pos}: nesting deeper than {MAX_DEPTH} levels"))
+        }
+        Some(b'{') => parse_object(text, pos, depth + 1),
+        Some(b'[') => parse_array(text, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -190,7 +202,7 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(text: &str, pos: &mut usize) -> Result<Value, String> {
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
     let bytes = text.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
@@ -200,7 +212,7 @@ fn parse_array(text: &str, pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(text, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -213,7 +225,7 @@ fn parse_array(text: &str, pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(text: &str, pos: &mut usize) -> Result<Value, String> {
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
     let bytes = text.as_bytes();
     *pos += 1; // '{'
     let mut members = Vec::new();
@@ -233,7 +245,7 @@ fn parse_object(text: &str, pos: &mut usize) -> Result<Value, String> {
             return Err(format!("byte {pos}: expected ':'"));
         }
         *pos += 1;
-        let value = parse_value(text, pos)?;
+        let value = parse_value(text, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -329,6 +341,31 @@ mod tests {
             assert_eq!(v.get("s"), Some(&Value::Str(format!("{s}\n"))));
             assert!(elapsed < std::time::Duration::from_secs(2), "took {elapsed:?}");
         }
+    }
+
+    /// A deep document is refused with a typed error, on a thread whose
+    /// stack a recursion of 1 MiB of brackets would overflow many times
+    /// over; the deepest accepted nesting still parses.
+    #[test]
+    fn deep_nesting_is_refused_not_a_stack_overflow() {
+        let verdicts = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| {
+                let arrays = "[".repeat(1 << 20);
+                let objects = "{\"a\":".repeat((1 << 20) / 5);
+                [parse(&arrays), parse(&objects)]
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        for verdict in verdicts {
+            let err = verdict.unwrap_err();
+            assert!(err.contains("nesting deeper than 64 levels"), "{err}");
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let one_more = format!("[{deepest}]");
+        assert!(parse(&one_more).unwrap_err().starts_with(&format!("byte {MAX_DEPTH}:")));
     }
 
     #[test]

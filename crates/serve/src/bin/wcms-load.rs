@@ -13,83 +13,79 @@
 //! Scrape mode: `--scrape` asks the daemon for its metrics frame and
 //! prints the Prometheus text rendering to stdout.
 //!
-//! Usage: `wcms-load --addr <host:port> [--rps <r>] [--duration-s <s>]
-//!   [--connections <n>] [--distinct <k>] [--w <w>] [--e <e>] [--b <b>]
-//!   [--n <len>] [--deadline-ms <ms>] [--seed <s>] [--out <path>]
-//!   [--probe <json>] [--scrape]`
+//! Usage: `wcms-load --addr <host:port> [--rps <r>] [--duration-s <s>] [--connections <n>]
+//!                   [--distinct <k>] [--w <w>] [--e <e>] [--b <b>] [--n <len>]
+//!                   [--deadline-ms <ms>] [--seed <s>] [--out <path>] [--probe <json>] [--scrape]`
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 use std::time::Duration;
 
+use wcms_error::cli::{self, Args, Cli, Flag};
 use wcms_error::WcmsError;
 use wcms_obs::MetricsRegistry;
 use wcms_serve::load::{run_load, scrape_metrics, Client, LoadOptions};
 use wcms_serve::wire::Tuning;
 
+const CLI: Cli = Cli {
+    name: "wcms-load",
+    flags: &[&[
+        Flag::value("--addr", "host:port").required(),
+        Flag::value("--rps", "r"),
+        Flag::value("--duration-s", "s"),
+        Flag::value("--connections", "n"),
+        Flag::value("--distinct", "k"),
+        Flag::value("--w", "w"),
+        Flag::value("--e", "e"),
+        Flag::value("--b", "b"),
+        Flag::value("--n", "len"),
+        Flag::value("--deadline-ms", "ms"),
+        Flag::value("--seed", "s"),
+        Flag::value("--out", "path"),
+        Flag::value("--probe", "json"),
+        Flag::switch("--scrape"),
+    ]],
+};
+
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("wcms-load: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main(&CLI, run)
 }
 
-fn bad(msg: String) -> WcmsError {
-    WcmsError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
-}
+fn run(args: &Args) -> Result<(), WcmsError> {
+    let addr = args.value("--addr").unwrap_or_default();
+    let resolved = addr
+        .to_socket_addrs()
+        .map_err(|e| e.to_string())
+        .and_then(|mut found| found.next().ok_or_else(|| "resolves to nothing".to_string()));
+    let addr: SocketAddr =
+        resolved.map_err(|why| WcmsError::Usage { reason: format!("--addr {addr}: {why}") })?;
+    // Every value is checked before the first call, in every mode.
+    let deadline = Duration::from_millis(args.get_or("--deadline-ms", 10_000)?);
+    let defaults = LoadOptions::default();
+    let w = args.get_or("--w", defaults.tuning.w)?;
+    let e = args.get_or("--e", defaults.tuning.e)?;
+    let b = args.get_or("--b", defaults.tuning.b)?;
+    let opts = LoadOptions {
+        rate_rps: args.get_or("--rps", defaults.rate_rps)?,
+        duration: Duration::try_from_secs_f64(args.get_or("--duration-s", 5.0)?)
+            .map_err(|e| WcmsError::Usage { reason: format!("--duration-s: {e}") })?,
+        connections: args.get_or("--connections", defaults.connections)?,
+        distinct: args.get_or("--distinct", defaults.distinct)?,
+        tuning: Tuning { w, e, b },
+        n: args.get_or("--n", b * e * 2)?,
+        call_deadline: deadline,
+        run_seed: args.get_or("--seed", defaults.run_seed)?,
+    };
 
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, WcmsError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            args.get(i + 1).cloned().map(Some).ok_or_else(|| bad(format!("{flag} needs a value")))
-        }
-    }
-}
-
-fn parse_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, WcmsError> {
-    flag_value(args, flag)?
-        .map_or(Ok(default), |v| v.parse().map_err(|_| bad(format!("bad {flag}: {v}"))))
-}
-
-fn resolve(addr: &str) -> Result<SocketAddr, WcmsError> {
-    addr.to_socket_addrs()?.next().ok_or_else(|| bad(format!("--addr {addr} resolves to nothing")))
-}
-
-fn run() -> Result<(), WcmsError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr =
-        resolve(&flag_value(&args, "--addr")?.ok_or_else(|| bad("--addr is required".into()))?)?;
-    let deadline = Duration::from_millis(parse_or(&args, "--deadline-ms", 10_000u64)?);
-
-    if let Some(request) = flag_value(&args, "--probe")? {
+    if let Some(request) = args.value("--probe") {
         let mut client = Client::connect(addr, deadline)?;
-        println!("{}", client.call_text(&request)?);
+        println!("{}", client.call_text(request)?);
         return Ok(());
     }
-
-    if args.iter().any(|a| a == "--scrape") {
+    if args.has("--scrape") {
         print!("{}", scrape_metrics(addr, deadline)?);
         return Ok(());
     }
-
-    let defaults = LoadOptions::default();
-    let w = parse_or(&args, "--w", defaults.tuning.w)?;
-    let e = parse_or(&args, "--e", defaults.tuning.e)?;
-    let b = parse_or(&args, "--b", defaults.tuning.b)?;
-    let opts = LoadOptions {
-        rate_rps: parse_or(&args, "--rps", defaults.rate_rps)?,
-        duration: Duration::from_secs_f64(parse_or(&args, "--duration-s", 5.0f64)?),
-        connections: parse_or(&args, "--connections", defaults.connections)?,
-        distinct: parse_or(&args, "--distinct", defaults.distinct)?,
-        tuning: Tuning { w, e, b },
-        n: parse_or(&args, "--n", b * e * 2)?,
-        call_deadline: deadline,
-        run_seed: parse_or(&args, "--seed", defaults.run_seed)?,
-    };
 
     let metrics = MetricsRegistry::new();
     let report = run_load(addr, &opts, &metrics)?;
@@ -107,7 +103,7 @@ fn run() -> Result<(), WcmsError> {
         report.warm_ms,
         report.cache_speedup,
     );
-    if let Some(path) = flag_value(&args, "--out")? {
+    if let Some(path) = args.value("--out") {
         std::fs::write(path, format!("{json}\n"))?;
     }
     Ok(())

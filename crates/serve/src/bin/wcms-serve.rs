@@ -8,11 +8,10 @@
 //! `status` request (a crash-only process has no exit hook to flush a
 //! file from).
 //!
-//! Usage: `wcms-serve [--addr <host:port>] [--workers <n>]
-//!   [--conn-workers <n>] [--queue-cap <n>] [--conn-backlog <n>]
-//!   [--cache-dir <dir>] [--journal-dir <dir>] [--max-budget-ms <ms>]
-//!   [--read-deadline-ms <ms>] [--write-deadline-ms <ms>]
-//!   [--est-job-ms <ms>] [--trace <journal.jsonl>]`
+//! Usage: `wcms-serve [--addr <host:port>] [--workers <n>] [--conn-workers <n>] [--queue-cap <n>]
+//!                    [--conn-backlog <n>] [--cache-dir <dir>] [--journal-dir <dir>]
+//!                    [--max-budget-ms <ms>] [--read-deadline-ms <ms>] [--write-deadline-ms <ms>]
+//!                    [--est-job-ms <ms>] [--trace <journal.jsonl>]`
 //!
 //! `--addr 127.0.0.1:0` binds an ephemeral port; the daemon prints
 //! `listening on <resolved addr>` on stdout so scripts can scrape it.
@@ -28,74 +27,58 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+use wcms_error::cli::{self, Args, Cli, Flag};
 use wcms_error::{CancelToken, WcmsError};
 use wcms_obs::{journal_jsonl, Clock, Obs, RingCollector};
 use wcms_serve::server::{serve, ServerConfig};
 
+const CLI: Cli = Cli {
+    name: "wcms-serve",
+    flags: &[&[
+        Flag::value("--addr", "host:port"),
+        Flag::value("--workers", "n"),
+        Flag::value("--conn-workers", "n"),
+        Flag::value("--queue-cap", "n"),
+        Flag::value("--conn-backlog", "n"),
+        Flag::value("--cache-dir", "dir"),
+        Flag::value("--journal-dir", "dir"),
+        Flag::value("--max-budget-ms", "ms"),
+        Flag::value("--read-deadline-ms", "ms"),
+        Flag::value("--write-deadline-ms", "ms"),
+        Flag::value("--est-job-ms", "ms"),
+        Flag::value("--trace", "journal.jsonl"),
+    ]],
+};
+
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("wcms-serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main(&CLI, run)
 }
 
-fn bad(msg: String) -> WcmsError {
-    WcmsError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
-}
+fn run(args: &Args) -> Result<(), WcmsError> {
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7433");
+    let mut cfg = ServerConfig::new(
+        args.value("--cache-dir").unwrap_or("state/serve/cache"),
+        args.value("--journal-dir").unwrap_or("state/serve/journal"),
+    );
+    cfg.workers = args.get_or("--workers", cfg.workers)?;
+    cfg.conn_workers = args.get_or("--conn-workers", cfg.conn_workers)?;
+    cfg.queue_cap = args.get_or("--queue-cap", cfg.queue_cap)?;
+    cfg.conn_backlog = args.get_or("--conn-backlog", cfg.conn_backlog)?;
+    cfg.est_job_ms = args.get_or("--est-job-ms", cfg.est_job_ms)?;
+    let millis = |flag, default: Duration| -> Result<Duration, WcmsError> {
+        Ok(args.get(flag)?.map_or(default, Duration::from_millis))
+    };
+    cfg.max_budget = millis("--max-budget-ms", cfg.max_budget)?;
+    cfg.read_deadline = millis("--read-deadline-ms", cfg.read_deadline)?;
+    cfg.write_deadline = millis("--write-deadline-ms", cfg.write_deadline)?;
 
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, WcmsError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            args.get(i + 1).cloned().map(Some).ok_or_else(|| bad(format!("{flag} needs a value")))
-        }
-    }
-}
-
-fn parse_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, WcmsError> {
-    flag_value(args, flag)?
-        .map_or(Ok(default), |v| v.parse().map_err(|_| bad(format!("bad {flag}: {v}"))))
-}
-
-fn run() -> Result<(), WcmsError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr = flag_value(&args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7433".into());
-    let cache_dir = flag_value(&args, "--cache-dir")?.unwrap_or_else(|| "state/serve/cache".into());
-    let journal_dir =
-        flag_value(&args, "--journal-dir")?.unwrap_or_else(|| "state/serve/journal".into());
-
-    let mut cfg = ServerConfig::new(cache_dir, journal_dir);
-    cfg.workers = parse_or(&args, "--workers", cfg.workers)?;
-    cfg.conn_workers = parse_or(&args, "--conn-workers", cfg.conn_workers)?;
-    cfg.queue_cap = parse_or(&args, "--queue-cap", cfg.queue_cap)?;
-    cfg.conn_backlog = parse_or(&args, "--conn-backlog", cfg.conn_backlog)?;
-    cfg.est_job_ms = parse_or(&args, "--est-job-ms", cfg.est_job_ms)?;
-    cfg.max_budget = Duration::from_millis(parse_or(
-        &args,
-        "--max-budget-ms",
-        cfg.max_budget.as_millis() as u64,
-    )?);
-    cfg.read_deadline = Duration::from_millis(parse_or(
-        &args,
-        "--read-deadline-ms",
-        cfg.read_deadline.as_millis() as u64,
-    )?);
-    cfg.write_deadline = Duration::from_millis(parse_or(
-        &args,
-        "--write-deadline-ms",
-        cfg.write_deadline.as_millis() as u64,
-    )?);
-
-    if let Some(path) = flag_value(&args, "--trace")? {
+    if let Some(path) = args.value("--trace") {
         let ring = Arc::new(RingCollector::new());
         cfg.obs = Obs::with_recorder(ring.clone(), Clock::wall());
         // The epoch record is what lets `wcms-trace join` put this
         // journal on the same timeline as the workers'.
         cfg.obs.emit_epoch("serve");
-        let mut file = std::fs::File::create(&path)?;
+        let mut file = std::fs::File::create(path)?;
         let obs = cfg.obs.clone();
         std::thread::spawn(move || loop {
             std::thread::sleep(Duration::from_millis(200));
@@ -113,7 +96,7 @@ fn run() -> Result<(), WcmsError> {
         });
     }
 
-    let listener = TcpListener::bind(&addr)?;
+    let listener = TcpListener::bind(addr)?;
     println!("listening on {}", listener.local_addr()?);
     // A daemon has no clean stop: the token below never fires, and the
     // journal + cache carry everything a SIGKILL interrupts.

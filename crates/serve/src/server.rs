@@ -1132,9 +1132,19 @@ mod tests {
                 Response::Error { kind, .. } => assert_eq!(kind, "bad-request"),
                 other => unreachable!("{other:?}"),
             }
-            // Well-formed frame, hostile payload.
-            match roundtrip_raw(addr, b"{\"op\":\"nope\"}") {
-                Response::Error { kind, .. } => assert_eq!(kind, "bad-request"),
+            // Well-formed frames, hostile payloads: an unknown op, and
+            // 15,000 nested brackets, past the JSON reader's depth
+            // bound; parsing that deep would overflow a worker's stack
+            // and abort the daemon.
+            for payload in [b"{\"op\":\"nope\"}".to_vec(), vec![b'['; 15_000]] {
+                match roundtrip_raw(addr, &payload) {
+                    Response::Error { kind, .. } => assert_eq!(kind, "bad-request"),
+                    other => unreachable!("{other:?}"),
+                }
+            }
+            // The daemon is still serving.
+            match roundtrip(addr, &Request::Health) {
+                Response::Health { version } => assert_eq!(version, PROTOCOL_VERSION),
                 other => unreachable!("{other:?}"),
             }
         });

@@ -11,6 +11,20 @@
 //! wcms sortfile  --input big.keys --output sorted.keys
 //! ```
 //!
+//! Each command has its own flag table; a flag a command does not read
+//! is refused. Usage:
+//!
+//! ```text
+//! wcms generate [--w <w>] [--e <e>] [--b <b>] [--n <n>] [--out <file>]
+//! wcms evaluate [--w <w>] [--e <e>]
+//! wcms sort [--w <w>] [--e <e>] [--b <b>] [--n <n>] [--input <worst|random|sorted|reverse|heavy>]
+//! wcms assess --file <file> [--w <w>] [--e <e>] [--b <b>]
+//! wcms occupancy [--e <e>] [--b <b>]
+//! wcms genstream [--family <sorted|reverse|random>] --n <n> --out <file> [--seed <s>] [--chunk <keys>]
+//! wcms verify --file <file>
+//! wcms sortfile --input <file> --output <file> [--run-keys <k>]
+//! ```
+//!
 //! The last three are the scale-out dataset commands: they stream the
 //! version-3 chunked layout, so peak memory stays bounded by the chunk
 //! (and, for `sortfile`, the run) size regardless of N — a 10⁸-key
@@ -18,12 +32,13 @@
 //!
 //! Every failure path — invalid `(w, E, b)` geometry, a configuration
 //! that does not fit the device, a corrupt key file — surfaces as a
-//! typed [`WcmsError`] printed to stderr with a non-zero exit code;
-//! nothing panics on user input.
+//! typed [`WcmsError`] printed to stderr with exit code 1, and a
+//! command line the command's table refuses exits 2; nothing panics on
+//! user input.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 
 use wcms::adversary::evaluate::access_matrix;
@@ -38,96 +53,125 @@ use wcms::workloads::dataset::{
 };
 use wcms::workloads::random::random_permutation;
 use wcms::WcmsError;
+use wcms_error::cli::{self, Args, Cli, Flag};
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = args.get(i + 1).cloned().unwrap_or_default();
-            flags.insert(key.to_string(), value);
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    flags
+const W: Flag = Flag::value("--w", "w");
+const E: Flag = Flag::value("--e", "e");
+const B: Flag = Flag::value("--b", "b");
+const N: Flag = Flag::value("--n", "n");
+
+/// One command: its table, what it does, and its body.
+struct Command {
+    cli: Cli,
+    about: &'static str,
+    run: fn(&Args) -> Result<(), WcmsError>,
 }
 
-fn flag_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: wcms <generate|evaluate|sort|assess|occupancy|genstream|verify|sortfile> \
-         [--w 32] [--e 15] [--b 512] [--n N]"
-    );
-    eprintln!("  generate   build a worst-case permutation (--out FILE to save)");
-    eprintln!("  evaluate   analyse the per-warp construction and print its access matrix");
-    eprintln!("  sort       run the simulated sort (--input worst|random|sorted|reverse|heavy)");
-    eprintln!("  assess     read a key file (--file) and classify its conflict severity");
-    eprintln!("  occupancy  print the occupancy table for all devices");
-    eprintln!("  genstream  stream a v3 dataset under bounded memory");
-    eprintln!("             (--family sorted|reverse|random --n N --out FILE [--seed S])");
-    eprintln!("  verify     stream-check a dataset file (--file FILE): checksums,");
-    eprintln!("             multiset fingerprint, sortedness");
-    eprintln!("  sortfile   external merge sort, v3 to v3 (--input A --output B [--run-keys K])");
-    ExitCode::FAILURE
-}
+const COMMANDS: [Command; 8] = [
+    Command {
+        cli: Cli { name: "wcms generate", flags: &[&[W, E, B, N, Flag::value("--out", "file")]] },
+        about: "build a worst-case permutation",
+        run: generate,
+    },
+    Command {
+        cli: Cli { name: "wcms evaluate", flags: &[&[W, E]] },
+        about: "analyse the per-warp construction and print its access matrix",
+        run: evaluate_cmd,
+    },
+    Command {
+        cli: Cli {
+            name: "wcms sort",
+            flags: &[&[W, E, B, N, Flag::value("--input", "worst|random|sorted|reverse|heavy")]],
+        },
+        about: "run the simulated sort",
+        run: sort_cmd,
+    },
+    Command {
+        cli: Cli {
+            name: "wcms assess",
+            flags: &[&[Flag::value("--file", "file").required(), W, E, B]],
+        },
+        about: "read a key file and classify its conflict severity",
+        run: assess_cmd,
+    },
+    Command {
+        cli: Cli { name: "wcms occupancy", flags: &[&[E, B]] },
+        about: "print the occupancy table for all devices",
+        run: occupancy_cmd,
+    },
+    Command {
+        cli: Cli {
+            name: "wcms genstream",
+            flags: &[&[
+                Flag::value("--family", "sorted|reverse|random"),
+                N.required(),
+                Flag::value("--out", "file").required(),
+                Flag::value("--seed", "s"),
+                Flag::value("--chunk", "keys"),
+            ]],
+        },
+        about: "stream a v3 dataset under bounded memory",
+        run: genstream_cmd,
+    },
+    Command {
+        cli: Cli { name: "wcms verify", flags: &[&[Flag::value("--file", "file").required()]] },
+        about: "stream-check a dataset file: checksums, multiset fingerprint, sortedness",
+        run: verify_cmd,
+    },
+    Command {
+        cli: Cli {
+            name: "wcms sortfile",
+            flags: &[&[
+                Flag::value("--input", "file").required(),
+                Flag::value("--output", "file").required(),
+                Flag::value("--run-keys", "k"),
+            ]],
+        },
+        about: "external merge sort, v3 to v3",
+        run: sortfile_cmd,
+    },
+];
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { return usage() };
-    let flags = parse_flags(&args[1..]);
-    let w = flag_usize(&flags, "w", 32);
-    let e = flag_usize(&flags, "e", 15);
-    let b = flag_usize(&flags, "b", 512);
-
-    let run = match cmd.as_str() {
-        "generate" => generate(&flags, w, e, b),
-        "evaluate" => evaluate_cmd(w, e),
-        "sort" => sort_cmd(&flags, w, e, b),
-        "assess" => assess_cmd(&flags, w, e, b),
-        "occupancy" => occupancy_cmd(e, b),
-        "genstream" => genstream_cmd(&flags),
-        "verify" => verify_cmd(&flags),
-        "sortfile" => sortfile_cmd(&flags),
-        _ => return usage(),
-    };
-    match run {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(err) => {
-            eprintln!("wcms {cmd}: {err}");
-            ExitCode::FAILURE
-        }
+    let mut argv = std::env::args_os().skip(1);
+    let command = argv.next().unwrap_or_default();
+    let name = command.to_str();
+    if let Some(c) = COMMANDS.iter().find(|c| c.cli.name.strip_prefix("wcms ") == name) {
+        return cli::run(&c.cli, argv, c.run);
     }
+    eprintln!("wcms: {command:?}: unknown command");
+    for c in &COMMANDS {
+        eprintln!("{}\n    {}", c.cli.usage(), c.about);
+    }
+    ExitCode::from(2)
 }
 
-fn generate(
-    flags: &HashMap<String, String>,
-    w: usize,
-    e: usize,
-    b: usize,
-) -> Result<(), WcmsError> {
+/// `(--w, --e, --b)`, defaulting to the paper's Thrust tuning.
+fn tuning(args: &Args) -> Result<(usize, usize, usize), WcmsError> {
+    Ok((args.get_or("--w", 32)?, args.get_or("--e", 15)?, args.get_or("--b", 512)?))
+}
+
+fn generate(args: &Args) -> Result<(), WcmsError> {
+    let (w, e, b) = tuning(args)?;
     let builder = WorstCaseBuilder::new(w, e, b)?;
-    let n = flag_usize(flags, "n", builder.block_elems() * 64);
+    let n = args.get_or("--n", builder.block_elems() * 64)?;
     let n = if builder.valid_len(n) { n } else { builder.next_valid_len(n) };
     let keys = builder.build(n)?;
-    match flags.get("out") {
-        Some(path) if !path.is_empty() => {
+    match args.value("--out") {
+        Some(path) => {
             let file = File::create(path)?;
             write_keys(BufWriter::new(file), &keys)?;
             println!("wrote {n} keys to {path}");
         }
-        _ => {
+        None => {
             println!("built {n} keys (pass --out FILE to save); first 16: {:?}", &keys[..16.min(n)])
         }
     }
     Ok(())
 }
 
-fn evaluate_cmd(w: usize, e: usize) -> Result<(), WcmsError> {
+fn evaluate_cmd(args: &Args) -> Result<(), WcmsError> {
+    let (w, e, _) = tuning(args)?;
     let asg = construct(w, e)?;
     let ev = evaluate(&asg)?;
     println!(
@@ -143,30 +187,26 @@ fn evaluate_cmd(w: usize, e: usize) -> Result<(), WcmsError> {
     Ok(())
 }
 
-fn sort_cmd(
-    flags: &HashMap<String, String>,
-    w: usize,
-    e: usize,
-    b: usize,
-) -> Result<(), WcmsError> {
+fn sort_cmd(args: &Args) -> Result<(), WcmsError> {
+    let (w, e, b) = tuning(args)?;
     let params = SortParams::new(w, e, b)?;
     let n = {
-        let raw = flag_usize(flags, "n", params.block_elems() * 16);
+        let raw = args.get_or("--n", params.block_elems() * 16)?;
         if params.valid_len(raw) {
             raw
         } else {
             params.next_valid_len(raw)
         }
     };
-    let input = match flags.get("input").map(String::as_str).unwrap_or("worst") {
+    let input = match args.value("--input").unwrap_or("worst") {
         "worst" => WorstCaseBuilder::new(w, e, b)?.build(n)?,
         "random" => random_permutation(n, 42),
         "sorted" => (0..n as u32).collect(),
         "reverse" => (0..n as u32).rev().collect(),
         "heavy" => WorstCaseBuilder::conflict_heavy(w, e, b, 8.min(e - 1))?.build(n)?,
         other => {
-            return Err(WcmsError::InvalidAssignment {
-                reason: format!("unknown --input {other} (worst|random|sorted|reverse|heavy)"),
+            return Err(WcmsError::Usage {
+                reason: format!("--input {other}: expected worst|random|sorted|reverse|heavy"),
             })
         }
     };
@@ -208,17 +248,9 @@ fn sort_cmd(
     Ok(())
 }
 
-fn assess_cmd(
-    flags: &HashMap<String, String>,
-    w: usize,
-    e: usize,
-    b: usize,
-) -> Result<(), WcmsError> {
-    let Some(path) = flags.get("file").filter(|p| !p.is_empty()) else {
-        return Err(WcmsError::DatasetCorrupt {
-            reason: "assess needs --file FILE (see `wcms generate --out`)".into(),
-        });
-    };
+fn assess_cmd(args: &Args) -> Result<(), WcmsError> {
+    let (w, e, b) = tuning(args)?;
+    let path = args.value("--file").unwrap_or_default();
     let keys = read_keys(File::open(path)?)?;
     let params = SortParams::new(w, e, b)?;
     let a = assess_input(&keys, &params)?;
@@ -241,24 +273,19 @@ fn dataset_err(reason: impl Into<String>) -> WcmsError {
 /// `wcms genstream`: write an N-key version-3 dataset one chunk at a
 /// time. Peak memory is one chunk (default 4 MiB of keys) regardless
 /// of N, so 10⁸–10⁹ keys generate under a small, flat RSS.
-fn genstream_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
-    let n = flag_usize(flags, "n", 0) as u64;
-    if n == 0 {
-        return Err(dataset_err("genstream needs --n N (number of keys, > 0)"));
-    }
-    let Some(out) = flags.get("out").filter(|p| !p.is_empty()) else {
-        return Err(dataset_err("genstream needs --out FILE"));
-    };
-    let family = flags.get("family").map(String::as_str).unwrap_or("random");
-    let seed = flag_usize(flags, "seed", 42) as u64;
-    let chunk = flag_usize(flags, "chunk", DEFAULT_CHUNK_KEYS);
+fn genstream_cmd(args: &Args) -> Result<(), WcmsError> {
+    let n = args.get_or("--n", NonZeroU64::MIN)?.get();
+    let out = args.value("--out").unwrap_or_default();
+    let family = args.value("--family").unwrap_or("random");
+    let seed = args.get_or("--seed", 42)?;
+    let chunk = args.get_or("--chunk", DEFAULT_CHUNK_KEYS)?;
     if family == "sorted" || family == "reverse" {
         // Keys are u32: a monotone ramp longer than the key space
         // would have to repeat, which is no longer "sorted distinct".
         if n > u64::from(u32::MAX) + 1 {
-            return Err(dataset_err(format!(
-                "genstream --family {family}: --n {n} exceeds the u32 key space"
-            )));
+            return Err(WcmsError::Usage {
+                reason: format!("--family {family}: --n {n} exceeds the u32 key space"),
+            });
         }
     }
     let key_at = |i: u64| -> u32 {
@@ -272,10 +299,12 @@ fn genstream_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
         }
     };
     if !matches!(family, "sorted" | "reverse" | "random") {
-        return Err(dataset_err(format!(
-            "unknown --family {family} (sorted|reverse|random stream under bounded memory; \
-             the adversarial families need the whole array — see `wcms generate`)"
-        )));
+        return Err(WcmsError::Usage {
+            reason: format!(
+                "--family {family}: expected sorted|reverse|random (the adversarial families \
+                 need the whole array — see `wcms generate`)"
+            ),
+        });
     }
     let file = BufWriter::new(File::create(out)?);
     let mut writer = DatasetWriter::new(file, n, chunk)?;
@@ -299,10 +328,8 @@ fn genstream_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
 /// index, and chunk checksum is validated by the reader — and report
 /// the count, multiset fingerprint, and whether the keys are sorted.
 /// Bounded memory: one chunk at a time.
-fn verify_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
-    let Some(path) = flags.get("file").filter(|p| !p.is_empty()) else {
-        return Err(dataset_err("verify needs --file FILE"));
-    };
+fn verify_cmd(args: &Args) -> Result<(), WcmsError> {
+    let path = args.value("--file").unwrap_or_default();
     let mut reader = DatasetReader::open(BufReader::new(File::open(path)?))?;
     let declared = reader.count();
     let mut print = MultisetFingerprint::new();
@@ -332,14 +359,10 @@ fn verify_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
 
 /// `wcms sortfile`: external merge sort of a v3 dataset into a new v3
 /// file, with the input/output multiset fingerprint proved equal.
-fn sortfile_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
-    let Some(input) = flags.get("input").filter(|p| !p.is_empty()) else {
-        return Err(dataset_err("sortfile needs --input FILE"));
-    };
-    let Some(output) = flags.get("output").filter(|p| !p.is_empty()) else {
-        return Err(dataset_err("sortfile needs --output FILE"));
-    };
-    let run_keys = flag_usize(flags, "run-keys", 8 << 20);
+fn sortfile_cmd(args: &Args) -> Result<(), WcmsError> {
+    let input = args.value("--input").unwrap_or_default();
+    let output = args.value("--output").unwrap_or_default();
+    let run_keys = args.get_or("--run-keys", 8 << 20)?;
     let report =
         sort_dataset_file(std::path::Path::new(input), std::path::Path::new(output), run_keys)?;
     println!(
@@ -349,7 +372,8 @@ fn sortfile_cmd(flags: &HashMap<String, String>) -> Result<(), WcmsError> {
     Ok(())
 }
 
-fn occupancy_cmd(e: usize, b: usize) -> Result<(), WcmsError> {
+fn occupancy_cmd(args: &Args) -> Result<(), WcmsError> {
+    let (_, e, b) = tuning(args)?;
     for device in DeviceSpec::presets() {
         let w = device.warp_size;
         let params = SortParams::new(w, e, b)?;
