@@ -19,18 +19,15 @@
 //! Usage: `karsin [--quick] [--standard] [--full] [--backend <sim|analytic|reference>]
 //!                [--jobs <n>] [--resume] [--timeout <secs>] [--retries <k>]
 //!                [--checkpoint-dir <dir>] [--no-checkpoint] [--trace <path>]
-//!                [--trace-parent <t/s>] [--metrics <path>] [--shard-index <i>]
-//!                [--shard-count <n>] [--steal] [--worker-id <id>] [--lease-ttl <secs>]
-//!                [--replay]`
+//!                [--trace-parent <t/s>] [--metrics <path>]`
 
 use std::process::ExitCode;
 
 use wcms_bench::checkpoint::CellResult;
-use wcms_bench::cliargs::{
-    parse_figure_args, shard_from_args, BACKEND, GRID, JOBS, OBSERVABILITY, RESILIENCE, SHARD,
-};
+use wcms_bench::cliargs::{parse_figure_args, BACKEND, GRID, JOBS, OBSERVABILITY, RESILIENCE};
 use wcms_bench::experiment::{measure_algo_traced, Measurement};
 use wcms_bench::figures::RANDOM_SEED;
+use wcms_bench::shard::ShardPolicy;
 use wcms_bench::supervisor::run_sweep;
 use wcms_error::cli::{self, Args, Cli};
 use wcms_error::WcmsError;
@@ -40,17 +37,18 @@ use wcms_workloads::WorkloadSpec;
 
 type Cell = (String, &'static str, SortParams, WorkloadSpec, AlgorithmKind, usize);
 
-/// Both algorithms run in every cell, so there is no `--algorithm`, and
-/// the output is CSV only, so there is no `--markdown`.
+/// Both algorithms run in every cell, so there is no `--algorithm`; the
+/// output is CSV only, so there is no `--markdown`; and `merge` joins
+/// only the figure binaries' shards, so there are no shard modes.
 const CLI: Cli =
-    Cli { name: "karsin", flags: &[GRID, &[BACKEND, JOBS], RESILIENCE, OBSERVABILITY, SHARD] };
+    Cli { name: "karsin", flags: &[GRID, &[BACKEND, JOBS], RESILIENCE, OBSERVABILITY] };
 
 fn main() -> ExitCode {
     cli::main(&CLI, run)
 }
 
 fn run(argv: &Args) -> Result<(), WcmsError> {
-    let args = parse_figure_args("karsin", argv, shard_from_args(argv)?)?;
+    let args = parse_figure_args("karsin", argv, ShardPolicy::Off)?;
     let device = DeviceSpec::quadro_m4000();
     let families = [
         ("small-E (Thm 3)", SortParams::new(32, 3, 64)?, WorkloadSpec::WorstCase),

@@ -1,7 +1,8 @@
 //! The §IV-B inline statistics in one table: per device / library /
 //! parameter set, the peak and average worst-case slowdown — plus the
 //! Karsin β₁/β₂ averages on random inputs and their growth with
-//! inversions (`--beta`).
+//! inversions (`--beta`, which reads only the grid switches and
+//! `--backend`, and refuses every other flag).
 //!
 //! Usage: `summary [--quick] [--standard] [--full] [--beta] [--backend <sim|analytic|reference>]
 //!                 [--algorithm <pairwise|multiway>] [--jobs <n>] [--resume] [--timeout <secs>]
@@ -13,8 +14,8 @@
 use std::process::ExitCode;
 
 use wcms_bench::cliargs::{
-    parse_figure_args, shard_from_args, ALGORITHM, BACKEND, GRID, JOBS, OBSERVABILITY, RESILIENCE,
-    SHARD,
+    grid, parse_figure_args, shard_from_args, ALGORITHM, BACKEND, GRID, JOBS, OBSERVABILITY,
+    RESILIENCE, SHARD,
 };
 use wcms_bench::experiment::{measure_on, SweepConfig};
 use wcms_bench::figures::{fig4, fig5_mgpu, fig5_thrust};
@@ -42,10 +43,13 @@ fn main() -> ExitCode {
 }
 
 fn run(argv: &Args) -> Result<(), WcmsError> {
-    let args = parse_figure_args("summary", argv, shard_from_args(argv)?)?;
+    // `--beta` reads no cell, so it opens no checkpoint store and takes
+    // only the grid and the backend.
     if argv.has("--beta") {
-        return beta_report(&args.opts.sweep, args.backend());
+        argv.only("--beta", &["--quick", "--standard", "--full", "--backend"])?;
+        return beta_report(&grid(argv), argv.get("--backend")?.unwrap_or_default());
     }
+    let args = parse_figure_args("summary", argv, shard_from_args(argv)?)?;
 
     let partial = args.opts.shard.partial_output();
     if !partial {

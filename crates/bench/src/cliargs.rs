@@ -189,13 +189,7 @@ pub fn parse_figure_args(
     args: &Args,
     shard: ShardPolicy,
 ) -> Result<FigureArgs, WcmsError> {
-    let sweep = if args.has("--quick") {
-        SweepConfig::quick()
-    } else if args.has("--full") {
-        SweepConfig::full()
-    } else {
-        SweepConfig::standard()
-    };
+    let sweep = grid(args);
     let (backend, algorithm, jobs) = backend_algorithm_jobs(args)?;
 
     let mut resilience = ResilienceConfig::none();
@@ -291,6 +285,19 @@ pub fn parse_figure_args(
         metrics,
         ring,
     })
+}
+
+/// The sweep size the [`GRID`] switches select: `--quick`, then
+/// `--full`, else `--standard`.
+#[must_use]
+pub fn grid(args: &Args) -> SweepConfig {
+    if args.has("--quick") {
+        SweepConfig::quick()
+    } else if args.has("--full") {
+        SweepConfig::full()
+    } else {
+        SweepConfig::standard()
+    }
 }
 
 /// A positive number of seconds given to `flag`, if it was given.

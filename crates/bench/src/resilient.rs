@@ -20,6 +20,7 @@
 //! only as a last resort for a worker that ignores its token, and is
 //! reported in [`CellOutcome::leaked_thread`].
 
+use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::thread;
@@ -416,7 +417,7 @@ where
         }
         let token = CancelToken::new(cell);
         let outcome = match cfg.timeout {
-            None => call_guarded(cell, &f, &token),
+            None => call_guarded(cell, || f(&token)),
             Some(budget) => {
                 run_with_budget(cell, f.clone(), &token, cfg, budget, attempt, &mut leaked_thread)
             }
@@ -455,23 +456,22 @@ where
     }
 }
 
-/// Call the cell body with panics isolated into
-/// [`WcmsError::CellPanicked`].
-fn call_guarded<F>(cell: &str, f: &F, token: &CancelToken) -> Result<Measurement, WcmsError>
-where
-    F: Fn(&CancelToken) -> Result<Measurement, WcmsError>,
-{
-    match catch_unwind(AssertUnwindSafe(|| f(token))) {
-        Ok(r) => r,
-        Err(payload) => {
-            let payload = payload
-                .downcast_ref::<&str>()
-                .map(ToString::to_string)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "<non-string panic>".to_string());
-            Err(WcmsError::CellPanicked { cell: cell.to_string(), payload })
-        }
-    }
+/// Call `body` with a panic isolated into [`WcmsError::CellPanicked`]
+/// for `cell`, carrying the panic's message. The crate's one
+/// `catch_unwind`: the retry loop and `supervisor::parallel_map` both
+/// guard their bodies here.
+pub(crate) fn call_guarded<R>(
+    cell: impl Display,
+    body: impl FnOnce() -> Result<R, WcmsError>,
+) -> Result<R, WcmsError> {
+    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+        let payload = payload
+            .downcast_ref::<&str>()
+            .map(ToString::to_string)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "<non-string panic>".to_string());
+        Err(WcmsError::CellPanicked { cell: cell.to_string(), payload })
+    })
 }
 
 /// One budgeted attempt: run the cell on a helper thread, and on budget
@@ -496,7 +496,7 @@ where
     let cell_owned = cell.to_string();
     let handle = thread::spawn(move || {
         // The receiver may be gone after a timeout; that is fine.
-        let _ = tx.send(call_guarded(&cell_owned, &f, &worker_token));
+        let _ = tx.send(call_guarded(&cell_owned, || f(&worker_token)));
     });
     match rx.recv_timeout(budget) {
         Ok(result) => {

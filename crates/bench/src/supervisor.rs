@@ -38,7 +38,7 @@ use wcms_obs::{fields, MetricsRegistry, TraceContext, LATENCY_BUCKETS_S, TRACE_S
 use crate::checkpoint::CheckpointStore;
 use crate::checkpoint::{CellResult, LoadOutcome};
 use crate::experiment::{Measurement, SweepConfig};
-use crate::resilient::{run_cell, CellOutcome, ResilienceConfig, SweepStats};
+use crate::resilient::{call_guarded, run_cell, CellOutcome, ResilienceConfig, SweepStats};
 use crate::shard::{jitter, LeaseAttempt, LeaseStore, ShardPolicy, DEFERRED_PREFIX, LOST_PREFIX};
 
 /// Everything a figure sweep needs to know about *how* to run: grid,
@@ -306,18 +306,7 @@ where
     R: Send,
     F: Fn(usize, J) -> Result<R, WcmsError> + Sync,
 {
-    let guarded = |i: usize, job: J| -> Result<R, WcmsError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, job))).unwrap_or_else(
-            |payload| {
-                let payload = payload
-                    .downcast_ref::<&str>()
-                    .map(ToString::to_string)
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic>".to_string());
-                Err(WcmsError::CellPanicked { cell: format!("item-{i}"), payload })
-            },
-        )
-    };
+    let guarded = |i: usize, job: J| call_guarded(format_args!("item-{i}"), || f(i, job));
     if threads <= 1 {
         return jobs.into_iter().enumerate().map(|(i, job)| guarded(i, job)).collect();
     }

@@ -7,7 +7,7 @@
 #[path = "../../../tests/support/refusal.rs"]
 mod refusal;
 
-use refusal::{assert_documented, assert_refused};
+use refusal::{assert_documented, assert_refused, run_in_empty_dir};
 
 const BINARIES: [(&str, &str); 11] = [
     (env!("CARGO_BIN_EXE_ablation"), include_str!("../src/bin/ablation.rs")),
@@ -78,10 +78,34 @@ fn karsin_refuses_the_flags_it_ignored() {
     assert_refused(karsin, &["--quick", "--markdown"], "--markdown");
 }
 
+/// karsin has no shard path: `merge` joins only the figure binaries,
+/// so a shard would print half the rows and nothing could join them.
+#[test]
+fn karsin_has_no_shard_modes() {
+    let karsin = env!("CARGO_BIN_EXE_karsin");
+    assert_refused(karsin, &["--quick", "--shard-index", "0", "--shard-count", "2"], "--shard");
+    assert_refused(karsin, &["--quick", "--steal", "--worker-id", "w"], "--steal");
+}
+
 /// summary prints a markdown table either way.
 #[test]
 fn summary_refuses_markdown() {
     assert_refused(env!("CARGO_BIN_EXE_summary"), &["--quick", "--markdown"], "--markdown");
+}
+
+/// `summary --beta` reads no cell: it opens no checkpoint store (which
+/// would clear summary's cells), and it refuses the flags it does not
+/// read.
+#[test]
+fn summary_beta_reads_no_checkpoint_store() {
+    let summary = env!("CARGO_BIN_EXE_summary");
+    let run = run_in_empty_dir(summary, &["--quick", "--backend", "analytic", "--beta"]);
+    assert_eq!(run.code, Some(0), "stderr:\n{}", run.stderr);
+    assert!(run.stdout.contains("| random |"), "{}", run.stdout);
+    assert!(run.left.is_empty(), "--beta left {:?} behind", run.left);
+    assert_refused(summary, &["--beta", "--jobs", "2"], "--jobs 2");
+    assert_refused(summary, &["--quick", "--beta", "--resume"], "--resume");
+    assert_refused(summary, &["--beta", "--steal", "--worker-id", "w"], "--steal");
 }
 
 /// merge always replays, and `--figure` is required and must name a

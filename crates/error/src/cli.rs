@@ -17,7 +17,9 @@
 //! - an argument that is not UTF-8 (in [`main`]);
 //! - a value that does not parse ([`Args::get`]): the error names the
 //!   flag and the value, and a bad value never falls back to the
-//!   default.
+//!   default;
+//! - a flag that the mode another flag selects does not read
+//!   ([`Args::only`], e.g. `summary --beta --jobs 2`).
 //!
 //! [`main`] maps the outcome to the exit contract: 0 on success, 1 on a
 //! run failure or a finding, and 2 on a usage error, with the error and
@@ -182,6 +184,24 @@ impl Args {
             .transpose()
     }
 
+    /// Refuse every given flag but `mode` and `reads`: a binary that
+    /// gives `mode` precedence over its other rows reads only those
+    /// under it, so any other flag would be ignored.
+    ///
+    /// # Errors
+    ///
+    /// [`WcmsError::Usage`] naming the first other flag given, with its
+    /// value.
+    pub fn only(&self, mode: &str, reads: &[&str]) -> Result<(), WcmsError> {
+        let Some((name, value)) =
+            self.given.iter().find(|(name, _)| *name != mode && !reads.contains(name))
+        else {
+            return Ok(());
+        };
+        let flag = if value.is_empty() { (*name).to_string() } else { format!("{name} {value}") };
+        Err(usage(format!("{flag}: {mode} reads only {}", reads.join(", "))))
+    }
+
     /// [`Args::get`], with `default` when the flag was not given.
     ///
     /// # Errors
@@ -294,6 +314,25 @@ mod tests {
         match args.get_or("--jobs", 1usize) {
             Err(WcmsError::Usage { reason }) => {
                 assert!(reason.starts_with("--jobs x: "), "names flag and value: {reason}");
+            }
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_mode_refuses_the_flags_it_does_not_read() {
+        let args = walk(&["--figure", "fig4", "--quick"]).unwrap();
+        assert!(args.only("--quick", &["--figure"]).is_ok());
+        let args = walk(&["--figure", "fig4", "--quick", "--jobs", "3"]).unwrap();
+        match args.only("--quick", &["--figure"]) {
+            Err(WcmsError::Usage { reason }) => {
+                assert_eq!(reason, "--jobs 3: --quick reads only --figure");
+            }
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+        match args.only("--jobs", &["--figure"]) {
+            Err(WcmsError::Usage { reason }) => {
+                assert!(reason.starts_with("--quick: "), "{reason}")
             }
             other => panic!("expected a usage error, got {other:?}"),
         }

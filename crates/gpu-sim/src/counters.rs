@@ -32,9 +32,9 @@ impl KernelCounters {
 /// Bookkeeping of injected faults and the recovery work they triggered.
 ///
 /// Maintained by whichever driver wires a
-/// [`crate::fault::FaultInjector`] through a kernel pipeline (the
-/// resilient sort driver in `wcms-mergesort`); parallel-reducible like
-/// every other counter bundle.
+/// [`crate::fault::FaultInjector`] through a kernel pipeline (the fault
+/// guard of `wcms-mergesort`'s round loop, which counts each window's
+/// faults in window order on the calling thread).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FaultCounters {
     /// Tile bit-flip faults that fired.
@@ -55,16 +55,6 @@ pub struct FaultCounters {
 }
 
 impl FaultCounters {
-    /// Fold in the counters of an independent work unit.
-    pub fn merge(&mut self, other: &FaultCounters) {
-        self.tile_faults += other.tile_faults;
-        self.bits_flipped += other.bits_flipped;
-        self.corank_faults += other.corank_faults;
-        self.detected += other.detected;
-        self.retries += other.retries;
-        self.cpu_fallbacks += other.cpu_fallbacks;
-    }
-
     /// True if any fault fired (whether or not it was detected).
     #[must_use]
     pub fn any_injected(&self) -> bool {

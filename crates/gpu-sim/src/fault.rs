@@ -11,8 +11,8 @@
 //!
 //! The injector is stateless (all methods take `&self`); recovery
 //! bookkeeping lives in [`crate::counters::FaultCounters`], maintained by
-//! whoever drives the injector (the resilient sort driver in
-//! `wcms-mergesort`).
+//! whoever drives the injector (the fault guard of `wcms-mergesort`'s
+//! round loop).
 //!
 //! Keying faults by `attempt` is what makes *retry* a meaningful
 //! recovery strategy: a fault that fires at attempt 0 usually does not

@@ -6,13 +6,14 @@
 //! replay, fast analytic conflict counting, or a plain CPU reference.
 //! [`ExecBackend`] captures exactly that unit ("run one base-case block
 //! / one merge block and return `(output, RoundCounters)`"), and the
-//! drivers in [`crate::driver`] are generic over it:
+//! one round loop in [`crate::driver`] is generic over it:
 //!
 //! ```text
 //!          sort_with_report_on · sort_algo_with_report_traced_on
 //!                     sort_resilient_algo_traced_on
-//!        (round loop, exec fan-out, retry/degrade policy; a group
-//!         of two runs → the pairwise units, wider → the k-way units)
+//!        (one round loop, one exec fan-out per bE window, and the
+//!         fault guard's retry/degrade; a group of two runs → the
+//!         pairwise units, wider → the k-way units)
 //!                                   │
 //!                           trait ExecBackend
 //!       base_block · merge_unit(_multi) · partition_unit(_multi)
@@ -21,7 +22,7 @@
 //!  (--backend)       lockstep        schedule replay    sort_unstable
 //!  forwards each     SharedMemory    into a             / merge_emit,
 //!  unit to the       replay, exact   StepAccumulator,   no counters
-//!  backend it names  values+counters exact counters     (degrade ladder)
+//!  backend it names  values+counters exact counters     (degrade rung)
 //!                         └──────┬──────────┘
 //!                  kernel: the work units written once
 //!                  against a Tile (SimTile · CountTile)

@@ -3,7 +3,9 @@
 //! validation.
 //!
 //! Work units execute on plain host code (`sort_unstable`, a sequential
-//! Merge Path emit) and report **no** GPU counters: a degraded unit
+//! Merge Path or multiway emit) and report **no** GPU counters. A group
+//! that runs out of retries in a resilient sort re-runs its windows
+//! through these units, each finding its own co-ranks, so it
 //! contributes nothing to the [`crate::instrument::SortReport`], exactly
 //! the PR-1 contract of `sort_resilient`'s CPU fallback.
 
@@ -22,25 +24,6 @@ use super::ExecBackend;
 /// Plain CPU execution with zero GPU accounting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReferenceBackend;
-
-impl ReferenceBackend {
-    /// Merge a whole group of sorted runs on the CPU (the degrade unit
-    /// of the resilient global rounds).
-    #[must_use]
-    pub(crate) fn merge_group<K: GpuKey>(&self, runs: &[&[K]]) -> Vec<K> {
-        let lens: Vec<usize> = runs.iter().map(|r| r.len()).collect();
-        let total: usize = lens.iter().sum();
-        let mut out = Vec::with_capacity(total);
-        multiway_emit(
-            &lens,
-            &vec![0; runs.len()],
-            total,
-            |i, j| runs[i][j],
-            |_, run, idx| out.push(runs[run][idx]),
-        );
-        out
-    }
-}
 
 impl ExecBackend for ReferenceBackend {
     fn name(&self) -> &'static str {
@@ -227,16 +210,6 @@ mod tests {
             assert_eq!(ref_out, sim_out, "block {j}");
             assert_eq!(c, RoundCounters::default());
         }
-    }
-
-    #[test]
-    fn merge_group_is_the_stable_multiway_merge() {
-        let runs: Vec<Vec<u32>> = vec![vec![1, 4, 9], vec![2, 4, 6], vec![0, 4]];
-        let refs: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
-        let out = ReferenceBackend.merge_group(&refs);
-        let mut want: Vec<u32> = runs.concat();
-        want.sort_unstable();
-        assert_eq!(out, want);
     }
 
     #[test]

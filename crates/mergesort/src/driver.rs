@@ -2,19 +2,26 @@
 //! merge rounds, with all counters aggregated into a
 //! [`crate::instrument::SortReport`] value.
 //!
+//! One round loop runs every sort. Round 0 is the base case, in which
+//! every block is a group of one run; each later round merges groups of
+//! consecutive runs, and a group of two is the paper's pairwise merge.
 //! Thread blocks are mutually independent within a kernel (each owns a
-//! disjoint output window), so every phase runs its work units on idle
-//! cores through [`crate::exec`]. Each unit's output is checked for
-//! length and copied straight into its window of a preallocated buffer
-//! by the thread that ran it, and the counters are reduced in window
-//! order — outputs, reports and the first error returned are
-//! bit-identical at any thread count.
+//! disjoint `bE` output window), so every round runs one work unit per
+//! window on idle cores through [`crate::exec`]. Each unit's output is
+//! checked for length and copied straight into its window of a
+//! preallocated buffer by the thread that ran it, and the counters are
+//! reduced in window order — outputs, reports and the first error
+//! returned are bit-identical at any thread count.
 //!
-//! A global round merges groups of consecutive runs, and a group of two
-//! is the paper's pairwise merge. Two private helpers, `partition_group`
-//! and `merge_group_block`, are the only code that picks the pairwise
-//! work unit for two runs or the k-way unit for more; both drivers call
-//! them.
+//! The resilient entry points run the same loop under a private fault
+//! guard: an injector corrupts each window's inputs, every group's
+//! output is checked once its windows finish, the groups that failed
+//! re-run, and a group out of retries re-runs its windows on
+//! [`ReferenceBackend`].
+//!
+//! Two private helpers, `partition_group` and `merge_group_block`, are
+//! the only code that picks the pairwise work unit for two runs or the
+//! k-way unit for more.
 
 use wcms_error::WcmsError;
 use wcms_gpu_sim::fault::FaultInjector;
@@ -106,17 +113,6 @@ fn merge_group_block<K: wcms_gpu_sim::GpuKey>(
     backend.merge_unit_multi(&group_refs(keys, grp), &offsets, grp[0].0, j, params, pre)
 }
 
-/// `buf` cut into consecutive windows of the given lengths.
-fn windows_mut<K>(mut buf: &mut [K], lens: impl IntoIterator<Item = usize>) -> Vec<&mut [K]> {
-    lens.into_iter()
-        .map(|len| {
-            let (window, rest) = std::mem::take(&mut buf).split_at_mut(len);
-            buf = rest;
-            window
-        })
-        .collect()
-}
-
 /// Copy one work unit's output into its output window. An output of the
 /// wrong length is a typed error, never a short or overlong sort.
 fn fill_window<K: Copy>(
@@ -146,6 +142,302 @@ fn sum_counters<'a>(parts: impl IntoIterator<Item = &'a RoundCounters>) -> Round
         total.absorb(c);
     }
     total
+}
+
+/// One round of the sort: its index (0 is the base case), its groups of
+/// consecutive runs, and every `bE` output window as (group, block
+/// within the group), in window order — the kernel's block order. A
+/// window's index is also its kernel-wide block id.
+struct Round<'a> {
+    index: usize,
+    groups: Vec<&'a [RunSpan]>,
+    plan: Vec<(usize, usize)>,
+}
+
+impl Round<'_> {
+    /// A group of one run after the base case copies its run unchanged:
+    /// it has no partition kernel and draws no faults.
+    fn passes_through(&self, gi: usize) -> bool {
+        self.index > 0 && self.groups[gi].len() == 1
+    }
+}
+
+/// Run window `w` of `round` on `engine` from `keys`, the keys of the
+/// window's group, into `out`: the base block in round 0, block `j` of
+/// the group's merge later, or a copy. `pre` is the block's co-ranks
+/// from the partition kernel (Modern GPU); `None` makes the block search
+/// its own.
+fn run_unit<K: wcms_gpu_sim::GpuKey>(
+    engine: &impl ExecBackend,
+    params: &SortParams,
+    round: &Round,
+    w: usize,
+    keys: &[K],
+    pre: Option<&[(usize, usize)]>,
+    out: &mut [K],
+) -> Result<RoundCounters, WcmsError> {
+    let (gi, j) = round.plan[w];
+    let grp = round.groups[gi];
+    let (unit_out, c) = if round.index == 0 {
+        engine.base_block(keys, grp[0].0, params)?
+    } else if round.passes_through(gi) {
+        out.copy_from_slice(&keys[j * out.len()..(j + 1) * out.len()]);
+        return Ok(RoundCounters::default());
+    } else {
+        merge_group_block(engine, keys, grp, j, params, pre)?
+    };
+    fill_window(out, &unit_out, round.index, w)?;
+    Ok(c)
+}
+
+/// The fault guard of a resilient sort: the injector that corrupts each
+/// window's inputs and the policy that retries and degrades the groups
+/// that fail. `None` runs the plain sort. Only this module's entry
+/// points set it.
+type FaultGuard<'a> = Option<(&'a FaultInjector, &'a RecoveryPolicy)>;
+
+/// What the fault guard did to one window's inputs before its unit ran.
+#[derive(Default)]
+struct Injected {
+    /// The first run's co-rank pair was corrupted.
+    corank: bool,
+    /// The bits flipped in the keys the unit loaded, if a tile fault
+    /// fired.
+    tile_bits: Option<usize>,
+}
+
+/// One window's attempt: what was injected, and what its unit returned.
+type Outcome = (Injected, Result<RoundCounters, WcmsError>);
+
+/// The partition kernels of one launch, by group (empty when the round
+/// has none).
+type Partitions = Vec<Option<(GroupCoranks, RoundCounters)>>;
+
+/// The typed errors by which a unit reports corrupted inputs: a fault
+/// the guard detected. Any other error ends the sort.
+fn detects(e: &WcmsError) -> bool {
+    matches!(
+        e,
+        WcmsError::PartitionValidation { .. }
+            | WcmsError::SmemOutOfBounds { .. }
+            | WcmsError::CrewViolation { .. }
+            | WcmsError::CorruptOutput { .. }
+    )
+}
+
+/// A window's inputs as the fault guard corrupted them: its co-ranks,
+/// and its group's keys with the number of bits flipped in them.
+type Corrupted<K> = (Option<Vec<(usize, usize)>>, Option<(Vec<K>, usize)>);
+
+/// Draw window `w`'s faults on `attempt` and corrupt copies of its
+/// inputs: in a merge round the first run's co-rank pair (a faulty
+/// partition kernel, or a torn read of its array), and in every round
+/// bits of the group's keys, which the unit may or may not load.
+fn inject<K: wcms_gpu_sim::GpuKey>(
+    injector: &FaultInjector,
+    round: &Round,
+    w: usize,
+    keys: &[K],
+    pre: Option<&[(usize, usize)]>,
+    attempt: usize,
+    be: usize,
+) -> Corrupted<K> {
+    let (gi, j) = round.plan[w];
+    let grp = round.groups[gi];
+    let r = round.index;
+    let coranks = (r > 0 && injector.corank_fault_at(r, w, attempt)).then(|| {
+        let mut pairs: Vec<(usize, usize)> = pre.map_or_else(
+            || {
+                let lens: Vec<usize> = grp.iter().map(|run| run.1).collect();
+                let refs = group_refs(keys, grp);
+                let starts = multiway_select(&lens, j * be, |i, x| refs[i][x]);
+                let ends = multiway_select(&lens, (j + 1) * be, |i, x| refs[i][x]);
+                starts.into_iter().zip(ends).collect()
+            },
+            <[_]>::to_vec,
+        );
+        pairs[0] = injector.corrupt_corank(pairs[0], r, w, attempt);
+        pairs
+    });
+    let tile = injector.tile_fault_at(r, w, attempt).then(|| {
+        let mut tile = keys.to_vec();
+        let bits = injector.flip_tile_bits(&mut tile, r, w, attempt);
+        (tile, bits)
+    });
+    (coranks, tile)
+}
+
+/// Count and trace what the guard injected into window `w` of round
+/// `round` on `attempt`. Every fault becomes a `fault-injected` event
+/// carrying the injector's seed and the fault's coordinates (the
+/// window is the kernel-wide block, `unit`) — enough to replay it.
+fn record(
+    obs: &Obs,
+    injector: &FaultInjector,
+    injected: &Injected,
+    (round, w, attempt): (usize, usize, usize),
+    counters: &mut FaultCounters,
+) {
+    let seed = injector.config().seed;
+    if injected.corank {
+        counters.corank_faults += 1;
+        event!(obs, "fault-injected",
+            kind => "corank", seed => seed, round => round, unit => w, attempt => attempt);
+    }
+    if let Some(bits) = injected.tile_bits {
+        counters.tile_faults += 1;
+        counters.bits_flipped += bits;
+        event!(obs, "fault-injected",
+            kind => "tile-bitflip", seed => seed, round => round, unit => w, attempt => attempt);
+    }
+}
+
+/// What every round of one sort runs on.
+struct Pipeline<'a, B> {
+    params: &'a SortParams,
+    backend: &'a B,
+    obs: &'a Obs,
+    threads: fn() -> usize,
+    guard: FaultGuard<'a>,
+}
+
+impl<B: ExecBackend> Pipeline<'_, B> {
+    /// Launch `round`'s kernels once for the groups `todo` marks: the
+    /// Modern GPU partition kernels of its merges, then one unit per
+    /// window of those groups, each written in place into its window of
+    /// `dst`. Returns the partitions and the windows' outcomes in window
+    /// order. Under the guard each window's inputs are corrupted first,
+    /// and every window runs whatever the others return, for the fold to
+    /// judge; a plain sort returns its lowest-indexed error.
+    fn launch<K: wcms_gpu_sim::GpuKey>(
+        &self,
+        round: &Round,
+        src: &[K],
+        dst: &mut [K],
+        todo: &[bool],
+        attempt: usize,
+    ) -> Result<(Partitions, Vec<Outcome>), WcmsError> {
+        let be = self.params.block_elems();
+        let mut partitions = Vec::new();
+        if round.index > 0 && self.params.variant == SortVariant::ModernGpu {
+            partitions = exec::map((self.threads)(), &round.groups, |gi, grp| {
+                (todo[gi] && !round.passes_through(gi))
+                    .then(|| partition_group(self.backend, group_keys(src, grp), grp, self.params))
+            });
+        }
+        let windows = dst.chunks_mut(be).enumerate().filter(|&(w, _)| todo[round.plan[w].0]);
+        let outcomes = exec::try_map((self.threads)(), windows, |_, (w, out)| {
+            let (gi, j) = round.plan[w];
+            let keys = group_keys(src, round.groups[gi]);
+            let pre = partitions.get(gi).and_then(Option::as_ref).map(|(c, _)| c.block(j));
+            let (coranks, tile) = match self.guard {
+                Some((injector, _)) if !round.passes_through(gi) => {
+                    inject(injector, round, w, keys, pre, attempt, be)
+                }
+                _ => (None, None),
+            };
+            let injected =
+                Injected { corank: coranks.is_some(), tile_bits: tile.as_ref().map(|t| t.1) };
+            let keys = tile.as_ref().map_or(keys, |t| t.0.as_slice());
+            let pre = coranks.as_deref().or(pre);
+            match (self.guard, run_unit(self.backend, self.params, round, w, keys, pre, out)) {
+                (None, Err(e)) => Err(e),
+                (_, result) => Ok((injected, result)),
+            }
+        })?;
+        Ok((partitions, outcomes))
+    }
+
+    /// Run `round` from `src` into `dst` and return its accepted
+    /// counters. A plain sort launches every window once. Under the
+    /// guard, a group's attempt is judged by folding its windows in
+    /// window order and then checking its output; the groups that
+    /// failed launch again, and a group out of retries fails the sort or
+    /// degrades: its windows re-run on the reference backend, with no
+    /// injection and no precomputed co-ranks, and add no counters.
+    fn round<K: wcms_gpu_sim::GpuKey>(
+        &self,
+        round: &Round,
+        src: &[K],
+        dst: &mut [K],
+        fault: &mut FaultReport,
+    ) -> Result<RoundCounters, WcmsError> {
+        let mut todo = vec![true; round.groups.len()];
+        let Some((injector, policy)) = self.guard else {
+            let (partitions, outcomes) = self.launch(round, src, dst, &todo, 0)?;
+            // An unguarded launch returns only when every window succeeded.
+            let units = outcomes.iter().filter_map(|(_, result)| result.as_ref().ok());
+            return Ok(sum_counters(partitions.iter().flatten().map(|(_, c)| c).chain(units)));
+        };
+        let be = self.params.block_elems();
+        let mut total = RoundCounters::default();
+        for attempt in 0..=policy.max_retries {
+            let pending = todo.iter().filter(|&&t| t).count();
+            if pending == 0 {
+                break;
+            }
+            if attempt > 0 {
+                fault.counters.retries += pending;
+            }
+            let (partitions, outcomes) = self.launch(round, src, dst, &todo, attempt)?;
+            // The fold: each group's windows in window order, as its
+            // blocks would meet them one after another. The first window
+            // that detected a fault fails the attempt, and the windows
+            // past it count for nothing.
+            let mut outcomes = outcomes.into_iter();
+            for (gi, grp) in round.groups.iter().enumerate() {
+                if !todo[gi] {
+                    continue;
+                }
+                let windows = (grp[0].0 / be..).zip(outcomes.by_ref().take(group_len(grp) / be));
+                let partition = partitions.get(gi).and_then(Option::as_ref).map(|(_, c)| *c);
+                let mut accepted = partition.unwrap_or_default();
+                let mut clean = true;
+                for (w, (injected, result)) in windows {
+                    if !clean {
+                        continue;
+                    }
+                    let at = (round.index, w, attempt);
+                    record(self.obs, injector, &injected, at, &mut fault.counters);
+                    match result {
+                        Ok(c) => accepted.absorb(&c),
+                        Err(e) if detects(&e) => clean = false,
+                        Err(e) => return Err(e),
+                    }
+                }
+                let keys = group_keys(src, grp);
+                let out = group_keys(dst, grp);
+                if clean
+                    && check_round_output(out, keys.len(), multiset_hash(keys), round.index, gi)
+                        .is_ok()
+                {
+                    total.absorb(&accepted);
+                    todo[gi] = false;
+                } else {
+                    fault.counters.detected += 1;
+                }
+            }
+        }
+
+        let Some(first) = todo.iter().position(|&t| t) else { return Ok(total) };
+        if !policy.cpu_fallback {
+            return Err(WcmsError::FaultUnrecoverable {
+                round: round.index,
+                block: first,
+                retries: policy.max_retries,
+            });
+        }
+        let windows = dst.chunks_mut(be).enumerate().filter(|&(w, _)| todo[round.plan[w].0]);
+        exec::try_map((self.threads)(), windows, |_, (w, out)| {
+            let keys = group_keys(src, round.groups[round.plan[w].0]);
+            run_unit(&ReferenceBackend, self.params, round, w, keys, None, out)
+        })?;
+        for gi in (0..todo.len()).filter(|&gi| todo[gi]) {
+            fault.counters.cpu_fallbacks += 1;
+            fault.degraded.push((round.index, gi));
+        }
+        Ok(total)
+    }
 }
 
 /// Sort `input` on the simulated GPU and return the sorted output with
@@ -200,12 +492,13 @@ pub fn sort_with_report_on<K: wcms_gpu_sim::GpuKey>(
 /// the paper's pairwise merge sort. Every `(algorithm, backend)`
 /// combination sees the identical decomposition into work units.
 ///
-/// A `sort` span wraps the whole pipeline, each global round runs inside
-/// a `merge-round` span, per-round `round-counters` events carry the
-/// merge-step and bank-conflict totals (round 0 is the base case), and
-/// the accepted totals feed the `sort_*` metric counters. With
-/// [`Obs::noop`] every probe is a single untaken branch — the untraced
-/// entry points delegate here.
+/// A `sort` span wraps the whole pipeline, the base case runs inside a
+/// `base-case` span and each global round inside a `merge-round` span,
+/// per-round `round-counters` events carry the merge-step and
+/// bank-conflict totals (round 0 is the base case), and the accepted
+/// totals feed the `sort_*` metric counters. With [`Obs::noop`] every
+/// probe is a single untaken branch — the untraced entry points
+/// delegate here.
 ///
 /// # Errors
 ///
@@ -217,11 +510,14 @@ pub fn sort_algo_with_report_traced_on<K: wcms_gpu_sim::GpuKey>(
     backend: &impl ExecBackend,
     obs: &Obs,
 ) -> Result<(Vec<K>, SortReport), WcmsError> {
-    sort_on_threads(input, params, algo, backend, obs, exec::idle_threads)
+    let (out, report, _) =
+        sort_on_threads(input, params, algo, backend, obs, exec::idle_threads, None)?;
+    Ok((out, report))
 }
 
-/// [`sort_algo_with_report_traced_on`] with each phase run on `threads()`
-/// threads (the public entry points pass the idle-core rule).
+/// The one round loop behind every entry point, with each phase run on
+/// `threads()` threads (the entry points pass the idle-core rule) and
+/// under `guard`, which only the resilient entry points set.
 fn sort_on_threads<K: wcms_gpu_sim::GpuKey>(
     input: &[K],
     params: &SortParams,
@@ -229,7 +525,8 @@ fn sort_on_threads<K: wcms_gpu_sim::GpuKey>(
     backend: &impl ExecBackend,
     obs: &Obs,
     threads: fn() -> usize,
-) -> Result<(Vec<K>, SortReport), WcmsError> {
+    guard: FaultGuard,
+) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
     let n = input.len();
     if !params.valid_len(n) {
         return Err(WcmsError::InvalidLength { n, block_elems: params.block_elems() });
@@ -237,88 +534,59 @@ fn sort_on_threads<K: wcms_gpu_sim::GpuKey>(
     let be = params.block_elems();
     let _running = SortGuard::enter();
     let _sort_span = span!(obs, "sort", n => n, backend => backend.name());
+    let pipeline = Pipeline { params, backend, obs, threads, guard };
+    let mut fault = FaultReport::default();
 
-    // --- Base case: every block sorts its tile into its own window.
-    let base_span = span!(obs, "base-case", blocks => n / be);
-    let mut cur = vec![K::default(); n];
-    let blocks = input.chunks(be).zip(cur.chunks_mut(be));
-    let block_counters =
-        exec::try_map(threads(), blocks, |j, (chunk, window)| -> Result<_, WcmsError> {
-            let (out, c) = backend.base_block(chunk, j * be, params)?;
-            fill_window(window, &out, 0, j)?;
-            Ok(c)
-        })?;
-    let base = sum_counters(&block_counters);
-    drop(base_span);
-    event!(obs, "round-counters",
-        round => 0usize,
-        merge_steps => base.shared.merge.steps,
-        extra_cycles => base.shared.combined().extra_cycles,
-        blocks => base.blocks);
-
-    // --- Global merge rounds: `algo` picks each round's fan-in, the
-    // run list tracks the surviving sorted runs' spans. Each round reads
-    // `cur` and writes every window of `next`, then the two swap.
+    // Round 0 is the base case: every block is a group of one run and
+    // sorts its own tile. Later rounds take their fan-in from `algo`,
+    // and the run list tracks the surviving sorted runs' spans. A round
+    // reads `cur` (the input, in round 0) and writes every window of
+    // `next`, then the two swap.
     let mut runs: Vec<RunSpan> = (0..n / be).map(|i| (i * be, be)).collect();
-    let mut rounds = Vec::with_capacity(params.global_rounds(n));
-    let mut next = vec![K::default(); n];
-    let mut round = 0usize;
-    while runs.len() > 1 {
-        round += 1;
-        let g = algo.fan_in(runs.len()).clamp(2, runs.len());
-        let groups: Vec<&[RunSpan]> = runs.chunks(g).collect();
-        let list_len = runs[0].1;
-        let _round_span = span!(obs, "merge-round", round => round, list_len => list_len);
-
-        // Modern GPU structure: a separate partition kernel per round
-        // computes every block's co-ranks up front. A passthrough group
-        // (one run) has none.
-        let partitions: Option<Vec<Option<(GroupCoranks, RoundCounters)>>> =
-            (params.variant == SortVariant::ModernGpu).then(|| {
-                exec::map(threads(), &groups, |_, grp| {
-                    (grp.len() > 1)
-                        .then(|| partition_group(backend, group_keys(&cur, grp), grp, params))
-                })
-            });
-
-        // Every bE output window of the round as (group, block within
-        // the group), in window order — the kernel's block order. A
-        // passthrough group's windows copy its run unchanged.
-        let plan: Vec<(usize, usize)> = groups
+    let mut counters = Vec::with_capacity(1 + params.global_rounds(n));
+    let (mut cur, mut next) = (vec![K::default(); n], vec![K::default(); n]);
+    for index in 0.. {
+        let fan_in = match index {
+            0 => 1,
+            _ if runs.len() > 1 => algo.fan_in(runs.len()).clamp(2, runs.len()),
+            _ => break,
+        };
+        let groups: Vec<&[RunSpan]> = runs.chunks(fan_in).collect();
+        let plan = groups
             .iter()
             .enumerate()
             .flat_map(|(gi, grp)| (0..group_len(grp) / be).map(move |j| (gi, j)))
             .collect();
-        let units = next.chunks_mut(be).zip(&plan);
-        let unit_counters =
-            exec::try_map(threads(), units, |w, (window, &(gi, j))| -> Result<_, WcmsError> {
-                let grp = groups[gi];
-                if grp.len() == 1 {
-                    window.copy_from_slice(&cur[w * be..(w + 1) * be]);
-                    return Ok(RoundCounters::default());
-                }
-                let pre = partitions.as_ref().and_then(|p| p[gi].as_ref()).map(|(c, _)| c.block(j));
-                let keys = group_keys(&cur, grp);
-                let (out, c) = merge_group_block(backend, keys, grp, j, params, pre)?;
-                fill_window(window, &out, round, w)?;
-                Ok(c)
-            })?;
-
-        let partition_counters = partitions.iter().flatten().flatten().map(|(_, c)| c);
-        let round_counters = sum_counters(partition_counters.chain(&unit_counters));
+        let round = Round { index, groups, plan };
+        let _round_span = if index == 0 {
+            span!(obs, "base-case", blocks => runs.len())
+        } else {
+            span!(obs, "merge-round", round => index, list_len => runs[0].1)
+        };
+        let src = if index == 0 { input } else { &cur };
+        let c = pipeline.round(&round, src, &mut next, &mut fault)?;
         event!(obs, "round-counters",
-            round => round,
-            merge_steps => round_counters.shared.merge.steps,
-            extra_cycles => round_counters.shared.combined().extra_cycles,
-            blocks => round_counters.blocks);
-        rounds.push(round_counters);
-        runs = groups.iter().map(|grp| (grp[0].0, group_len(grp))).collect();
+            round => index,
+            merge_steps => c.shared.merge.steps,
+            extra_cycles => c.shared.combined().extra_cycles,
+            blocks => c.blocks);
+        counters.push(c);
+        runs = round.groups.iter().map(|grp| (grp[0].0, group_len(grp))).collect();
         std::mem::swap(&mut cur, &mut next);
     }
 
-    let report = SortReport { params: *params, n, base, rounds };
+    let mut rounds = counters.into_iter();
+    let base = rounds.next().unwrap_or_default();
+    let report = SortReport { params: *params, n, base, rounds: rounds.collect() };
     observe_report(obs, &report);
-    Ok((cur, report))
+    if guard.is_some() && obs.is_active() {
+        let c = &fault.counters;
+        obs.metrics.counter("faults_injected_total").add((c.tile_faults + c.corank_faults) as u64);
+        obs.metrics.counter("faults_detected_total").add(c.detected as u64);
+        obs.metrics.counter("fault_retries_total").add(c.retries as u64);
+        obs.metrics.counter("fault_cpu_fallbacks_total").add(c.cpu_fallbacks as u64);
+    }
+    Ok((cur, report, fault))
 }
 
 /// Feed one accepted [`SortReport`] into the metric counters. The
@@ -361,13 +629,13 @@ pub fn sort_padded<K: wcms_gpu_sim::GpuKey>(
     Ok((out, report))
 }
 
-/// How the resilient driver reacts to detected faults.
+/// How a resilient sort reacts to detected faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Retries per work unit after the first failed attempt (each retry
-    /// restarts from the unit's immutable, checkpointed input).
+    /// Retries per group after its first failed attempt (each retry
+    /// restarts from the group's immutable, checkpointed input).
     pub max_retries: usize,
-    /// After the retry budget: recompute the unit on the trusted CPU
+    /// After the retry budget: recompute the group on the trusted CPU
     /// reference path (`true`), or give up with
     /// [`WcmsError::FaultUnrecoverable`] (`false`).
     pub cpu_fallback: bool,
@@ -398,11 +666,6 @@ impl FaultReport {
     pub fn clean(&self) -> bool {
         self.counters == FaultCounters::default() && self.degraded.is_empty()
     }
-
-    fn absorb(&mut self, other: &FaultReport) {
-        self.counters.merge(&other.counters);
-        self.degraded.extend_from_slice(&other.degraded);
-    }
 }
 
 /// [`sort_with_report`] hardened against transient faults: every kernel
@@ -410,21 +673,23 @@ impl FaultReport {
 /// checked (sortedness + multiset fingerprint against its immutable
 /// input) before it is accepted.
 ///
-/// Detection and recovery per work unit — a thread block in the base
-/// case, a merged group of runs in a global round:
+/// It is the plain sort's round loop under a fault guard. Detection and
+/// recovery are per group — a thread block in the base case, a merged
+/// group of runs in a global round:
 ///
 /// 1. a typed kernel error (CREW violation, out-of-bounds tile, invalid
-///    co-rank) or a failed `check_round_output` marks the attempt bad;
-/// 2. the unit retries from its checkpointed input up to
+///    co-rank, corrupt output) in one of the group's windows, or a
+///    failed `check_round_output` on its output, marks the attempt bad;
+/// 2. the group retries from its checkpointed input up to
 ///    [`RecoveryPolicy::max_retries`] times — transient faults (keyed by
 ///    attempt) clear, hard faults do not;
-/// 3. on exhaustion the unit degrades to the trusted CPU reference path
-///    (`sort_unstable` / `ReferenceBackend::merge_group`) and is
-///    recorded in the `FaultReport`, or fails with
+/// 3. on exhaustion the group's windows re-run on the trusted
+///    [`ReferenceBackend`] and the group is recorded in the
+///    `FaultReport`, or the sort fails with
 ///    [`WcmsError::FaultUnrecoverable`] if `cpu_fallback` is off.
 ///
 /// The [`SortReport`] counts only the *accepted* GPU work (a degraded
-/// unit contributes no GPU counters); wasted attempts show up in the
+/// group contributes no GPU counters); wasted attempts show up in the
 /// `FaultReport` instead. With [`FaultInjector::disabled`] the output
 /// and report are bit-identical to [`sort_with_report`] and the fault
 /// report is `FaultReport::clean`.
@@ -474,18 +739,19 @@ pub fn sort_resilient<K: wcms_gpu_sim::GpuKey>(
 /// backend, under an [`Obs`] bundle.
 ///
 /// The retry/degrade policy is a pure wrapper around *any*
-/// [`ExecBackend`]: injection corrupts a unit's inputs, the unit runs on
-/// `backend`, and the degrade ladder always bottoms out on the trusted
-/// [`ReferenceBackend`] regardless of the primary backend. Retry in the
-/// global rounds is *group*-granular: the group of runs merged together
-/// is the smallest unit whose output multiset is known in advance (the
-/// pair, for [`PairwiseMerge`]).
+/// [`ExecBackend`]: injection corrupts a window's inputs, the unit runs
+/// on `backend`, and the degrade ladder always bottoms out on the
+/// trusted [`ReferenceBackend`] regardless of the primary backend.
+/// Retry is *group*-granular: the group of runs merged together is the
+/// smallest unit whose output multiset is known in advance (the pair,
+/// for [`PairwiseMerge`]; the block, in the base case).
 ///
-/// The pipeline runs in a `sort-resilient` span, every injected fault
-/// becomes a `fault-injected` event carrying the injector seed and the
-/// fault's exact coordinates (round, kernel-wide block as `unit`,
-/// attempt) — enough to replay it — and the fault totals feed the
-/// `fault_*` metric counters.
+/// The trace has the plain sort's shape — the `sort`, `base-case` and
+/// `merge-round` spans, and `round-counters` events carrying the
+/// accepted counters — plus a `fault-injected` event for every injected
+/// fault, carrying the injector seed and the fault's exact coordinates
+/// (round, kernel-wide block as `unit`, attempt) — enough to replay it
+/// — and the fault totals feed the `fault_*` metric counters.
 ///
 /// # Errors
 ///
@@ -499,289 +765,8 @@ pub fn sort_resilient_algo_traced_on<K: wcms_gpu_sim::GpuKey>(
     backend: &impl ExecBackend,
     obs: &Obs,
 ) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-    sort_resilient_on_threads(
-        input,
-        params,
-        algo,
-        injector,
-        policy,
-        backend,
-        obs,
-        exec::idle_threads,
-    )
-}
-
-/// [`sort_resilient_algo_traced_on`] with each phase run on `threads()`
-/// threads (the public entry points pass the idle-core rule).
-#[allow(clippy::too_many_arguments)] // the public signature plus the thread count
-fn sort_resilient_on_threads<K: wcms_gpu_sim::GpuKey>(
-    input: &[K],
-    params: &SortParams,
-    algo: &(impl SortAlgorithm + ?Sized),
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-    obs: &Obs,
-    threads: fn() -> usize,
-) -> Result<(Vec<K>, SortReport, FaultReport), WcmsError> {
-    let n = input.len();
-    if !params.valid_len(n) {
-        return Err(WcmsError::InvalidLength { n, block_elems: params.block_elems() });
-    }
-    let be = params.block_elems();
-    let _running = SortGuard::enter();
-    let mut fault = FaultReport::default();
-    let _sort_span = span!(obs, "sort-resilient", n => n, backend => backend.name());
-
-    // --- Base case: block-granular retry, round index 0.
-    let mut cur = vec![K::default(); n];
-    let blocks = input.chunks(be).zip(cur.chunks_mut(be));
-    let block_results =
-        exec::try_map(threads(), blocks, |j, (chunk, window)| -> Result<_, WcmsError> {
-            let (out, c, f) =
-                resilient_base_block(chunk, j, params, injector, policy, backend, obs)?;
-            fill_window(window, &out, 0, j)?;
-            Ok((c, f))
-        })?;
-    let mut base = RoundCounters::default();
-    for (c, f) in &block_results {
-        base.absorb(c);
-        fault.absorb(f);
-    }
-
-    // --- Global merge rounds: group-granular retry (the merged group is
-    // the smallest unit whose output multiset is known in advance). Each
-    // group writes its own window of `next`.
-    let mut runs: Vec<RunSpan> = (0..n / be).map(|i| (i * be, be)).collect();
-    let mut rounds = Vec::with_capacity(params.global_rounds(n));
-    let mut next = vec![K::default(); n];
-    let mut round = 0usize;
-    while runs.len() > 1 {
-        round += 1;
-        let g = algo.fan_in(runs.len()).clamp(2, runs.len());
-        let groups: Vec<&[RunSpan]> = runs.chunks(g).collect();
-
-        let windows = windows_mut(&mut next, groups.iter().map(|grp| group_len(grp)));
-        let group_results =
-            exec::try_map(threads(), windows, |gi, window| -> Result<_, WcmsError> {
-                let grp = groups[gi];
-                let keys = group_keys(&cur, grp);
-                if grp.len() == 1 {
-                    window.copy_from_slice(keys);
-                    return Ok((RoundCounters::default(), FaultReport::default()));
-                }
-                let (out, c, f) = resilient_merge_group(
-                    keys, grp, gi, round, params, injector, policy, backend, obs,
-                )?;
-                fill_window(window, &out, round, gi)?;
-                Ok((c, f))
-            })?;
-
-        let mut round_counters = RoundCounters::default();
-        for (c, f) in &group_results {
-            round_counters.absorb(c);
-            fault.absorb(f);
-        }
-        rounds.push(round_counters);
-        runs = groups.iter().map(|grp| (grp[0].0, group_len(grp))).collect();
-        std::mem::swap(&mut cur, &mut next);
-    }
-
-    let report = SortReport { params: *params, n, base, rounds };
-    observe_report(obs, &report);
-    if obs.is_active() {
-        let c = &fault.counters;
-        obs.metrics.counter("faults_injected_total").add((c.tile_faults + c.corank_faults) as u64);
-        obs.metrics.counter("faults_detected_total").add(c.detected as u64);
-        obs.metrics.counter("fault_retries_total").add(c.retries as u64);
-        obs.metrics.counter("fault_cpu_fallbacks_total").add(c.cpu_fallbacks as u64);
-    }
-    Ok((cur, report, fault))
-}
-
-/// One base-case block under injection: sort the chunk, check the
-/// output, retry from the immutable `chunk` on detection.
-#[allow(clippy::too_many_arguments)] // internal retry-loop plumbing
-fn resilient_base_block<K: wcms_gpu_sim::GpuKey>(
-    chunk: &[K],
-    j: usize,
-    params: &SortParams,
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-    obs: &Obs,
-) -> Result<(Vec<K>, RoundCounters, FaultReport), WcmsError> {
-    let be = params.block_elems();
-    let expect_hash = multiset_hash(chunk);
-    let mut f = FaultReport::default();
-
-    for attempt in 0..=policy.max_retries {
-        if attempt > 0 {
-            f.counters.retries += 1;
-        }
-        // Inject: bit-flips in the keys this block loads into its tile.
-        let result = if injector.tile_fault_at(0, j, attempt) {
-            let mut tile = chunk.to_vec();
-            f.counters.tile_faults += 1;
-            f.counters.bits_flipped += injector.flip_tile_bits(&mut tile, 0, j, attempt);
-            event!(obs, "fault-injected",
-                kind => "tile-bitflip",
-                seed => injector.config().seed,
-                round => 0usize,
-                unit => j,
-                attempt => attempt);
-            backend.base_block(&tile, j * be, params)
-        } else {
-            backend.base_block(chunk, j * be, params)
-        };
-        match result {
-            Ok((out, c)) => {
-                if check_round_output(&out, chunk.len(), expect_hash, 0, j).is_ok() {
-                    return Ok((out, c, f));
-                }
-                f.counters.detected += 1;
-            }
-            Err(_kernel_fault) => f.counters.detected += 1,
-        }
-    }
-
-    if !policy.cpu_fallback {
-        return Err(WcmsError::FaultUnrecoverable {
-            round: 0,
-            block: j,
-            retries: policy.max_retries,
-        });
-    }
-    f.counters.cpu_fallbacks += 1;
-    f.degraded.push((0, j));
-    let (out, _) = ReferenceBackend.base_block(chunk, j * be, params)?;
-    Ok((out, RoundCounters::default(), f))
-}
-
-/// One group of two or more runs in one global round under injection:
-/// run the group's partition kernel (Modern GPU) and every block, check
-/// the assembled group output, retry the whole group from its immutable
-/// `keys` on detection, degrade to the CPU merge on exhaustion. Faults
-/// are drawn per kernel-wide block id, counted from the group's first
-/// run.
-#[allow(clippy::too_many_arguments)] // internal retry-loop plumbing
-fn resilient_merge_group<K: wcms_gpu_sim::GpuKey>(
-    keys: &[K],
-    grp: &[RunSpan],
-    group: usize,
-    round: usize,
-    params: &SortParams,
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    backend: &impl ExecBackend,
-    obs: &Obs,
-) -> Result<(Vec<K>, RoundCounters, FaultReport), WcmsError> {
-    let be = params.block_elems();
-    let first_block = grp[0].0 / be;
-    let refs = group_refs(keys, grp);
-    let lens: Vec<usize> = grp.iter().map(|r| r.1).collect();
-    let expect_hash = multiset_hash(keys);
-    let mut f = FaultReport::default();
-
-    for attempt in 0..=policy.max_retries {
-        if attempt > 0 {
-            f.counters.retries += 1;
-        }
-        // The Modern GPU partition kernel reruns with the rest of the
-        // attempt (its co-ranks are inputs to every merge block).
-        let partitions = (params.variant == SortVariant::ModernGpu)
-            .then(|| partition_group(backend, keys, grp, params));
-        let mut counters = partitions.as_ref().map(|(_, c)| *c).unwrap_or_default();
-        let mut out = Vec::with_capacity(keys.len());
-        let mut kernel_fault = false;
-
-        for j in 0..keys.len() / be {
-            let block = first_block + j;
-            let pre = partitions.as_ref().map(|(coranks, _)| coranks.block(j));
-
-            // Inject: corrupt the first run's co-rank pair (models a
-            // faulty partition kernel or a torn read of the partition
-            // array).
-            let corrupted = injector.corank_fault_at(round, block, attempt).then(|| {
-                let mut pairs: Vec<(usize, usize)> = pre.map_or_else(
-                    || {
-                        let starts = multiway_select(&lens, j * be, |i, x| refs[i][x]);
-                        let ends = multiway_select(&lens, (j + 1) * be, |i, x| refs[i][x]);
-                        starts.into_iter().zip(ends).collect()
-                    },
-                    <[_]>::to_vec,
-                );
-                pairs[0] = injector.corrupt_corank(pairs[0], round, block, attempt);
-                f.counters.corank_faults += 1;
-                event!(obs, "fault-injected",
-                    kind => "corank",
-                    seed => injector.config().seed,
-                    round => round,
-                    unit => block,
-                    attempt => attempt);
-                pairs
-            });
-
-            // Inject: bit-flips in the group data this block reads.
-            let tile = injector.tile_fault_at(round, block, attempt).then(|| {
-                let mut tile = keys.to_vec();
-                f.counters.tile_faults += 1;
-                f.counters.bits_flipped +=
-                    injector.flip_tile_bits(&mut tile, round, block, attempt);
-                event!(obs, "fault-injected",
-                    kind => "tile-bitflip",
-                    seed => injector.config().seed,
-                    round => round,
-                    unit => block,
-                    attempt => attempt);
-                tile
-            });
-
-            let block_keys = tile.as_deref().unwrap_or(keys);
-            match merge_group_block(
-                backend,
-                block_keys,
-                grp,
-                j,
-                params,
-                corrupted.as_deref().or(pre),
-            ) {
-                Ok((chunk, c)) => {
-                    counters.absorb(&c);
-                    out.extend(chunk);
-                }
-                Err(
-                    WcmsError::PartitionValidation { .. }
-                    | WcmsError::SmemOutOfBounds { .. }
-                    | WcmsError::CrewViolation { .. }
-                    | WcmsError::CorruptOutput { .. },
-                ) => {
-                    f.counters.detected += 1;
-                    kernel_fault = true;
-                    break;
-                }
-                Err(other) => return Err(other),
-            }
-        }
-
-        if !kernel_fault {
-            if check_round_output(&out, keys.len(), expect_hash, round, group).is_ok() {
-                return Ok((out, counters, f));
-            }
-            f.counters.detected += 1;
-        }
-    }
-
-    if !policy.cpu_fallback {
-        return Err(WcmsError::FaultUnrecoverable {
-            round,
-            block: group,
-            retries: policy.max_retries,
-        });
-    }
-    f.counters.cpu_fallbacks += 1;
-    f.degraded.push((round, group));
-    Ok((ReferenceBackend.merge_group(&refs), RoundCounters::default(), f))
+    let guard = Some((injector, policy));
+    sort_on_threads(input, params, algo, backend, obs, exec::idle_threads, guard)
 }
 
 #[cfg(test)]
@@ -912,7 +897,7 @@ mod tests {
     }
 
     /// Also 3-way over 8 runs, whose tail group is a pair of unequal
-    /// position: every group shape goes through the resilient group path.
+    /// position: every group shape goes through the guarded group path.
     #[test]
     fn multiway_resilient_disabled_injector_matches_plain() {
         let p = params();
@@ -1014,17 +999,19 @@ mod tests {
             let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
             for algo in algos {
                 let obs = Obs::noop();
-                let sim1 = sort_on_threads(&input, &p, algo, &SimBackend, obs, ONE).unwrap();
-                let sim4 = sort_on_threads(&input, &p, algo, &SimBackend, obs, FOUR).unwrap();
+                let sim1 = sort_on_threads(&input, &p, algo, &SimBackend, obs, ONE, None).unwrap();
+                let sim4 = sort_on_threads(&input, &p, algo, &SimBackend, obs, FOUR, None).unwrap();
                 assert_eq!(sim1, sim4, "sim, {} {:?}", algo.name(), p.variant);
-                let ana1 = sort_on_threads(&input, &p, algo, &AnalyticBackend, obs, ONE).unwrap();
-                let ana4 = sort_on_threads(&input, &p, algo, &AnalyticBackend, obs, FOUR).unwrap();
+                let ana1 =
+                    sort_on_threads(&input, &p, algo, &AnalyticBackend, obs, ONE, None).unwrap();
+                let ana4 =
+                    sort_on_threads(&input, &p, algo, &AnalyticBackend, obs, FOUR, None).unwrap();
                 assert_eq!(ana1, ana4, "analytic, {} {:?}", algo.name(), p.variant);
             }
         }
     }
 
-    /// The resilient driver under an active injector: output, report,
+    /// The guarded loop under an active injector: output, report,
     /// fault report (degraded units in order) and the first error are
     /// identical on 1 and 4 threads.
     #[test]
@@ -1038,17 +1025,9 @@ mod tests {
             for algo in algos {
                 for inj in [faulty(7, 0.3, 0.3), faulty(3, 1.0, 0.0)] {
                     let run = |threads| {
-                        sort_resilient_on_threads(
-                            &input,
-                            &p,
-                            algo,
-                            &inj,
-                            &policy,
-                            &SimBackend,
-                            Obs::noop(),
-                            threads,
-                        )
-                        .unwrap()
+                        let guard = Some((&inj, &policy));
+                        sort_on_threads(&input, &p, algo, &SimBackend, Obs::noop(), threads, guard)
+                            .unwrap()
                     };
                     let (one, four) = (run(ONE), run(FOUR));
                     assert!(one.2.counters.any_injected(), "{}: nothing fired", algo.name());
@@ -1057,18 +1036,10 @@ mod tests {
                 let strict = RecoveryPolicy { max_retries: 1, cpu_fallback: false };
                 let inj = faulty(3, 1.0, 0.0);
                 let err = |threads| {
-                    sort_resilient_on_threads(
-                        &input,
-                        &p,
-                        algo,
-                        &inj,
-                        &strict,
-                        &SimBackend,
-                        Obs::noop(),
-                        threads,
-                    )
-                    .unwrap_err()
-                    .to_string()
+                    let guard = Some((&inj, &strict));
+                    sort_on_threads(&input, &p, algo, &SimBackend, Obs::noop(), threads, guard)
+                        .unwrap_err()
+                        .to_string()
                 };
                 assert_eq!(err(ONE), err(FOUR), "{} {:?}", algo.name(), p.variant);
             }
@@ -1146,8 +1117,9 @@ mod tests {
         let p = params();
         let input: Vec<u32> = (0..p.block_elems() as u32 * 8).rev().collect();
         for threads in [ONE, FOUR] {
-            let err = sort_on_threads(&input, &p, &PairwiseMerge, &ShortUnit, Obs::noop(), threads)
-                .unwrap_err();
+            let err =
+                sort_on_threads(&input, &p, &PairwiseMerge, &ShortUnit, Obs::noop(), threads, None)
+                    .unwrap_err();
             assert!(
                 matches!(&err, WcmsError::CorruptOutput { round: 1, block: 1, reason }
                     if reason.contains("47 elements for a 48-element")),
@@ -1428,6 +1400,58 @@ mod tests {
                 );
                 assert_eq!(got, want, "{row}");
             }
+        }
+    }
+
+    /// A guarded sort traces as a plain one does, faults included: on
+    /// Sim, pairwise and 4-way, under an active injector, its journal
+    /// validates and opens a `sort` span, its `round-counters` events
+    /// (one per round) sum to the accepted report and to the `sort_*`
+    /// counters, and its `fault-injected` events number
+    /// `faults_injected_total`.
+    #[test]
+    fn a_guarded_sort_traces_its_rounds_and_faults() {
+        use std::sync::Arc;
+        use wcms_obs::journal::{parse_journal, validate};
+        use wcms_obs::{journal_jsonl, Clock, Phase, RingCollector};
+
+        let p = params();
+        let n = p.block_elems() * 16;
+        let input: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(48_271) % 9973).collect();
+        let multiway = MultiwayMerge::default();
+        let algos: [&dyn SortAlgorithm; 2] = [&PairwiseMerge, &multiway];
+        for algo in algos {
+            let ring = Arc::new(RingCollector::new());
+            let obs = Obs::with_recorder(ring.clone(), Clock::virtual_us(1));
+            let inj = faulty(99, 0.3, 0.3);
+            let policy = RecoveryPolicy::default();
+            let (_, report, faults) =
+                sort_resilient_algo_traced_on(&input, &p, algo, &inj, &policy, &SimBackend, &obs)
+                    .unwrap();
+            let name = algo.name();
+            assert!(faults.counters.any_injected(), "{name}: nothing fired");
+            assert!(!faults.degraded.is_empty(), "{name}: nothing degraded");
+
+            let (records, dropped) = ring.drain();
+            let journal = parse_journal(&journal_jsonl(&records, dropped)).unwrap();
+            let validation = validate(&journal);
+            assert!(validation.is_ok(), "{name}: {:?}", validation.errors);
+            let records = |phase: Phase, name: &'static str| {
+                journal.records.iter().filter(move |r| r.phase == phase && r.name == name)
+            };
+            assert_eq!(records(Phase::Begin, "sort").count(), 1, "{name}");
+            let rounds = || records(Phase::Event, "round-counters");
+            assert_eq!(rounds().count(), 1 + report.rounds.len(), "{name}");
+            let sum = |key| rounds().filter_map(|r| r.field(key)?.as_u64()).sum::<u64>();
+            let total = report.total();
+            let counter = |metric| obs.metrics.counter(metric).get();
+            assert_eq!(sum("merge_steps"), total.shared.merge.steps as u64, "{name}");
+            assert_eq!(sum("merge_steps"), counter("sort_merge_steps_total"), "{name}");
+            let extra = total.shared.combined().extra_cycles as u64;
+            assert_eq!(sum("extra_cycles"), extra, "{name}");
+            assert_eq!(sum("extra_cycles"), counter("sort_conflict_extra_cycles_total"), "{name}");
+            let injected = records(Phase::Event, "fault-injected").count() as u64;
+            assert_eq!(injected, counter("faults_injected_total"), "{name}");
         }
     }
 

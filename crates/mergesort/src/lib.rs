@@ -27,13 +27,15 @@
 //! [`assess::assess_input`] turns that into a one-call verdict on how
 //! adversarial an arbitrary workload is for a tuning.
 //!
-//! [`driver::sort_resilient`] runs the same pipeline under a seeded
-//! [`wcms_gpu_sim::fault::FaultInjector`] with per-round corruption
-//! checks (`verify::check_round_output`), bounded retry from each
-//! unit's immutable input, and CPU-reference degradation — transient
-//! faults are detected and recovered, never silently propagated.
+//! [`driver::sort_resilient`] runs the same round loop under a private
+//! fault guard: a seeded [`wcms_gpu_sim::fault::FaultInjector`]
+//! corrupts each window's inputs, each group's output is checked
+//! (`verify::check_round_output`), a failed group retries from its
+//! immutable input, and one out of retries re-runs its work units on
+//! the CPU reference backend — transient faults are detected and
+//! recovered, never silently propagated.
 //!
-//! Both drivers are generic over a pluggable [`backend::ExecBackend`]
+//! The one round loop is generic over a pluggable [`backend::ExecBackend`]
 //! that executes one work unit at a time: the cycle-accurate
 //! [`backend::SimBackend`] (the default), the
 //! [`backend::AnalyticBackend`] with integer-identical counters (the

@@ -1,5 +1,5 @@
-//! Output verification helpers used by tests, the harness, and the
-//! resilient driver's per-round corruption checks.
+//! Output verification for the fault guard of the round loop: the
+//! per-group corruption check every guarded attempt must pass.
 
 use wcms_error::WcmsError;
 use wcms_gpu_sim::fault::splitmix64;
@@ -15,16 +15,16 @@ fn is_sorted<K: Ord>(xs: &[K]) -> bool {
 /// sum of a mixed hash of every key. Commutative by construction, so a
 /// kernel's output hash equals its input hash iff (up to 64-bit hash
 /// collisions) the kernel only *permuted* its data — a cheap, O(n),
-/// allocation-free permutation check that the resilient driver runs
-/// after every round.
+/// allocation-free permutation check that the fault guard runs on
+/// every group it judges.
 #[must_use]
 pub(crate) fn multiset_hash<K: GpuKey>(xs: &[K]) -> u64 {
     xs.iter().fold(0u64, |acc, &k| acc.wrapping_add(splitmix64(k.to_bits())))
 }
 
-/// The resilient driver's per-round invariant: `out` must be sorted and
-/// its multiset fingerprint must match `expected_hash` (the fingerprint
-/// of the work unit's immutable input). A violation is *detected*
+/// The fault guard's per-group invariant: `out` must be sorted and its
+/// multiset fingerprint must match `expected_hash` (the fingerprint of
+/// the group's immutable input). A violation is *detected*
 /// corruption — reported as a typed [`WcmsError::CorruptOutput`] naming
 /// the round and block, never silently propagated.
 ///

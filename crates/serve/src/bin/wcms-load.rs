@@ -13,6 +13,9 @@
 //! Scrape mode: `--scrape` asks the daemon for its metrics frame and
 //! prints the Prometheus text rendering to stdout.
 //!
+//! The two probe modes read only `--addr` and `--deadline-ms`; any
+//! other flag with them is refused before the first connection.
+//!
 //! Usage: `wcms-load --addr <host:port> [--rps <r>] [--duration-s <s>] [--connections <n>]
 //!                   [--distinct <k>] [--w <w>] [--e <e>] [--b <b>] [--n <len>]
 //!                   [--deadline-ms <ms>] [--seed <s>] [--out <path>] [--probe <json>] [--scrape]`
@@ -52,6 +55,9 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &Args) -> Result<(), WcmsError> {
+    if let Some(mode) = ["--probe", "--scrape"].into_iter().find(|mode| args.has(mode)) {
+        args.only(mode, &["--addr", "--deadline-ms"])?;
+    }
     let addr = args.value("--addr").unwrap_or_default();
     let resolved = addr
         .to_socket_addrs()
@@ -59,7 +65,7 @@ fn run(args: &Args) -> Result<(), WcmsError> {
         .and_then(|mut found| found.next().ok_or_else(|| "resolves to nothing".to_string()));
     let addr: SocketAddr =
         resolved.map_err(|why| WcmsError::Usage { reason: format!("--addr {addr}: {why}") })?;
-    // Every value is checked before the first call, in every mode.
+    // Every value is checked before the first call.
     let deadline = Duration::from_millis(args.get_or("--deadline-ms", 10_000)?);
     let defaults = LoadOptions::default();
     let w = args.get_or("--w", defaults.tuning.w)?;

@@ -36,3 +36,18 @@ fn bad_values_are_usage_errors() {
     assert_refused(LOAD, &["--addr", "127.0.0.1:1", "--scrape", "--rps", "fast"], "--rps fast");
     assert_refused(LOAD, &["--addr", "no-port", "--scrape"], "--addr no-port");
 }
+
+/// The probe modes read only `--addr` and `--deadline-ms`: a load flag
+/// or the other mode is refused before the first connection (nothing
+/// listens on port 1, so a connection attempt would exit 1).
+#[test]
+fn probe_modes_refuse_the_load_flags() {
+    let probe = ["--addr", "127.0.0.1:1", "--probe", r#"{"op":"health"}"#];
+    let with = |extra: &[&'static str]| [&probe[..], extra].concat();
+    assert_refused(LOAD, &with(&["--out", "probe.json"]), "--out probe.json");
+    assert_refused(LOAD, &with(&["--rps", "5", "--duration-s", "9"]), "--rps 5");
+    assert_refused(LOAD, &with(&["--scrape"]), "--scrape");
+    let scrape = ["--addr", "127.0.0.1:1", "--scrape", "--deadline-ms", "50"];
+    assert_refused(LOAD, &[&scrape[..], &["--out", "m.txt"]].concat(), "--out m.txt");
+    assert_refused(LOAD, &[&scrape[..], &["--seed", "3"]].concat(), "--seed 3");
+}

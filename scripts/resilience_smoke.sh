@@ -17,7 +17,10 @@
 #   7. an `--algorithm multiway` sweep must complete with sim/analytic
 #      byte-identical CSVs that differ from the pairwise ones (the
 #      k-way algorithm is cross-validated, and actually different);
-#   8. the deterministic fault-injection suites run at their fixed seeds.
+#   8. the deterministic fault-injection suites run at their fixed seeds;
+#   9. the `fault_demo` example prints its fault ledger exactly as pinned
+#      below (faults are a pure function of the seed, so any difference
+#      is a change of fault behaviour).
 #
 # Run from anywhere inside the repository: ./scripts/resilience_smoke.sh
 set -euo pipefail
@@ -83,5 +86,15 @@ echo "algorithm OK: multiway sweep differs from pairwise"
 cargo test --release -p wcms-gpu-sim fault
 cargo test --release -p wcms-mergesort fault
 cargo test --release -p wcms-workloads injected
+
+# The one example that drives the fault path end to end, through the
+# public facade: its ledger is pinned line for line.
+cargo run --release --example fault_demo > "$SCRATCH/fault_demo.txt"
+diff -u - "$SCRATCH/fault_demo.txt" <<'LEDGER'
+no faults    sorted=true injected=0 detected=0 retries=0 cpu_fallbacks=0
+transient    sorted=true injected=83 detected=26 retries=20 cpu_fallbacks=6
+hard (tile)  sorted=true injected=209 detected=75 retries=53 cpu_fallbacks=22
+LEDGER
+echo "fault demo OK: the fault ledger is unchanged"
 
 echo "resilience smoke passed"
