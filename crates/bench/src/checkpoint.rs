@@ -13,9 +13,11 @@
 //! * **atomic writes** — cells are written to a temp file, fsynced and
 //!   renamed, so a torn in-progress write never carries a cell's name;
 //! * **checksum footers** — every cell file ends in an FNV-1a footer
-//!   over its payload; any file that fails the check (bit rot, manual
-//!   edits, a filesystem that lied about the rename) is moved into
-//!   `quarantine/` and reported, never silently re-measured;
+//!   line over its payload, `fnv1a:` and 16 lowercase hex digits (the
+//!   frame codec also reads `xxh64:`, which only the serve cache's large
+//!   entries carry; see [`Checksum`]). Any file that fails the check
+//!   (bit rot, manual edits, a filesystem that lied about the rename) is
+//!   moved into `quarantine/` and reported, never silently re-measured;
 //! * **a manifest** — `manifest.json` records the configuration
 //!   fingerprint (figure, backend, grid, seed, schema version) that
 //!   produced the cells; a `--resume` against a store written by a
@@ -238,7 +240,7 @@ impl CheckpointStore {
         }
         let manifest_path = store.dir.join("manifest.json");
         match fs::read_to_string(&manifest_path) {
-            Ok(text) => match decode_file(&text).ok().and_then(|p| SweepFingerprint::decode(&p)) {
+            Ok(text) => match decode_file(&text).ok().and_then(SweepFingerprint::decode) {
                 Some((schema, found)) if schema == SCHEMA_VERSION => {
                     if let Some((field, expected, found)) = fingerprint.first_mismatch(&found) {
                         return Err(WcmsError::CheckpointMismatch {
@@ -355,7 +357,7 @@ impl CheckpointStore {
             }
         };
         match decode_file(&text).and_then(|payload| {
-            decode(&payload).ok_or_else(|| "payload failed to parse as a cell result".to_string())
+            decode(payload).ok_or_else(|| "payload failed to parse as a cell result".to_string())
         }) {
             Ok(result) => LoadOutcome::Cached(result),
             Err(reason) => self.quarantine(&path, &reason),
@@ -427,7 +429,7 @@ impl CheckpointStore {
     pub fn read_aux(&self, name: &str) -> Result<String, WcmsError> {
         let path = self.dir.join(name);
         let text = fs::read_to_string(&path)?;
-        decode_file(&text).map_err(|reason| WcmsError::CheckpointCorrupt {
+        decode_file(&text).map(str::to_string).map_err(|reason| WcmsError::CheckpointCorrupt {
             path: path.display().to_string(),
             reason,
         })
@@ -563,31 +565,162 @@ pub fn sanitize(cell: &str) -> String {
 
 // --- Checksum framing -----------------------------------------------------
 
-/// Frame `payload` with the integrity footer: the payload line, then
-/// one `fnv1a:<16 hex digits>` line over the payload bytes.
-#[must_use]
-pub fn encode_file(payload: &str) -> String {
-    format!("{payload}\nfnv1a:{:016x}\n", fnv1a64(payload.as_bytes()))
+/// The hash a frame's integrity footer names.
+///
+/// A frame is the payload, a newline, then one `<tag>:<16 lowercase
+/// hex digits>` line over the payload bytes; [`decode_file`] verifies
+/// with whichever hash the tag names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Checksum {
+    /// FNV-1a 64 (tag `fnv1a`), one byte per step down one multiply
+    /// chain. Every checkpoint cell, manifest, lease, aux artifact and
+    /// serve journal record: they are small, their commit cost is the
+    /// fsync, and processes running different builds share them.
+    Fnv1a,
+    /// XXH64 with seed 0 (tag `xxh64`), eight bytes per step on four
+    /// independent lanes. Serve cache entries: the one large frame,
+    /// verified on every hit.
+    Xxh64,
 }
 
-/// Verify and strip the integrity footer, returning the payload.
+impl Checksum {
+    fn tag(self) -> &'static str {
+        match self {
+            Checksum::Fnv1a => "fnv1a:",
+            Checksum::Xxh64 => "xxh64:",
+        }
+    }
+
+    fn of(self, bytes: &[u8]) -> u64 {
+        match self {
+            Checksum::Fnv1a => fnv1a64(bytes),
+            Checksum::Xxh64 => xxh64(bytes),
+        }
+    }
+}
+
+/// Bytes a footer adds to its payload under either tag: the newline,
+/// the six-byte tag, 16 hex digits and the final newline.
+pub const FOOTER_LEN: usize = 24;
+
+/// Frame `payload` with the FNV-1a integrity footer (see [`Checksum`]).
+#[must_use]
+pub fn encode_file(payload: &str) -> String {
+    encode_file_with(payload, Checksum::Fnv1a)
+}
+
+/// Frame `payload` with an integrity footer naming `checksum`.
+#[must_use]
+pub fn encode_file_with(payload: &str, checksum: Checksum) -> String {
+    format!("{payload}\n{}{:016x}\n", checksum.tag(), checksum.of(payload.as_bytes()))
+}
+
+/// Verify and strip the integrity footer, returning the payload: a
+/// prefix of `text`, so a caller can keep it without a copy.
 ///
 /// # Errors
 ///
 /// Returns a human-readable reason when the footer is missing,
-/// malformed, or does not match the payload (torn write, bit rot,
-/// truncation).
-pub fn decode_file(text: &str) -> Result<String, String> {
+/// malformed (an unknown tag, or anything but 16 lowercase hex digits),
+/// or does not match the payload (torn write, bit rot, truncation).
+pub fn decode_file(text: &str) -> Result<&str, String> {
     let body = text.strip_suffix('\n').ok_or("missing trailing newline (truncated file)")?;
     let (payload, footer) =
         body.rsplit_once('\n').ok_or("missing checksum footer (truncated file)")?;
-    let hex = footer.strip_prefix("fnv1a:").ok_or("malformed checksum footer")?;
-    let want = u64::from_str_radix(hex, 16).map_err(|_| "malformed checksum footer")?;
-    let got = fnv1a64(payload.as_bytes());
+    let (checksum, hex) = [Checksum::Fnv1a, Checksum::Xxh64]
+        .into_iter()
+        .find_map(|c| footer.strip_prefix(c.tag()).map(|hex| (c, hex)))
+        .ok_or("malformed checksum footer")?;
+    let want = parse_hex16(hex).ok_or("malformed checksum footer")?;
+    let got = checksum.of(payload.as_bytes());
     if got != want {
-        return Err(format!("checksum mismatch: footer {want:016x}, payload hashes to {got:016x}"));
+        return Err(format!(
+            "checksum mismatch: footer {}{want:016x}, payload hashes to {got:016x}",
+            checksum.tag()
+        ));
     }
-    Ok(payload.to_string())
+    Ok(payload)
+}
+
+/// Exactly 16 lowercase hex digits, the only form [`encode_file_with`]
+/// writes: a footer that verifies under another spelling (`A` for `a`,
+/// a leading `+`) is a corrupted file.
+fn parse_hex16(hex: &str) -> Option<u64> {
+    if hex.len() != 16 {
+        return None;
+    }
+    hex.bytes().try_fold(0u64, |acc, b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u64::from(digit))
+    })
+}
+
+/// XXH64 with seed 0, written from the published specification
+/// (<https://github.com/Cyan4973/xxHash/blob/dev/doc/xxhash_spec.md>).
+/// Each 32-byte stripe feeds one little-endian word to each of four
+/// accumulators, so the multiplies run on four independent chains;
+/// the sub-stripe tail and the final avalanche mix one chain.
+fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    let round = |acc: u64, lane: u64| {
+        acc.wrapping_add(lane.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+    };
+
+    let (stripes, tail) = bytes.as_chunks::<32>();
+    let mut acc = if stripes.is_empty() {
+        P5
+    } else {
+        let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (v, word) in lanes.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *v = round(*v, u64::from_le_bytes(*word));
+            }
+        }
+        let [v1, v2, v3, v4] = lanes;
+        let mut acc = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        for v in lanes {
+            acc = (acc ^ round(0, v)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        acc
+    };
+    // The spec adds the input length modulo 2^64.
+    acc = acc.wrapping_add(bytes.len() as u64);
+
+    let (words, tail) = tail.as_chunks::<8>();
+    for word in words {
+        acc = (acc ^ round(0, u64::from_le_bytes(*word)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let (halves, tail) = tail.as_chunks::<4>();
+    for half in halves {
+        acc = (acc ^ u64::from(u32::from_le_bytes(*half)).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+    }
+    for &b in tail {
+        acc = (acc ^ u64::from(b).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+    }
+
+    acc ^= acc >> 33;
+    acc = acc.wrapping_mul(P2);
+    acc ^= acc >> 29;
+    acc = acc.wrapping_mul(P3);
+    acc ^ (acc >> 32)
 }
 
 // --- JSON codec -----------------------------------------------------------
@@ -755,18 +888,18 @@ mod tests {
     /// leases) still decode to the values that wrote them.
     #[test]
     fn frames_from_the_previous_reader_decode_unchanged() {
-        let frame = |text: &str| decode_file(text).unwrap();
+        let frame = |text: &'static str| decode_file(text).unwrap();
         let done = "{\"status\":\"done\",\"n\":3072,\"throughput\":125000000,\"ms\":0.024576,\"spread\":{\"n\":2,\"mean\":125000000,\"min\":120000000,\"max\":130000000,\"stddev\":7000000},\"beta1\":3.0999999999999996,\"beta2\":15,\"conflicts_per_element\":0.875,\"ms_per_element\":0.000008}\nfnv1a:f0c6a7258a94d4a0\n";
-        assert_eq!(decode(&frame(done)), Some(CellResult::Done(meas())));
+        assert_eq!(decode(frame(done)), Some(CellResult::Done(meas())));
         let demoted = "{\"status\":\"demoted\",\"on\":\"analytic\",\"attempts\":7,\"n\":3072,\"throughput\":125000000,\"ms\":0.024576,\"spread\":{\"n\":2,\"mean\":125000000,\"min\":120000000,\"max\":130000000,\"stddev\":7000000},\"beta1\":3.0999999999999996,\"beta2\":15,\"conflicts_per_element\":0.875,\"ms_per_element\":0.000008}\nfnv1a:103e7b0624a2e777\n";
         assert_eq!(
-            decode(&frame(demoted)),
+            decode(frame(demoted)),
             Some(CellResult::Demoted { m: meas(), on: "analytic".into(), attempts: 7 })
         );
         let skipped = "{\"status\":\"skipped\",\"reason\":\"cell \\\"fig4/wc\\\" \\\\ timed out\\n\\tafter 3 s\\r\\u0001\\u001f é€😀\",\"attempts\":3}\nfnv1a:c7757f081719a28d\n";
         let reason = "cell \"fig4/wc\" \\ timed out\n\tafter 3 s\r\u{1}\u{1f} é€😀";
         let skipped_cell = CellResult::Skipped { reason: reason.into(), attempts: 3 };
-        assert_eq!(decode(&frame(skipped)), Some(skipped_cell.clone()));
+        assert_eq!(decode(frame(skipped)), Some(skipped_cell.clone()));
         assert_eq!(encode_file(&encode(&skipped_cell)), skipped, "encoded bytes changed");
 
         let manifest = "{\"schema\":2,\"figure\":\"fig5\",\"backend\":\"analytic\",\"algorithm\":\"multiway\",\"min_doublings\":1,\"max_doublings\":5,\"runs\":2,\"seed\":12648430}\nfnv1a:d98a2750f2456d54\n";
@@ -776,9 +909,9 @@ mod tests {
             algorithm: "multiway".into(),
             ..fp()
         };
-        assert_eq!(SweepFingerprint::decode(&frame(manifest)), Some((SCHEMA_VERSION, multiway)));
+        assert_eq!(SweepFingerprint::decode(frame(manifest)), Some((SCHEMA_VERSION, multiway)));
         let legacy = "{\"schema\":2,\"figure\":\"figX\",\"backend\":\"sim\",\"min_doublings\":1,\"max_doublings\":5,\"runs\":2,\"seed\":12648430}\nfnv1a:448a01c1cbc153f0\n";
-        assert_eq!(SweepFingerprint::decode(&frame(legacy)), Some((SCHEMA_VERSION, fp())));
+        assert_eq!(SweepFingerprint::decode(frame(legacy)), Some((SCHEMA_VERSION, fp())));
 
         let untraced = "{\"pid\":4242,\"worker\":\"w1\",\"fingerprint\":\"feedbeef01234567\",\"deadline_ms\":1700000000123}\nfnv1a:7deb23d7030b127d\n";
         let lease = LeaseInfo {
@@ -797,16 +930,45 @@ mod tests {
     #[test]
     fn checksum_framing_roundtrips_and_rejects_corruption() {
         let payload = encode(&CellResult::Done(meas()));
-        let framed = encode_file(&payload);
-        assert_eq!(decode_file(&framed).unwrap(), payload);
-        // Any single-byte corruption of the payload must be caught.
-        let mut bytes = framed.clone().into_bytes();
-        bytes[8] ^= 0x20;
-        let tampered = String::from_utf8(bytes).unwrap();
-        assert!(decode_file(&tampered).is_err());
-        // Truncation at every prefix length must be caught.
-        for cut in 0..framed.len() {
-            assert!(decode_file(&framed[..cut]).is_err(), "cut at {cut} must not verify");
+        for checksum in [Checksum::Fnv1a, Checksum::Xxh64] {
+            let framed = encode_file_with(&payload, checksum);
+            assert_eq!(decode_file(&framed).unwrap(), payload);
+            assert_eq!(framed.len(), payload.len() + FOOTER_LEN);
+            // Any single-byte corruption of the payload must be caught.
+            let mut bytes = framed.clone().into_bytes();
+            bytes[8] ^= 0x20;
+            let tampered = String::from_utf8(bytes).unwrap();
+            assert!(decode_file(&tampered).is_err());
+            // Truncation at every prefix length must be caught.
+            for cut in 0..framed.len() {
+                assert!(decode_file(&framed[..cut]).is_err(), "{checksum:?} cut at {cut} verified");
+            }
+        }
+        assert_eq!(encode_file(&payload), encode_file_with(&payload, Checksum::Fnv1a));
+    }
+
+    /// The published XXH64 answers for seed 0. The 39-byte input runs
+    /// the 32-byte stripe loop and every tail step.
+    #[test]
+    fn xxh64_matches_the_reference_answers() {
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition"), 0xfbce_a83c_8a37_8bf1);
+    }
+
+    /// A footer verifies only under the hash its tag names.
+    #[test]
+    fn a_tag_naming_the_other_hash_is_refused() {
+        let payload = encode(&CellResult::Done(meas()));
+        let bytes = payload.as_bytes();
+        let swapped = [
+            format!("{payload}\nfnv1a:{:016x}\n", xxh64(bytes)),
+            format!("{payload}\nxxh64:{:016x}\n", fnv1a64(bytes)),
+        ];
+        for frame in swapped {
+            let err = decode_file(&frame).unwrap_err();
+            assert!(err.contains("checksum mismatch"), "{err}");
         }
     }
 

@@ -116,7 +116,7 @@ pub enum LeaseView {
 pub fn classify_lease(text: Option<&str>) -> LeaseView {
     match text {
         None => LeaseView::Missing,
-        Some(text) => match decode_file(text).ok().and_then(|p| LeaseInfo::decode(&p)) {
+        Some(text) => match decode_file(text).ok().and_then(LeaseInfo::decode) {
             Some(info) => LeaseView::Valid(info),
             None => LeaseView::Corrupt,
         },

@@ -214,8 +214,7 @@ impl Drop for LeaseGuard {
     fn drop(&mut self) {
         let on_disk = fs::read_to_string(&self.path)
             .ok()
-            .and_then(|text| decode_file(&text).ok())
-            .and_then(|payload| LeaseInfo::decode(&payload));
+            .and_then(|text| decode_file(&text).ok().and_then(LeaseInfo::decode));
         if protocol::release_decision(on_disk.as_ref(), self.pid, &self.worker) {
             let _ = fs::remove_file(&self.path);
         }

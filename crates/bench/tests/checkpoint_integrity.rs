@@ -9,7 +9,9 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use proptest::sample::select;
-use wcms_bench::checkpoint::{decode_file, encode_file, CellResult, CheckpointStore, LoadOutcome};
+use wcms_bench::checkpoint::{
+    decode_file, encode_file_with, CellResult, CheckpointStore, Checksum, LoadOutcome,
+};
 use wcms_bench::experiment::Measurement;
 use wcms_bench::resilient::{run_cell, ResilienceConfig};
 use wcms_dmm::stats::Summary;
@@ -112,33 +114,47 @@ proptest! {
             .map(|e| e.unwrap().path())
             .find(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("cell-")))
             .unwrap();
-        let full = std::fs::read_to_string(&path).unwrap();
-        prop_assert!(decode_file(&full).is_ok());
+        let stored = std::fs::read_to_string(&path).unwrap();
+        let payload = decode_file(&stored).unwrap();
+        // The store's FNV-1a frame, and the same payload under XXH64.
+        for full in [stored.clone(), encode_file_with(payload, Checksum::Xxh64)] {
+            prop_assert_eq!(decode_file(&full), Ok(payload));
 
-        // A torn write leaves any prefix of the file; every proper
-        // prefix must be rejected, never mis-parsed.
-        for cut in 0..full.len() {
-            prop_assert!(
-                decode_file(&full[..cut]).is_err(),
-                "prefix of length {cut} of {} bytes was accepted",
-                full.len()
-            );
+            // A torn write leaves any prefix of the file; every proper
+            // prefix must be rejected, never mis-parsed.
+            for cut in 0..full.len() {
+                prop_assert!(
+                    decode_file(&full[..cut]).is_err(),
+                    "prefix of length {cut} of {} bytes was accepted",
+                    full.len()
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
+/// Every single-bit flip of a frame, footer included, fails to verify
+/// under either tag: flipping 0x20 turns a footer's `a` into `A`, which
+/// only a parser of the canonical lowercase form refuses.
 #[test]
 fn bitflips_anywhere_in_the_payload_are_caught() {
     let payload = r#"{"status":"skipped","reason":"r","attempts":3}"#;
-    let framed = encode_file(payload);
-    assert_eq!(decode_file(&framed).as_deref(), Ok(payload));
-    let bytes = framed.as_bytes();
-    for i in 0..bytes.len() {
-        let mut torn = bytes.to_vec();
-        torn[i] ^= 0x01;
-        let torn = String::from_utf8_lossy(&torn).into_owned();
-        assert!(decode_file(&torn).is_err(), "bitflip at byte {i} went undetected");
+    for checksum in [Checksum::Fnv1a, Checksum::Xxh64] {
+        let framed = encode_file_with(payload, checksum);
+        assert_eq!(decode_file(&framed), Ok(payload));
+        let bytes = framed.as_bytes();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut torn = bytes.to_vec();
+                torn[i] ^= 1 << bit;
+                let torn = String::from_utf8_lossy(&torn).into_owned();
+                assert!(
+                    decode_file(&torn).is_err(),
+                    "{checksum:?}: flipping bit {bit} of byte {i} went undetected"
+                );
+            }
+        }
     }
 }
 

@@ -120,8 +120,8 @@ fn claimed_leases_carry_the_claimants_trace_context() {
         LeaseAttempt::Held { .. } => panic!("fresh claim must win"),
     };
     let lease_file = dir.join("leases").join("lease-cell_traced.json");
-    let payload = decode_file(&std::fs::read_to_string(&lease_file).unwrap()).unwrap();
-    let info = LeaseInfo::decode(&payload).expect("claimed lease must decode");
+    let text = std::fs::read_to_string(&lease_file).unwrap();
+    let info = LeaseInfo::decode(decode_file(&text).unwrap()).expect("claimed lease must decode");
     assert_eq!(info.worker, "wt");
     assert_eq!(info.trace.as_deref(), Some(ctx.encode().as_str()));
     drop(guard);
@@ -130,7 +130,8 @@ fn claimed_leases_carry_the_claimants_trace_context() {
     match plain.try_acquire("cell/plain").unwrap() {
         LeaseAttempt::Acquired(g) => {
             let lease_file = dir.join("leases").join("lease-cell_plain.json");
-            let payload = decode_file(&std::fs::read_to_string(&lease_file).unwrap()).unwrap();
+            let text = std::fs::read_to_string(&lease_file).unwrap();
+            let payload = decode_file(&text).unwrap();
             assert!(
                 !payload.contains("trace"),
                 "an untraced lease must stay byte-compatible with pre-trace workers: {payload}"
@@ -238,8 +239,7 @@ proptest! {
         bytes[at] ^= 1 << bit;
         let decoded = String::from_utf8(bytes)
             .ok()
-            .and_then(|text| decode_file(&text).ok())
-            .and_then(|payload| LeaseInfo::decode(&payload));
+            .and_then(|text| decode_file(&text).ok().and_then(LeaseInfo::decode));
         match decoded {
             None => {}
             Some(got) => prop_assert_eq!(got, info, "flip at {}:{} forged a lease", at, bit),

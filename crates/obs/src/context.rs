@@ -58,9 +58,10 @@ pub fn mix(mut x: u64) -> u64 {
     x
 }
 
-/// FNV-1a 64 over `bytes`: trace-stream labels here, and the checksum
-/// footers, cell-name, cache-key and manifest fingerprints of the
-/// checkpoint, shard and serve layers.
+/// FNV-1a 64 over `bytes`: trace-stream labels here, the cell-name,
+/// cache-key, lease and manifest fingerprints of the checkpoint, shard
+/// and serve layers, and the `fnv1a:` checksum footer of checkpoint
+/// frames (serve cache entries carry an XXH64 footer instead).
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;

@@ -8,27 +8,42 @@
 //! across a crash" checkable with `cmp`: a hit re-sends the bytes the
 //! cold computation produced, with no re-encoding step to drift.
 //!
-//! Entries use the checkpoint crate's checksum framing
-//! ([`wcms_bench::checkpoint::encode_file`]) and its durable-write
-//! executor ([`wcms_bench::checkpoint::write_atomic`], temp → fsync →
-//! rename). A corrupt entry (torn write, bit flip) is
-//! quarantined into `quarantine/` — evidence preserved — and reported
-//! as a miss so the result is recomputed; a poisoned cache must never
-//! serve wrong bytes.
+//! Entries use the checkpoint crate's checksum framing with the XXH64
+//! footer ([`wcms_bench::checkpoint::Checksum::Xxh64`]) and its
+//! durable-write executor ([`wcms_bench::checkpoint::write_atomic`],
+//! temp → fsync → rename). A `generate` with inline keys makes entries
+//! of hundreds of KiB, and every hit verifies its entry: XXH64 takes
+//! eight bytes per step where FNV-1a takes one, which made the check
+//! most of a hit (DESIGN Decision 24). Entries with the FNV-1a footer
+//! still verify and hit. A hit reads the file once, verifies it in
+//! place and hands the payload out of the read buffer.
+//!
+//! A corrupt entry (torn write, bit flip, a file longer than any store
+//! writes) is quarantined into `quarantine/` — evidence preserved — and
+//! reported as a miss so the result is recomputed; a poisoned cache
+//! must never serve wrong bytes.
 
-use std::fs;
+use std::fs::{self, File};
+use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 
-use wcms_bench::checkpoint::{decode_file, encode_file, write_atomic};
+use wcms_bench::checkpoint::{decode_file, encode_file_with, write_atomic, Checksum, FOOTER_LEN};
 use wcms_bench::protocol::ATOMIC_WRITE_STEPS;
 use wcms_error::WcmsError;
 use wcms_obs::context::fnv1a64;
+
+use crate::wire::{MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME};
 
 /// Cache schema version, folded into every canonical key (via
 /// [`crate::wire::Request::canonical_key`]). Bump on any change to the
 /// response payload encoding — an old entry must never alias a new
 /// schema.
 pub(crate) const CACHE_SCHEMA: u64 = 1;
+
+/// The largest entry [`ResultCache::store`] writes: a key line of at
+/// most a request frame, a payload of at most a response frame, and the
+/// footer. [`ResultCache::lookup`] reads no more than this.
+const MAX_ENTRY_BYTES: usize = MAX_REQUEST_FRAME + 1 + MAX_RESPONSE_FRAME + FOOTER_LEN;
 
 /// The fingerprint a canonical key files under (also the file stem).
 #[must_use]
@@ -80,16 +95,16 @@ impl ResultCache {
     #[must_use]
     pub fn lookup(&self, key: &str) -> CacheOutcome {
         let path = self.entry_path(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CacheOutcome::Miss,
-            Err(e) => return self.quarantine(&path, &format!("unreadable cache entry: {e}")),
+        let mut text = match read_entry(&path) {
+            Ok(Some(text)) => text,
+            Ok(None) => return CacheOutcome::Miss,
+            Err(reason) => return self.quarantine(&path, &reason),
         };
         let body = match decode_file(&text) {
             Ok(body) => body,
             Err(reason) => return self.quarantine(&path, &reason),
         };
-        let Some((stored_key, payload)) = body.split_once('\n') else {
+        let Some((stored_key, _)) = body.split_once('\n') else {
             return self.quarantine(&path, "entry has no key/payload separator");
         };
         if stored_key != key {
@@ -98,25 +113,40 @@ impl ResultCache {
             // store will overwrite.
             return CacheOutcome::Miss;
         }
-        CacheOutcome::Hit(payload.to_string())
+        // `body` is a prefix of `text`: cut the footer and the key line
+        // in place, so the payload leaves in the buffer it was read into.
+        let (start, end) = (stored_key.len() + 1, body.len());
+        text.truncate(end);
+        text.replace_range(..start, "");
+        CacheOutcome::Hit(text)
     }
 
     /// Store `payload` under `key` atomically (temp + fsync + rename),
     /// with the canonical key recorded inside the entry as a collision
-    /// guard. `payload` must be newline-free (wire documents are).
+    /// guard and the XXH64 footer. `payload` must be newline-free (wire
+    /// documents are).
     ///
     /// # Errors
     ///
-    /// [`WcmsError::WireMalformed`] for a payload containing a newline
-    /// (it would tear the entry framing), [`WcmsError::Io`] on
-    /// filesystem failures.
+    /// [`WcmsError::WireMalformed`] for a key or payload containing a
+    /// newline (it would tear the entry framing), or one longer than a
+    /// request or response frame (no lookup would read it),
+    /// [`WcmsError::Io`] on filesystem failures.
     pub fn store(&self, key: &str, payload: &str) -> Result<(), WcmsError> {
         if key.contains('\n') || payload.contains('\n') {
             return Err(WcmsError::WireMalformed {
                 reason: "cache keys and payloads must be newline-free".into(),
             });
         }
-        let content = encode_file(&format!("{key}\n{payload}"));
+        if key.len() > MAX_REQUEST_FRAME || payload.len() > MAX_RESPONSE_FRAME {
+            return Err(WcmsError::WireMalformed {
+                reason: format!(
+                    "cache keys are at most {MAX_REQUEST_FRAME} B and payloads at most \
+                     {MAX_RESPONSE_FRAME} B"
+                ),
+            });
+        }
+        let content = encode_file_with(&format!("{key}\n{payload}"), Checksum::Xxh64);
         write_atomic(ATOMIC_WRITE_STEPS, &self.entry_path(key), content.as_bytes())
     }
 
@@ -132,9 +162,41 @@ impl ResultCache {
     }
 }
 
+/// Read the entry at `path` whole: `Ok(None)` when there is none, and a
+/// quarantine reason when it is unreadable, not UTF-8, or longer than
+/// [`MAX_ENTRY_BYTES`]. The file's length refuses an oversized entry
+/// before any of it is read and sizes the buffer, as `fs::read` does;
+/// `take` bounds the read when the length lies (a file that grew, or a
+/// link to a device).
+fn read_entry(path: &Path) -> Result<Option<String>, String> {
+    let unreadable = |e: io::Error| format!("unreadable cache entry: {e}");
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(unreadable(e)),
+    };
+    let len = file.metadata().map_err(unreadable)?.len();
+    let limit = MAX_ENTRY_BYTES as u64;
+    if len > limit {
+        return Err(format!(
+            "oversized cache entry: {len} bytes, more than the {MAX_ENTRY_BYTES} a store writes"
+        ));
+    }
+    // Lossless: `len <= limit`, which is a usize.
+    let mut bytes = Vec::with_capacity(len as usize + 1);
+    let read = file.take(limit + 1).read_to_end(&mut bytes).map_err(unreadable)?;
+    if read > MAX_ENTRY_BYTES {
+        return Err(format!(
+            "oversized cache entry: more than the {MAX_ENTRY_BYTES} bytes a store writes"
+        ));
+    }
+    String::from_utf8(bytes).map(Some).map_err(|_| "cache entry is not UTF-8".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wcms_bench::checkpoint::encode_file;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wcms-cache-{name}-{}", std::process::id()));
@@ -206,10 +268,61 @@ mod tests {
         assert_eq!(cache.lookup(key), CacheOutcome::Hit(payload.to_string()));
     }
 
+    /// An entry framed by `encode_file` (the FNV-1a footer every entry
+    /// carried before XXH64) and one written by `store` share a
+    /// directory, and both hit byte for byte.
+    #[test]
+    fn fnv1a_and_xxh64_entries_both_hit() {
+        let cache = ResultCache::open(scratch("mixed")).unwrap();
+        let (old_key, old_payload) = ("wcms/v1/s1 old entry", r#"{"ok":true,"old":1}"#);
+        let (new_key, new_payload) = ("wcms/v1/s1 new entry", r#"{"ok":true,"new":2}"#);
+        fs::write(cache.entry_path(old_key), encode_file(&format!("{old_key}\n{old_payload}")))
+            .unwrap();
+        cache.store(new_key, new_payload).unwrap();
+        let written = fs::read_to_string(cache.entry_path(new_key)).unwrap();
+        assert!(written.rsplit('\n').nth(1).is_some_and(|f| f.starts_with("xxh64:")), "{written}");
+        assert_eq!(cache.lookup(old_key), CacheOutcome::Hit(old_payload.to_string()));
+        assert_eq!(cache.lookup(new_key), CacheOutcome::Hit(new_payload.to_string()));
+    }
+
+    /// A planted or corrupt entry longer than any store writes is
+    /// quarantined by its length, before it is read; a link to an
+    /// endless device, whose length reads 0, by the bounded read.
+    #[test]
+    fn an_entry_longer_than_any_store_writes_is_quarantined() {
+        let cache = ResultCache::open(scratch("oversized")).unwrap();
+        let key = "wcms/v1/s1 oversized entry";
+        let size = 2 * MAX_RESPONSE_FRAME as u64;
+        File::create(cache.entry_path(key)).unwrap().set_len(size).unwrap();
+        match cache.lookup(key) {
+            CacheOutcome::Quarantined { reason } => {
+                assert!(
+                    reason.starts_with(&format!("oversized cache entry: {size} bytes")),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected a quarantine, got {other:?}"),
+        }
+        assert_eq!(cache.lookup(key), CacheOutcome::Miss);
+        #[cfg(unix)]
+        {
+            std::os::unix::fs::symlink("/dev/zero", cache.entry_path(key)).unwrap();
+            match cache.lookup(key) {
+                CacheOutcome::Quarantined { reason } => {
+                    assert!(reason.starts_with("oversized cache entry: more than"), "{reason}");
+                }
+                other => panic!("expected a quarantine, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn newlines_in_payloads_are_refused() {
         let cache = ResultCache::open(scratch("newline")).unwrap();
         let err = cache.store("key", "line1\nline2").unwrap_err();
+        assert!(matches!(err, WcmsError::WireMalformed { .. }), "{err}");
+        // Nor is an entry stored that no lookup would read.
+        let err = cache.store("key", &"x".repeat(MAX_RESPONSE_FRAME + 1)).unwrap_err();
         assert!(matches!(err, WcmsError::WireMalformed { .. }), "{err}");
     }
 

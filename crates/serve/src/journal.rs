@@ -185,7 +185,7 @@ impl JobJournal {
     fn read_record(&self, path: &Path) -> Result<(u64, JobState, String), String> {
         let text = fs::read_to_string(path).map_err(|e| format!("unreadable record: {e}"))?;
         let doc = decode_file(&text)?;
-        let v = json::parse(&doc).map_err(|e| format!("record JSON: {e}"))?;
+        let v = json::parse(doc).map_err(|e| format!("record JSON: {e}"))?;
         let id = v.get("id").and_then(Value::as_u64).ok_or("record missing `id`")?;
         let state = match v.get("state").and_then(Value::as_str) {
             Some("queued") => JobState::Queued,

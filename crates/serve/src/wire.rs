@@ -17,7 +17,7 @@
 //! discipline across the repo, which is what makes "byte-identical
 //! after a crash" a meaningful promise.
 
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use wcms_bench::checkpoint::{self, CellResult};
 use wcms_error::WcmsError;
@@ -66,11 +66,20 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max: usize) -> Result<(),
     let len = u32::try_from(payload.len()).map_err(|_| malformed("frame exceeds u32::MAX"))?;
     // One write per frame: prefix-then-payload as separate writes makes
     // Nagle hold the payload until the prefix is ACKed, which on
-    // loopback costs a full delayed-ACK interval (~40 ms) per frame.
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&len.to_be_bytes());
-    framed.extend_from_slice(payload);
-    w.write_all(&framed)?;
+    // loopback costs a full delayed-ACK interval (~40 ms) per frame. A
+    // vectored write sends both in one syscall without copying the
+    // payload next to the prefix.
+    let prefix = len.to_be_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match w.write_vectored(unsent) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -1034,6 +1043,42 @@ mod tests {
         assert_eq!(read_frame(&mut r, MAX_REQUEST_FRAME).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r, MAX_REQUEST_FRAME).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r, MAX_REQUEST_FRAME).unwrap(), None);
+    }
+
+    /// A writer that takes one to three bytes per call and is
+    /// interrupted now and then still puts a whole frame on the wire; a
+    /// writer that takes nothing is an error, not a spin.
+    #[test]
+    fn frames_survive_short_and_interrupted_writes() {
+        struct Trickle {
+            out: Vec<u8>,
+            calls: usize,
+        }
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.calls += 1;
+                if self.calls.is_multiple_of(5) {
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                let n = buf.len().min(self.calls % 3 + 1);
+                self.out.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Trickle { out: Vec::new(), calls: 0 };
+        write_frame(&mut w, b"a trickled payload", MAX_REQUEST_FRAME).unwrap();
+        write_frame(&mut w, b"", MAX_REQUEST_FRAME).unwrap();
+        let mut r = std::io::Cursor::new(w.out);
+        assert_eq!(read_frame(&mut r, MAX_REQUEST_FRAME).unwrap().unwrap(), b"a trickled payload");
+        assert_eq!(read_frame(&mut r, MAX_REQUEST_FRAME).unwrap().unwrap(), b"");
+        assert_eq!(read_frame(&mut r, MAX_REQUEST_FRAME).unwrap(), None);
+
+        let mut full: &mut [u8] = &mut [];
+        let err = write_frame(&mut full, b"x", MAX_REQUEST_FRAME).unwrap_err();
+        assert!(matches!(&err, WcmsError::Io(e) if e.kind() == io::ErrorKind::WriteZero), "{err}");
     }
 
     #[test]
